@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
 from scipy import integrate, special
 
 from .errors import NumericalError, UnsupportedDesignError, ValidationError
@@ -30,12 +31,16 @@ def _check_df(df: int, name: str) -> int:
     return df
 
 
-def chi_square_sf(x: float, df: int) -> float:
-    """Survival function P(chi2_df >= x)."""
+def chi_square_sf(x, df: int):
+    """Survival function P(chi2_df >= x), elementwise when ``x`` is an array."""
     _check_df(df, "df")
-    if not math.isfinite(x) or x < 0:
-        raise ValidationError(f"x must be a finite nonnegative real, got {x!r}")
-    return float(special.gammaincc(df / 2.0, x / 2.0))
+    xs = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(xs) & (xs >= 0))
+    if bad.any():
+        shown = x if xs.ndim == 0 else xs[bad][0]
+        raise ValidationError(f"x must be a finite nonnegative real, got {shown!r}")
+    p = special.gammaincc(df / 2.0, xs / 2.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def f_sf(x: float, d1: int, d2: int) -> float:

@@ -93,37 +93,45 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _rank_vector(ranks) -> np.ndarray:
+def _rank_vector(ranks, stacked: bool = False) -> np.ndarray:
     """Coerce AverageRanks or any finite rank sequence to a 1-d array.
 
     The post-hoc geometry (pairwise gaps, grouping, layout) is meaningful
     for any vector in rank units, not only exact column means, so these
-    functions do not require the AverageRanks sum invariant.
+    functions do not require the AverageRanks sum invariant.  With
+    ``stacked``, an array of rank vectors along its last axis is accepted too.
     """
     r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
-    if r.ndim != 1 or r.shape[0] < 2:
+    if r.ndim < 1 or (r.ndim > 1 and not stacked) or r.shape[-1] < 2:
         raise ValidationError("need a 1-d vector of at least two ranks")
     if np.any(~np.isfinite(r)):
         raise ValidationError("ranks must be finite")
     return r
 
 
-def friedman_statistic(ranks: AverageRanks, n_datasets: int, k: int) -> float:
+def friedman_statistic(ranks, n_datasets: int, k: int):
     """The rank-based omnibus statistic 12N/(k(k+1)) * [sum_j R_j^2 - k(k+1)^2/4].
 
     Computed in the centered form 12N/(k(k+1)) * sum_j (R_j - (k+1)/2)^2,
     which is the same expression but cannot go negative through rounding.
     Zero exactly when all average ranks are equal.
+
+    ``ranks`` is an AverageRanks (the result is a float) or an array of
+    average-rank vectors along its last axis (the result is an array with
+    one statistic per vector, each equal to the single-vector value).
     """
     if k < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
-    if len(ranks) != k:
-        raise ValidationError(f"{len(ranks)} average ranks for k={k} models")
+    r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
+    n_ranks = r.shape[-1] if r.ndim else 0
+    if n_ranks != k:
+        raise ValidationError(f"{n_ranks} average ranks for k={k} models")
     if n_datasets < 2:
         raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
-    centered = ranks.r - (k + 1) / 2.0
-    bracket = float(np.dot(centered, centered))
-    return (12.0 * n_datasets * bracket) / (k * (k + 1.0))
+    centered = r - (k + 1) / 2.0
+    # vecdot calls the same BLAS dot per vector whatever the stack shape.
+    chi2 = (12.0 * n_datasets * np.vecdot(centered, centered)) / (k * (k + 1.0))
+    return float(chi2) if chi2.ndim == 0 else chi2
 
 
 def friedman_test(
@@ -193,13 +201,14 @@ def pairwise_significance(ranks, cd: float) -> np.ndarray:
 
     A gap exactly equal to the CD counts as significant, making this the
     exact complement of membership in a common indistinguishable group.
-    ``ranks`` may be AverageRanks or any finite rank vector.
+    ``ranks`` may be AverageRanks, any finite rank vector, or an array of
+    rank vectors along its last axis, which gives one k x k matrix per vector.
+    The diagonal is False because a zero gap never reaches a positive CD.
     """
     if not (math.isfinite(cd) and cd > 0):
         raise ValidationError(f"cd must be a positive real, got {cd!r}")
-    r = _rank_vector(ranks)
-    sig = np.abs(r[:, None] - r[None, :]) >= cd
-    np.fill_diagonal(sig, False)
+    r = _rank_vector(ranks, stacked=True)
+    sig = np.abs(r[..., :, None] - r[..., None, :]) >= cd
     sig.setflags(write=False)
     return sig
 

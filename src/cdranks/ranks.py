@@ -8,13 +8,11 @@ average ranks that the omnibus test consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import UnsupportedDesignError, ValidationError
 
@@ -122,8 +120,24 @@ class PerformanceMatrix:
         return tuple(m.label for m in self.models)
 
 
-def _row_sum_ok(total: float, k: int) -> bool:
-    return math.isclose(total, k * (k + 1) / 2, rel_tol=1e-9, abs_tol=1e-9)
+def _check_rank_rows(r: np.ndarray, name: str) -> None:
+    """Every vector along the last axis is finite, lies in [1, k] and sums to k(k+1)/2.
+
+    The sum test is ``math.isclose(total, k(k+1)/2, rel_tol=1e-9, abs_tol=1e-9)``.
+    ``name`` ("rank" or "average rank") words the error messages.
+    """
+    k = r.shape[-1]
+    if np.any(~np.isfinite(r)):
+        raise ValidationError(f"{name}s must be finite")
+    if np.any(r < 1) or np.any(r > k):
+        raise ValidationError(f"{name}s must lie in [1, {k}]")
+    target = k * (k + 1) / 2
+    totals = r.sum(axis=-1).ravel()
+    tol = np.maximum(1e-9 * np.maximum(np.abs(totals), target), 1e-9)
+    bad = np.flatnonzero(np.abs(totals - target) > tol)
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(f"row {i} {name} sum {totals[i]} != k(k+1)/2 = {target}")
 
 
 @dataclass(frozen=True)
@@ -136,14 +150,7 @@ class RankMatrix:
         ranks = np.array(self.ranks, dtype=float)
         if ranks.ndim != 2:
             raise ValidationError(f"ranks must be 2-dimensional, got shape {ranks.shape}")
-        _, k = ranks.shape
-        if np.any(ranks < 1) or np.any(ranks > k):
-            raise ValidationError(f"ranks must lie in [1, {k}]")
-        for i, total in enumerate(ranks.sum(axis=1)):
-            if not _row_sum_ok(total, k):
-                raise ValidationError(
-                    f"row {i} rank sum {total} != k(k+1)/2 = {k * (k + 1) / 2}"
-                )
+        _check_rank_rows(ranks, "rank")
         ranks.setflags(write=False)
         object.__setattr__(self, "ranks", ranks)
 
@@ -162,17 +169,9 @@ class AverageRanks:
         r = np.array(self.r, dtype=float)
         if r.ndim != 1:
             raise ValidationError(f"average ranks must be 1-dimensional, got shape {r.shape}")
-        k = r.shape[0]
-        if k < 2:
+        if r.shape[0] < 2:
             raise ValidationError("average ranks need at least two models")
-        if np.any(~np.isfinite(r)):
-            raise ValidationError("average ranks must be finite")
-        if np.any(r < 1) or np.any(r > k):
-            raise ValidationError(f"average ranks must lie in [1, {k}]")
-        if not _row_sum_ok(float(r.sum()), k):
-            raise ValidationError(
-                f"average ranks sum {r.sum()} != k(k+1)/2 = {k * (k + 1) / 2}"
-            )
+        _check_rank_rows(r, "average rank")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
@@ -185,6 +184,31 @@ class AverageRanks:
 
     def __getitem__(self, j: int) -> float:
         return float(self.r[j])
+
+
+def midranks(a) -> np.ndarray:
+    """Rank along the last axis: 1 = smallest, tied values share their mean position.
+
+    Sort-based, O(k log k) per row, for an array of any shape with at least
+    one axis.  For finite input the result equals SciPy's
+    ``rankdata(a, method="average", axis=-1)`` exactly: mid-ranks are
+    integers or halves, so no rounding enters.
+    """
+    a = np.asarray(a, dtype=float)
+    k = a.shape[-1]
+    order = np.argsort(a, axis=-1)
+    ordered = np.take_along_axis(a, order, axis=-1)
+    pos = np.arange(k)
+    # A tie run starts where the sorted value changes and ends before the next start.
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)
+    last = np.minimum.accumulate(np.where(ends, pos, k - 1)[..., ::-1], axis=-1)[..., ::-1]
+    out = np.empty(a.shape)
+    np.put_along_axis(out, order, (first + last) / 2.0 + 1.0, axis=-1)
+    return out
 
 
 def rank_row(values: Sequence[float], direction: "str | Direction") -> np.ndarray:
@@ -208,7 +232,7 @@ def rank_row(values: Sequence[float], direction: "str | Direction") -> np.ndarra
     if bad.size:
         raise ValidationError(f"non-finite value at index {bad[0]}")
     signed = -row if direction is Direction.MAXIMIZE else row
-    return rankdata(signed, method="average")
+    return midranks(signed)
 
 
 def rank_matrix(m: PerformanceMatrix) -> RankMatrix:
@@ -222,10 +246,31 @@ def rank_matrix(m: PerformanceMatrix) -> RankMatrix:
         j = np.flatnonzero(~np.isfinite(values[i]))[0]
         raise ValidationError(f"dataset {m.datasets[i]!r}: non-finite value at index {j}")
     signed = -values if m.direction is Direction.MAXIMIZE else values
-    return RankMatrix(rankdata(signed, method="average", axis=1))
+    return RankMatrix(midranks(signed))
 
 
 def average_ranks(m: PerformanceMatrix) -> AverageRanks:
     """Average the per-dataset ranks into one rank per model (lower = better)."""
-    rm = rank_matrix(m)
-    return AverageRanks(rm.ranks.mean(axis=0))
+    return AverageRanks(stacked_average_ranks(m.values, m.direction))
+
+
+def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
+    """Average ranks of a stack of performance blocks: shape (..., N, k) -> (..., k).
+
+    The bulk form of :func:`average_ranks` for callers that rank many
+    matrices at once.  It enforces, once per stack, the invariants that the
+    PerformanceMatrix, RankMatrix and AverageRanks constructors enforce per
+    matrix: finite values, ranks in [1, k], rank rows and average-rank
+    vectors summing to k(k+1)/2.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2 or values.shape[-1] < 2:
+        raise ValidationError(f"need blocks of at least two models, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValidationError("performance values must be finite")
+    signed = -values if Direction.parse(direction) is Direction.MAXIMIZE else values
+    ranks = midranks(signed)
+    _check_rank_rows(ranks, "rank")
+    avg = ranks.mean(axis=-2)
+    _check_rank_rows(avg, "average rank")
+    return avg

@@ -1,4 +1,4 @@
-"""Regenerate the bundled 31x8 fixture and its golden SVG.
+"""Regenerate the bundled 31x8 fixture, its golden SVG and the simulate goldens.
 
 Run from the repository root::
 
@@ -8,6 +8,10 @@ Two algorithms x four feature sets over 31 courses.  The clickstream models
 are planted far above the rest (their rank gap to every other model exceeds
 the critical difference at alpha = 0.05), while the remaining six stay in
 one indistinguishable band, so the diagram carries exactly two bars.
+
+The simulate goldens pin the exact JSON bytes of one Type-I study and one
+power study at fixed seeds; ``SIMULATE_GOLDENS`` maps each file to the
+``cdranks`` arguments that produce it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,16 @@ MODELS = [
 ]
 N_DATASETS = 31
 NOISE_SD = 0.01
+
+SIMULATE_GOLDENS = {
+    "simulate_null.json": [
+        "simulate", "--n", "31", "--k", "8", "--trials", "4000", "--seed", "20261017",
+    ],
+    "simulate_power.json": [
+        "simulate", "--n", "24", "--k", "6", "--trials", "3000", "--seed", "515",
+        "--effect", "0.8,0.4,0.2,0,0,0", "--alpha", "0.1",
+    ],
+}
 
 
 def build_csv() -> str:
@@ -92,6 +106,9 @@ def main() -> None:
     assert rc == 0, f"analyze failed with exit code {rc}"
     rc = cli.main(["diagram", str(report_path), "--out", str(HERE / "golden_cd.svg")])
     assert rc == 0, f"diagram failed with exit code {rc}"
+    for name, argv in SIMULATE_GOLDENS.items():
+        rc = cli.main([*argv, "--out", str(HERE / name)])
+        assert rc == 0, f"{name}: simulate failed with exit code {rc}"
     print("fixtures written to", HERE)
 
 

@@ -1,17 +1,29 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cdranks
 from cdranks.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = str(FIXTURES / "results_31x8.csv")
 MANIFEST = str(FIXTURES / "manifest_31x8.json")
 REPORT = str(FIXTURES / "report_31x8.json")
+
+
+def _simulate_goldens() -> dict:
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SIMULATE_GOLDENS
 
 
 def run(capsys, *argv):
@@ -354,6 +366,30 @@ class TestSimulate:
         _, serial, _ = run(capsys, *argv)
         _, parallel, _ = run(capsys, *argv, "--workers", "3")
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    @pytest.mark.parametrize("name, argv", sorted(_simulate_goldens().items()))
+    def test_golden_bytes(self, capsys, tmp_path, name, argv, workers):
+        out = tmp_path / name
+        assert run(capsys, *argv, "--workers", workers, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == (FIXTURES / name).read_bytes()
+
+    def test_scipy_stats_never_imported(self, tmp_path):
+        script = (
+            "import json, sys\n"
+            "import cdranks\n"
+            "after_import = 'scipy.stats' in sys.modules\n"
+            "import cdranks.cli\n"
+            "code = cdranks.cli.main(['simulate', '--n', '10', '--k', '4', '--trials', '300',\n"
+            "                         '--effect', '0.5,0,0,0', '--out', sys.argv[1]])\n"
+            "print(json.dumps([code, after_import, 'scipy.stats' in sys.modules]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "power.json")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(proc.stdout) == [0, False, False]
 
     def test_zero_trials_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.stats import rankdata
 
 from cdranks import (
     AverageRanks,
@@ -17,6 +19,7 @@ from cdranks import (
     rank_matrix,
     rank_row,
 )
+from cdranks.ranks import midranks, stacked_average_ranks
 
 
 def matrix(values, direction="maximize"):
@@ -63,6 +66,59 @@ class TestRankRow:
     def test_row_sum_exact(self, values):
         k = len(values)
         assert rank_row([float(v) for v in values], "maximize").sum() == k * (k + 1) / 2
+
+
+# Value families that exercise the tie handling: continuous draws (ties
+# rare), discrete scores in {0, 1, 2} (ties everywhere), rounded reals, and
+# constant blocks where every row is one tie.
+_ELEMENTS = {
+    "continuous": st.floats(-1e6, 1e6, allow_nan=False),
+    "scores": st.integers(0, 2).map(float),
+    "rounded": st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+}
+
+
+@st.composite
+def midrank_inputs(draw):
+    # (k,), (N, k) and (T, N, k) blocks
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9))
+    kind = draw(st.sampled_from(sorted(_ELEMENTS) + ["all_equal"]))
+    if kind == "all_equal":
+        return np.full(shape, draw(_ELEMENTS["rounded"]))
+    return draw(hnp.arrays(np.float64, shape, elements=_ELEMENTS[kind]))
+
+
+class TestMidranks:
+    @given(midrank_inputs())
+    def test_equals_scipy_rankdata_average(self, a):
+        got = midranks(a)
+        want = rankdata(a, method="average", axis=-1)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == a.shape
+        assert np.array_equal(got, want)
+
+    def test_ties_share_mean_position(self):
+        assert midranks([2.0, 1.0, 2.0, 2.0, 0.0]).tolist() == [4, 2, 4, 4, 1]
+
+    def test_rows_ranked_independently(self):
+        a = np.array([[[3.0, 1.0, 2.0], [5.0, 5.0, 5.0]]])
+        assert midranks(a).tolist() == [[[3, 1, 2], [2, 2, 2]]]
+
+
+class TestStackedAverageRanks:
+    def test_matches_per_matrix_average_ranks(self):
+        rng = np.random.default_rng(8)
+        blocks = np.round(rng.standard_normal((5, 7, 4)), 1)
+        for direction in ("maximize", "minimize"):
+            stacked = stacked_average_ranks(blocks, direction)
+            for block, avg in zip(blocks, stacked):
+                assert np.array_equal(average_ranks(matrix(block, direction)).r, avg)
+
+    def test_nonfinite_rejected(self):
+        blocks = np.zeros((2, 3, 3))
+        blocks[1, 2, 0] = np.inf
+        with pytest.raises(ValidationError, match="finite"):
+            stacked_average_ranks(blocks, "maximize")
 
 
 class TestPerformanceMatrix:

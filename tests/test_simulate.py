@@ -9,10 +9,15 @@ from cdranks import (
     SimConfig,
     ValidationError,
     average_ranks,
+    chi_square_sf,
     estimate_power,
     estimate_type1,
+    friedman_statistic,
     generate_matrix,
+    nemenyi_cd,
+    pairwise_significance,
 )
+from cdranks.simulate import CHUNK_TRIALS
 
 
 def config(n=10, k=3, effect=None, noise_sd=1.0, trials=10, seed=7, alpha=0.05):
@@ -89,6 +94,14 @@ class TestGenerateMatrix:
         a = generate_matrix(config(trials=6), 5)
         b = generate_matrix(config(trials=100), 5)
         assert np.array_equal(a.values, b.values)
+
+    def test_stream_is_philox_keyed_by_seed_and_trial(self):
+        cfg = config(n=6, k=4, effect=(0.5, 0.0, -1.0, 2.0), noise_sd=0.3, seed=2**63 + 5)
+        for t in (0, 7):
+            key = np.array([cfg.seed, t], dtype=np.uint64)
+            noise = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 4))
+            expected = np.asarray(cfg.effect) + cfg.noise_sd * noise
+            assert np.array_equal(generate_matrix(cfg, t).values, expected)
 
     def test_shape_and_naming(self):
         m = generate_matrix(config(n=4, k=5), 0)
@@ -217,3 +230,46 @@ class TestEstimatePower:
         est = estimate_power(config(effect=(1.0, 0.0, 0.0), trials=2))
         with pytest.raises(ValueError):
             est.pairwise_detection[0, 1] = 0.5
+
+
+def _per_trial_counts(cfg):
+    """Rejections and pair hits from the public per-trial pipeline."""
+    k = cfg.n_models
+    cd = None if cfg.is_null else nemenyi_cd(k, cfg.n_datasets, cfg.alpha)
+    rejections = 0
+    hits = np.zeros((k, k), dtype=np.int64)
+    for t in range(cfg.trials):
+        avg = average_ranks(generate_matrix(cfg, t))
+        stat = friedman_statistic(avg, cfg.n_datasets, k)
+        rejections += chi_square_sf(stat, k - 1) < cfg.alpha
+        if cd is not None:
+            hits += pairwise_significance(avg, cd)
+    return rejections, hits
+
+
+class TestBatchedKernel:
+    """The chunked kernel reproduces the per-trial pipeline exactly."""
+
+    # CHUNK_TRIALS + 3 crosses a chunk boundary and ends on a partial chunk;
+    # with two workers each span crosses a boundary from a nonzero start.
+    @pytest.mark.parametrize(
+        "trials, workers",
+        [(CHUNK_TRIALS + 3, 1), (CHUNK_TRIALS + 3, 3), (2 * CHUNK_TRIALS + 3, 2)],
+    )
+    def test_null_matches_per_trial_pipeline(self, trials, workers):
+        cfg = config(n=31, k=8, trials=trials, seed=41, alpha=0.25)
+        rejections, _ = _per_trial_counts(cfg)
+        assert rejections > 0
+        assert estimate_type1(cfg, workers=workers).rejections == rejections
+
+    @pytest.mark.parametrize(
+        "trials, workers",
+        [(CHUNK_TRIALS + 3, 1), (CHUNK_TRIALS + 3, 3), (2 * CHUNK_TRIALS + 3, 2)],
+    )
+    def test_power_matches_per_trial_pipeline(self, trials, workers):
+        cfg = config(n=12, k=5, effect=(0.9, 0.5, 0.2, 0.0, 0.0), trials=trials, seed=43)
+        rejections, hits = _per_trial_counts(cfg)
+        est = estimate_power(cfg, workers=workers)
+        assert est.omnibus_rejections == rejections
+        assert np.array_equal(est.pairwise_detection, hits / trials)
+        assert 0 < hits[0, 3] < trials
