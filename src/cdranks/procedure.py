@@ -122,15 +122,16 @@ def friedman_statistic(ranks, n_datasets: int, k: int):
     """
     if k < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
-    r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
-    n_ranks = r.shape[-1] if r.ndim else 0
-    if n_ranks != k:
-        raise ValidationError(f"{n_ranks} average ranks for k={k} models")
+    r = _rank_vector(ranks, stacked=True)
+    if r.shape[-1] != k:
+        raise ValidationError(f"{r.shape[-1]} average ranks for k={k} models")
     if n_datasets < 2:
         raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
     centered = r - (k + 1) / 2.0
-    # vecdot calls the same BLAS dot per vector whatever the stack shape.
-    chi2 = (12.0 * n_datasets * np.vecdot(centered, centered)) / (k * (k + 1.0))
+    # A (1 x k) @ (k x 1) product runs the same BLAS dot as np.dot on each
+    # vector, so a stack gives the single-vector bits whatever its shape.
+    bracket = (centered[..., None, :] @ centered[..., :, None])[..., 0, 0]
+    chi2 = (12.0 * n_datasets * bracket) / (k * (k + 1.0))
     return float(chi2) if chi2.ndim == 0 else chi2
 
 

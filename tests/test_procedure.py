@@ -61,6 +61,24 @@ class TestFriedmanStatistic:
         r = average_ranks(consistent_matrix(n, k))
         assert friedman_statistic(r, n, k) == pytest.approx(n * (k - 1), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [3, 8, 17])
+    def test_stack_matches_dot_product_bits(self, k):
+        n = 31
+        rng = np.random.default_rng(k)
+        values = rng.standard_normal((40, n, k))
+        stack = np.stack([average_ranks(matrix(v)).r for v in values])
+        expected = [
+            12.0 * n * float(np.dot(r - (k + 1) / 2.0, r - (k + 1) / 2.0)) / (k * (k + 1.0))
+            for r in stack
+        ]
+        assert [friedman_statistic(AverageRanks(r), n, k) for r in stack] == expected
+        assert friedman_statistic(stack, n, k).tolist() == expected
+        assert friedman_statistic(stack.reshape(4, 10, k), n, k).ravel().tolist() == expected
+
+    def test_nonfinite_ranks_rejected(self):
+        with pytest.raises(ValidationError):
+            friedman_statistic(np.array([[1.0, 2.0, 3.0], [np.nan, 2.0, 4.0]]), 5, 3)
+
     def test_domain_errors(self):
         with pytest.raises(UnsupportedDesignError):
             friedman_statistic(AverageRanks(np.array([1.0, 2.0])), 5, 2)
