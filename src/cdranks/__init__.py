@@ -24,15 +24,12 @@ from .distributions import (
     f_sf,
     q_alpha,
     q_table,
-    studentized_range_cdf,
-    studentized_range_quantile,
 )
 from .errors import (
     CdranksError,
     DegenerateStatisticError,
     DroppedDatasetsWarning,
     IncompleteDesignError,
-    NumericalError,
     SmallSampleWarning,
     UnsupportedDesignError,
     ValidationError,
@@ -99,7 +96,6 @@ __all__ = [
     "IncompleteDesignError",
     "ModelId",
     "NemenyiResult",
-    "NumericalError",
     "PerformanceMatrix",
     "PowerEstimate",
     "QTable",
@@ -140,7 +136,5 @@ __all__ = [
     "rank_row",
     "records_to_long_csv",
     "render_svg",
-    "studentized_range_cdf",
-    "studentized_range_quantile",
     "summarize_by_tag",
 ]

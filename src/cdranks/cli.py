@@ -3,19 +3,19 @@
 ``analyze`` reads results plus a manifest and emits the JSON report,
 ``diagram`` renders a report to SVG, ``simulate`` runs the Monte Carlo
 calibration.  Errors print to stderr; data goes to stdout or ``--out``.
-Exit codes: 0 success, 2 bad input, 3 unsupported design, 4 numerical
-failure.
+Exit codes: 0 success, 2 bad input, 3 unsupported design.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 from .diagram import RenderOptions, layout, render_svg
-from .errors import CdranksError, ValidationError
+from .errors import CdranksError, ValidationError, check_alpha
 from .ingest import (
     aggregate_folds,
     apply_manifest,
@@ -113,8 +113,13 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+# Every line boundary str.splitlines honours.
+_LINE_BREAK = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+
 def _detect_format(text: str) -> str:
-    first = text.splitlines()[0] if text.splitlines() else ""
+    end = _LINE_BREAK.search(text)
+    first = text[: end.start()] if end else text
     fields = tuple(f.strip() for f in first.split(","))
     return "long" if fields == ("dataset", "model", "fold", "value") else "wide"
 
@@ -165,13 +170,19 @@ def _load_report(text: str) -> dict:
         if not (
             isinstance(e, dict)
             and isinstance(e.get("label"), str)
-            and isinstance(e.get("rank"), (int, float))
+            and type(e.get("rank")) in (int, float)
         ):
             raise ValidationError("each average_ranks entry needs a label and a rank")
     _require(report, "cd", (int, float))
-    _require(report, "alpha", (int, float))
-    _require(report, "p_value", (int, float))
+    check_alpha(_require(report, "alpha", (int, float)))
+    p_value = _require(report, "p_value", (int, float))
+    if not 0.0 <= p_value <= 1.0:
+        raise ValidationError(f"report p_value must lie in [0, 1], got {p_value!r}")
     _require(report, "posthoc_licensed", (bool,))
+    if "n_datasets" in report:
+        n_datasets = _require(report, "n_datasets", (int,))
+        if n_datasets < 1:
+            raise ValidationError(f"report n_datasets must be positive, got {n_datasets}")
     return report
 
 

@@ -9,13 +9,13 @@ function of its inputs, so identical calls produce identical bytes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .errors import ValidationError
-from .procedure import _rank_vector, indistinguishable_groups
+from .procedure import indistinguishable_groups
+from .ranks import rank_vector
 
 
 @dataclass(frozen=True)
@@ -101,15 +101,13 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     single-member groups draw no bar.  ``ranks`` may be AverageRanks or any
     finite rank vector.
     """
-    r = _rank_vector(ranks)
+    r = rank_vector(ranks)
     k = r.shape[0]
     if len(labels) != k:
         raise ValidationError(f"{len(labels)} labels for {k} ranks")
     if len(set(labels)) != k:
         dupes = sorted({l for l in labels if list(labels).count(l) > 1})
         raise ValidationError(f"duplicate label(s): {', '.join(dupes)}")
-    if not (math.isfinite(cd) and cd > 0):
-        raise ValidationError(f"cd must be a positive real, got {cd!r}")
 
     order = sorted(range(k), key=lambda j: (r[j], labels[j]))
     left_count = (k + 1) // 2

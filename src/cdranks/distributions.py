@@ -1,10 +1,9 @@
 """Reference distributions for the two-stage test.
 
-Only the three routines the procedure needs: chi-square and F survival
-functions, and the studentized range with infinite degrees of freedom.  The
-critical values served by :func:`q_alpha` come from a hardcoded table so CD
-values are reproducible bit-for-bit across platforms; the quadrature path is
-the oracle that validates the table at test time, not the runtime source.
+Only what the procedure needs: chi-square and F survival functions for the
+omnibus test, and the post-hoc critical values q_alpha.  Those come from a
+hardcoded table, so CD values are reproducible bit-for-bit across platforms;
+the test suite recomputes every entry by quadrature.
 """
 
 from __future__ import annotations
@@ -14,12 +13,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import NumericalError, UnsupportedDesignError, ValidationError
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+from .errors import UnsupportedDesignError, ValidationError
 
 SUPPORTED_ALPHAS = (0.01, 0.05, 0.10)
 SUPPORTED_K = range(2, 21)
@@ -54,67 +50,6 @@ def f_sf(x: float, d1: int, d2: int) -> float:
     return float(special.betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
-def _norm_pdf(z: float) -> float:
-    return math.exp(-0.5 * z * z) * _INV_SQRT_2PI
-
-
-def _norm_cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
-def studentized_range_cdf(q: float, k: int, tol: float = 1e-8) -> float:
-    """CDF of the range of k iid standard normals (infinite-df studentized range).
-
-    Evaluates k * integral of phi(z) * [Phi(z) - Phi(z - q)]^(k-1) dz by
-    adaptive quadrature over z in [-8, 8]; beyond +-8 the normal density
-    contributes less than 1e-15.
-
-    Raises
-    ------
-    NumericalError
-        If the quadrature cannot certify absolute accuracy ``tol``; the
-        achieved tolerance is reported.
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ValidationError(f"k must be an integer >= 2, got {k!r}")
-    if not math.isfinite(q) or q < 0:
-        raise ValidationError(f"q must be a finite nonnegative real, got {q!r}")
-    if q == 0.0:
-        return 0.0
-
-    km1 = k - 1
-
-    def integrand(z: float) -> float:
-        return _norm_pdf(z) * (_norm_cdf(z) - _norm_cdf(z - q)) ** km1
-
-    value, abserr = integrate.quad(integrand, -8.0, 8.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    achieved = k * abserr
-    if achieved > tol:
-        raise NumericalError(
-            f"studentized range quadrature achieved abs error {achieved:.3e}, "
-            f"needed {tol:.0e} (q={q}, k={k})"
-        )
-    return min(1.0, max(0.0, k * value))
-
-
-def studentized_range_quantile(p: float, k: int, q_tol: float = 1e-6) -> float:
-    """Quantile of the infinite-df studentized range, by bisection on the CDF."""
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"p must lie in (0, 1), got {p!r}")
-    lo, hi = 0.0, 2.0
-    while studentized_range_cdf(hi, k) < p:
-        hi *= 2.0
-        if hi > 64.0:
-            raise NumericalError(f"failed to bracket the {p} quantile for k={k}")
-    while hi - lo > q_tol:
-        mid = 0.5 * (lo + hi)
-        if studentized_range_cdf(mid, k) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class QTable:
     """Critical values q_alpha (range quantile / sqrt(2)) for k = 2..20 groups."""
@@ -136,8 +71,8 @@ class QTable:
 
 # (1 - alpha) quantiles of the infinite-df studentized range divided by
 # sqrt(2), for k = 2..20 groups.  Rounded to 6 decimals from quadrature
-# quantiles; the test suite revalidates every entry against
-# studentized_range_quantile to 1e-3.
+# quantiles; the test suite revalidates every entry against its own
+# quadrature oracle to 1e-3.
 _Q_TABLES = {
     0.01: QTable(0.01, {
         2: 2.575829, 3: 2.913494, 4: 3.113250, 5: 3.254686, 6: 3.363740,

@@ -1,8 +1,7 @@
-"""Exception hierarchy for the package.
+"""Exception hierarchy for the package, and the input checks shared by modules.
 
 Each class carries the CLI exit code it maps onto, so shell callers can tell
-bad input (2) from an unsupported statistical design (3) or a numerical
-failure (4).
+bad input (2) from an unsupported statistical design (3).
 """
 
 from __future__ import annotations
@@ -46,15 +45,16 @@ class DegenerateStatisticError(UnsupportedDesignError):
     """
 
 
-class NumericalError(CdranksError):
-    """A numerical routine failed to reach its accuracy target."""
-
-    exit_code = 4
-
-
 class SmallSampleWarning(UserWarning):
     """The chi-square approximation is rough for small dataset counts."""
 
 
 class DroppedDatasetsWarning(UserWarning):
     """Datasets were dropped because they were missing measurements."""
+
+
+def check_alpha(alpha: float) -> float:
+    """Return ``alpha`` if it is a float strictly inside (0, 1); else ValidationError."""
+    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    return alpha

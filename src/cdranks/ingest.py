@@ -21,7 +21,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DroppedDatasetsWarning, IncompleteDesignError, ValidationError
+from .errors import (
+    DroppedDatasetsWarning,
+    IncompleteDesignError,
+    ValidationError,
+    check_alpha,
+)
 from .procedure import NemenyiResult
 from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
 
@@ -92,8 +97,7 @@ class ExperimentManifest:
             dupes = sorted({l for l in labels if labels.count(l) > 1})
             raise ValidationError(f"duplicate model label(s) in manifest: {', '.join(dupes)}")
         object.__setattr__(self, "models", models)
-        if not (isinstance(self.alpha, float) and 0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
+        check_alpha(self.alpha)
 
     @property
     def labels(self) -> tuple:

@@ -22,8 +22,9 @@ from .errors import (
     SmallSampleWarning,
     UnsupportedDesignError,
     ValidationError,
+    check_alpha,
 )
-from .ranks import AverageRanks, PerformanceMatrix, average_ranks
+from .ranks import AverageRanks, PerformanceMatrix, average_ranks, rank_vector
 
 # Below this many datasets the chi-square approximation is rough and exact
 # small-sample critical values would be preferable.
@@ -87,28 +88,6 @@ class NemenyiResult:
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
-def _check_alpha(alpha: float) -> float:
-    if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
-
-
-def _rank_vector(ranks, stacked: bool = False) -> np.ndarray:
-    """Coerce AverageRanks or any finite rank sequence to a 1-d array.
-
-    The post-hoc geometry (pairwise gaps, grouping, layout) is meaningful
-    for any vector in rank units, not only exact column means, so these
-    functions do not require the AverageRanks sum invariant.  With
-    ``stacked``, an array of rank vectors along its last axis is accepted too.
-    """
-    r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
-    if r.ndim < 1 or (r.ndim > 1 and not stacked) or r.shape[-1] < 2:
-        raise ValidationError("need a 1-d vector of at least two ranks")
-    if np.any(~np.isfinite(r)):
-        raise ValidationError("ranks must be finite")
-    return r
-
-
 def friedman_statistic(ranks, n_datasets: int, k: int):
     """The rank-based omnibus statistic 12N/(k(k+1)) * [sum_j R_j^2 - k(k+1)^2/4].
 
@@ -122,7 +101,7 @@ def friedman_statistic(ranks, n_datasets: int, k: int):
     """
     if k < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
-    r = _rank_vector(ranks, stacked=True)
+    r = rank_vector(ranks, stacked=True)
     if r.shape[-1] != k:
         raise ValidationError(f"{r.shape[-1]} average ranks for k={k} models")
     if n_datasets < 2:
@@ -153,7 +132,7 @@ def friedman_test(
         Under ``iman_davenport`` when rankings are perfectly consistent
         (chi2 = N(k-1)), where the F statistic is undefined.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     variant = Variant.parse(variant)
     n, k = m.n_datasets, m.k
     if n < SMALL_SAMPLE_N:
@@ -208,7 +187,7 @@ def pairwise_significance(ranks, cd: float) -> np.ndarray:
     """
     if not (math.isfinite(cd) and cd > 0):
         raise ValidationError(f"cd must be a positive real, got {cd!r}")
-    r = _rank_vector(ranks, stacked=True)
+    r = rank_vector(ranks, stacked=True)
     sig = np.abs(r[..., :, None] - r[..., None, :]) >= cd
     sig.setflags(write=False)
     return sig
@@ -227,7 +206,7 @@ def indistinguishable_groups(ranks, cd: float) -> list:
     """
     if not (math.isfinite(cd) and cd > 0):
         raise ValidationError(f"cd must be a positive real, got {cd!r}")
-    r = _rank_vector(ranks)
+    r = rank_vector(ranks)
     k = r.shape[0]
     order = sorted(range(k), key=lambda j: (r[j], j))
     sorted_r = [float(r[j]) for j in order]
@@ -248,8 +227,8 @@ def indistinguishable_groups(ranks, cd: float) -> list:
 
 def nemenyi_test(ranks, n_datasets: int, alpha: float = 0.05) -> NemenyiResult:
     """Run the post-hoc test: critical difference, pairwise calls, and groups."""
-    _check_alpha(alpha)
-    cd = nemenyi_cd(len(_rank_vector(ranks)), n_datasets, alpha)
+    check_alpha(alpha)
+    cd = nemenyi_cd(len(rank_vector(ranks)), n_datasets, alpha)
     return NemenyiResult(
         cd=cd,
         alpha=alpha,

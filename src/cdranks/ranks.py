@@ -186,6 +186,22 @@ class AverageRanks:
         return float(self.r[j])
 
 
+def rank_vector(ranks, stacked: bool = False) -> np.ndarray:
+    """Coerce AverageRanks or any finite rank sequence to a 1-d array.
+
+    The post-hoc geometry (pairwise gaps, grouping, layout) is meaningful
+    for any vector in rank units, not only exact column means, so these
+    functions do not require the AverageRanks sum invariant.  With
+    ``stacked``, an array of rank vectors along its last axis is accepted too.
+    """
+    r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
+    if r.ndim < 1 or (r.ndim > 1 and not stacked) or r.shape[-1] < 2:
+        raise ValidationError("need a 1-d vector of at least two ranks")
+    if np.any(~np.isfinite(r)):
+        raise ValidationError("ranks must be finite")
+    return r
+
+
 def midranks(a) -> np.ndarray:
     """Rank along the last axis: 1 = smallest, tied values share their mean position.
 

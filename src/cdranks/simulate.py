@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .distributions import chi_square_sf
-from .errors import ValidationError
+from .errors import ValidationError, check_alpha
 from .procedure import friedman_statistic, nemenyi_cd, pairwise_significance
 from .ranks import Direction, ModelId, PerformanceMatrix, stacked_average_ranks
 
@@ -75,8 +75,7 @@ class SimConfig:
         ):
             raise ValidationError(f"noise_sd must be a positive real, got {self.noise_sd!r}")
         object.__setattr__(self, "noise_sd", float(self.noise_sd))
-        if not (isinstance(self.alpha, float) and 0.0 < self.alpha < 1.0):
-            raise ValidationError(f"alpha must lie strictly in (0, 1), got {self.alpha!r}")
+        check_alpha(self.alpha)
 
     @property
     def is_null(self) -> bool:

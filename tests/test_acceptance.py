@@ -27,10 +27,10 @@ from cdranks import (
     nemenyi_cd,
     pairwise_significance,
     q_alpha,
-    studentized_range_quantile,
 )
 from cdranks.cli import main
 from cdranks.distributions import SUPPORTED_ALPHAS, SUPPORTED_K
+from studentized_range import studentized_range_quantile
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdranks
-from cdranks.cli import main
+from cdranks.cli import _detect_format, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = str(FIXTURES / "results_31x8.csv")
@@ -80,25 +80,35 @@ class TestAnalyze:
         assert not report["posthoc_licensed"]
         assert report["significant_pairs"] == []
 
-    def test_long_format_autodetected_and_folds_averaged(self, capsys, tmp_path):
+    def test_long_format_autodetected_and_folds_averaged(self, capsys, tmp_path, monkeypatch):
         rows = ["dataset,model,fold,value"]
         for d in ("d1", "d2"):
             for m, base in (("a", 0.9), ("b", 0.6), ("c", 0.3)):
                 rows += [f"{d},{m},0,{base}", f"{d},{m},1,{base + 0.1}"]
         csv = tmp_path / "folds.csv"
         csv.write_text("\n".join(rows) + "\n")
+        manifest = write_manifest(tmp_path, "a", "b", "c")
         with pytest.warns(UserWarning):
-            code, out, _ = run(
-                capsys,
-                "analyze",
-                str(csv),
-                "--manifest",
-                write_manifest(tmp_path, "a", "b", "c"),
-            )
+            code, out, _ = run(capsys, "analyze", str(csv), "--manifest", manifest)
         assert code == 0
         report = json.loads(out)
         assert report["n_datasets"] == 2
         assert [e["rank"] for e in report["average_ranks"]] == [1.0, 2.0, 3.0]
+
+        # \r-only line endings; a StringIO stdin hands them over untranslated
+        monkeypatch.setattr("sys.stdin", io.StringIO("\r".join(rows) + "\r"))
+        with pytest.warns(UserWarning):
+            code, cr_out, _ = run(capsys, "analyze", "-", "--manifest", manifest)
+        assert code == 0
+        assert cr_out == out
+
+    def test_format_detection_honours_every_line_boundary(self):
+        # str.splitlines has no line boundary at or above U+3000
+        header = "dataset,model,fold,value"
+        for c in map(chr, range(0x3000)):
+            text = header + c + "x,y"
+            expected = "long" if len(text.splitlines()) == 2 else "wide"
+            assert _detect_format(text) == expected, hex(ord(c))
 
     def test_format_override_rejects_wrong_layout(self, capsys, tmp_path):
         code, _, err = run(
@@ -310,6 +320,23 @@ class TestDiagram:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize(
+        "overrides,flags",
+        [
+            ({"alpha": 5}, ()),
+            ({"alpha": -1}, ()),
+            ({"p_value": 7.0}, ()),
+            ({"average_ranks": [{"label": "a", "rank": True}, {"label": "b", "rank": 2.2},
+                                {"label": "c", "rank": 2.4}]}, ()),
+            ({"n_datasets": 0}, ("--alpha", "0.1")),
+        ],
+        ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0"],
+    )
+    def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
+        code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
+        assert code == 2 and out == ""
+        assert next(iter(overrides)) in err
+
     def test_stdin_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(Path(REPORT).read_text(encoding="utf-8"))
@@ -375,21 +402,33 @@ class TestSimulate:
         assert out.read_bytes() == (FIXTURES / name).read_bytes()
 
     def test_scipy_stats_never_imported(self, tmp_path):
+        # scipy.integrate serves only the test-side quadrature oracle
         script = (
             "import json, sys\n"
+            "def loaded():\n"
+            "    return [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
             "import cdranks\n"
-            "after_import = 'scipy.stats' in sys.modules\n"
+            "steps = [['import', 0, loaded()]]\n"
             "import cdranks.cli\n"
-            "code = cdranks.cli.main(['simulate', '--n', '10', '--k', '4', '--trials', '300',\n"
-            "                         '--effect', '0.5,0,0,0', '--out', sys.argv[1]])\n"
-            "print(json.dumps([code, after_import, 'scipy.stats' in sys.modules]))\n"
+            "report, svg, power = sys.argv[1:]\n"
+            "for name, argv in [\n"
+            f"    ('analyze', ['analyze', {RESULTS!r}, '--manifest', {MANIFEST!r}, '--out', report]),\n"
+            "    ('diagram', ['diagram', report, '--out', svg]),\n"
+            "    ('simulate', ['simulate', '--n', '10', '--k', '4', '--trials', '300',\n"
+            "                  '--effect', '0.5,0,0,0', '--out', power]),\n"
+            "]:\n"
+            "    steps.append([name, cdranks.cli.main(argv), loaded()])\n"
+            "print(json.dumps(steps))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        outputs = [str(tmp_path / name) for name in ("report.json", "cd.svg", "power.json")]
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "power.json")],
+            [sys.executable, "-c", script, *outputs],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert json.loads(proc.stdout) == [0, False, False]
+        assert json.loads(proc.stdout) == [
+            ["import", 0, []], ["analyze", 0, []], ["diagram", 0, []], ["simulate", 0, []]
+        ]
 
     def test_zero_trials_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
