@@ -36,7 +36,6 @@ from .errors import (
 )
 from .ingest import (
     ExperimentManifest,
-    FoldRecord,
     TagSummary,
     aggregate_folds,
     apply_manifest,
@@ -44,7 +43,6 @@ from .ingest import (
     parse_long_csv,
     parse_manifest,
     parse_wide_csv,
-    records_to_long_csv,
     summarize_by_tag,
 )
 from .procedure import (
@@ -91,7 +89,6 @@ __all__ = [
     "Direction",
     "DroppedDatasetsWarning",
     "ExperimentManifest",
-    "FoldRecord",
     "FriedmanResult",
     "IncompleteDesignError",
     "ModelId",
@@ -134,7 +131,6 @@ __all__ = [
     "q_table",
     "rank_matrix",
     "rank_row",
-    "records_to_long_csv",
     "render_svg",
     "summarize_by_tag",
 ]

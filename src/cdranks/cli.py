@@ -129,8 +129,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     text = _read(args.input)
     fmt = args.format if args.format != "auto" else _detect_format(text)
     if fmt == "long":
-        records = parse_long_csv(text)
-        matrix = aggregate_folds(records, manifest, drop_incomplete=args.drop_incomplete)
+        cells = parse_long_csv(text)
+        matrix = aggregate_folds(cells, manifest, drop_incomplete=args.drop_incomplete)
     else:
         matrix = apply_manifest(parse_wide_csv(text, manifest.direction), manifest)
 
@@ -173,12 +173,22 @@ def _load_report(text: str) -> dict:
             and type(e.get("rank")) in (int, float)
         ):
             raise ValidationError("each average_ranks entry needs a label and a rank")
+        if not 1 <= e["rank"] <= len(entries):
+            raise ValidationError(
+                f"report average_ranks rank must lie in [1, {len(entries)}], got {e['rank']!r}"
+            )
     _require(report, "cd", (int, float))
-    check_alpha(_require(report, "alpha", (int, float)))
+    alpha = _require(report, "alpha", (int, float))
+    check_alpha(alpha)
     p_value = _require(report, "p_value", (int, float))
     if not 0.0 <= p_value <= 1.0:
         raise ValidationError(f"report p_value must lie in [0, 1], got {p_value!r}")
-    _require(report, "posthoc_licensed", (bool,))
+    licensed = _require(report, "posthoc_licensed", (bool,))
+    if licensed != (p_value < alpha):
+        raise ValidationError(
+            f"report posthoc_licensed {licensed} disagrees with p_value {p_value!r} "
+            f"and alpha {alpha!r}"
+        )
     if "n_datasets" in report:
         n_datasets = _require(report, "n_datasets", (int,))
         if n_datasets < 1:

@@ -1,8 +1,9 @@
 """Result-file ingestion, fold aggregation, and per-tag summaries.
 
 Two input shapes are accepted.  Long CSV carries one row per
-(dataset, model, fold) measurement and is aggregated by
-:func:`aggregate_folds`; wide CSV carries one pre-aggregated row per dataset.
+(dataset, model, fold) measurement; :func:`parse_long_csv` groups it into
+one fold table per (dataset, model) cell and :func:`aggregate_folds` averages
+each table.  Wide CSV carries one pre-aggregated row per dataset.
 An :class:`ExperimentManifest` names the models, their metadata tags, the
 metric direction, and the significance level.
 """
@@ -17,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,30 +47,23 @@ def _parse_value(text: str, where: str) -> float:
     return value
 
 
-def _rows(text: str) -> "csv.reader":
-    return csv.reader(io.StringIO(text, newline=""))
+def _rows(text: str) -> Iterator[tuple]:
+    """Yield ``(line number, fields)`` per CSV row, blank rows included.
+
+    The line number is that of the row's last physical line.  Errors from
+    the csv module, such as a field over its size limit, become
+    :class:`ValidationError` naming the line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
 
 
 def _is_blank(row: Sequence[str]) -> bool:
     return not row or all(cell.strip() == "" for cell in row)
-
-
-@dataclass(frozen=True)
-class FoldRecord:
-    """One cross-validation fold score for one (dataset, model) pair."""
-
-    dataset_id: str
-    model_label: str
-    fold_id: str
-    metric_value: float
-
-    def __post_init__(self):
-        for name in ("dataset_id", "model_label", "fold_id"):
-            v = getattr(self, name)
-            if not isinstance(v, str) or not v:
-                raise ValidationError(f"{name} must be a non-empty string, got {v!r}")
-        if not math.isfinite(self.metric_value):
-            raise ValidationError(f"metric_value must be finite, got {self.metric_value!r}")
 
 
 @dataclass(frozen=True)
@@ -150,40 +144,38 @@ def parse_manifest(text: str) -> ExperimentManifest:
     )
 
 
-def parse_long_csv(text: str) -> list:
+def parse_long_csv(text: str) -> dict:
     """Parse long-format CSV: header ``dataset,model,fold,value``.
 
-    Blank rows are skipped.  Malformed rows, duplicate
-    (dataset, model, fold) triples, and non-numeric values raise
-    :class:`ValidationError` naming the offending line.
+    Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
+    and folds in first-seen row order.  Blank rows are skipped.  Malformed
+    rows, duplicate (dataset, model, fold) triples, and non-numeric values
+    raise :class:`ValidationError` naming the offending line.
     """
     reader = _rows(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ValidationError("empty document: expected header 'dataset,model,fold,value'") from None
     if tuple(h.strip() for h in header) != LONG_HEADER:
         raise ValidationError(
             f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
         )
-    records = []
-    seen = set()
-    for row in reader:
+    cells = {}
+    for line, row in reader:
         if _is_blank(row):
             continue
-        line = reader.line_num
         if len(row) != 4:
             raise ValidationError(f"line {line}: expected 4 fields, got {len(row)}")
         dataset, model, fold, raw = (cell.strip() for cell in row)
         if not dataset or not model or not fold:
             raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
         value = _parse_value(raw, f"line {line}")
-        key = (dataset, model, fold)
-        if key in seen:
-            raise ValidationError(f"line {line}: duplicate record for {key!r}")
-        seen.add(key)
-        records.append(FoldRecord(dataset, model, fold, value))
-    return records
+        folds = cells.setdefault((dataset, model), {})
+        if fold in folds:
+            raise ValidationError(f"line {line}: duplicate record for {(dataset, model, fold)!r}")
+        folds[fold] = value
+    return cells
 
 
 def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE) -> PerformanceMatrix:
@@ -194,7 +186,7 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
     """
     reader = _rows(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise ValidationError("empty document: expected header 'dataset,<model labels...>'") from None
     fields = [h.strip() for h in header]
@@ -210,10 +202,9 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
         raise ValidationError(f"line 1: duplicate model column(s): {', '.join(dupes)}")
 
     rows = {}
-    for row in reader:
+    for line, row in reader:
         if _is_blank(row):
             continue
-        line = reader.line_num
         if len(row) != len(fields):
             raise ValidationError(f"line {line}: expected {len(fields)} fields, got {len(row)}")
         dataset = row[0].strip()
@@ -239,34 +230,34 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
 
 
 def aggregate_folds(
-    records: Sequence[FoldRecord],
+    cells: dict,
     manifest: ExperimentManifest,
     *,
     drop_incomplete: bool = False,
 ) -> PerformanceMatrix:
-    """Average fold scores into one matrix cell per (dataset, model) pair.
+    """Average each cell's fold scores into one matrix cell.
 
-    Datasets are ordered lexicographically and models per the manifest.  By
-    default the design must be complete: every pair needs at least one fold,
-    otherwise :class:`IncompleteDesignError` lists every missing pair.  With
+    ``cells`` is the fold table :func:`parse_long_csv` returns,
+    ``{(dataset, model): {fold: value}}``.  Datasets are ordered
+    lexicographically and models per the manifest.  By default the design
+    must be complete: every pair needs at least one fold, otherwise
+    :class:`IncompleteDesignError` lists every missing pair.  With
     ``drop_incomplete`` the offending datasets are dropped instead and a
     :class:`DroppedDatasetsWarning` names them.
     """
-    if not records:
+    if not cells:
         raise ValidationError("no fold records to aggregate")
     labels = manifest.labels
     known = set(labels)
-    cells = {}
-    for rec in records:
-        if rec.model_label not in known:
+    for dataset, model in cells:
+        if model not in known:
             raise ValidationError(
-                f"record for dataset {rec.dataset_id!r} names model "
-                f"{rec.model_label!r}, which is not in the manifest"
+                f"record for dataset {dataset!r} names model "
+                f"{model!r}, which is not in the manifest"
             )
-        cells.setdefault((rec.dataset_id, rec.model_label), []).append(rec.metric_value)
 
     datasets = sorted({d for d, _ in cells})
-    missing = [(d, l) for d in datasets for l in labels if (d, l) not in cells]
+    missing = [(d, l) for d in datasets for l in labels if not cells.get((d, l))]
     if missing:
         if not drop_incomplete:
             raise IncompleteDesignError(missing)
@@ -285,7 +276,7 @@ def aggregate_folds(
         )
 
     values = np.array(
-        [[fmean(cells[(d, l)]) for l in labels] for d in datasets], dtype=float
+        [[fmean(cells[(d, l)].values()) for l in labels] for d in datasets], dtype=float
     )
     return PerformanceMatrix(
         datasets=tuple(datasets),
@@ -388,18 +379,6 @@ def summarize_by_tag(
         )
     summaries.sort(key=lambda s: (s.mean_rank, s.tag_value))
     return summaries
-
-
-def records_to_long_csv(records: Sequence[FoldRecord]) -> str:
-    """Serialize fold records back to long CSV (inverse of parse_long_csv)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LONG_HEADER)
-    for rec in records:
-        writer.writerow(
-            [rec.dataset_id, rec.model_label, rec.fold_id, repr(float(rec.metric_value))]
-        )
-    return buf.getvalue()
 
 
 def matrix_to_wide_csv(matrix: PerformanceMatrix) -> str:

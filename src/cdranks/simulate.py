@@ -159,7 +159,8 @@ def _run_trials(cfg: SimConfig, workers: int) -> tuple:
         return _run_chunk(cfg, 0, cfg.trials)
     bounds = [i * cfg.trials // workers for i in range(workers + 1)]
     spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Under fork the pool starts all max_workers processes up front.
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         results = list(
             pool.map(_run_chunk, repeat(cfg), (a for a, _ in spans), (b for _, b in spans))
         )

@@ -12,6 +12,13 @@ one indistinguishable band, so the diagram carries exactly two bars.
 The simulate goldens pin the exact JSON bytes of one Type-I study and one
 power study at fixed seeds; ``SIMULATE_GOLDENS`` maps each file to the
 ``cdranks`` arguments that produce it.
+
+The long golden pins the ``analyze`` report of ``results_long.csv``, a
+long-format file in shuffled row order with CRLF line endings, blank and
+whitespace-only rows, padded and quoted fields, 2 to 5 folds per cell, two
+tied cells, and one incomplete dataset that ``--drop-incomplete`` removes.
+That file and ``manifest_long.json`` are kept as checked in; this script
+only rewrites the report.  ``LONG_GOLDENS`` maps it to its arguments.
 """
 
 from __future__ import annotations
@@ -46,6 +53,14 @@ SIMULATE_GOLDENS = {
     "simulate_power.json": [
         "simulate", "--n", "24", "--k", "6", "--trials", "3000", "--seed", "515",
         "--effect", "0.8,0.4,0.2,0,0,0", "--alpha", "0.1",
+    ],
+}
+
+LONG_GOLDENS = {
+    "report_long.json": [
+        "analyze", str(HERE / "results_long.csv"),
+        "--manifest", str(HERE / "manifest_long.json"),
+        "--drop-incomplete", "--summarize-tag", "feature_set",
     ],
 }
 
@@ -106,9 +121,9 @@ def main() -> None:
     assert rc == 0, f"analyze failed with exit code {rc}"
     rc = cli.main(["diagram", str(report_path), "--out", str(HERE / "golden_cd.svg")])
     assert rc == 0, f"diagram failed with exit code {rc}"
-    for name, argv in SIMULATE_GOLDENS.items():
+    for name, argv in {**SIMULATE_GOLDENS, **LONG_GOLDENS}.items():
         rc = cli.main([*argv, "--out", str(HERE / name)])
-        assert rc == 0, f"{name}: simulate failed with exit code {rc}"
+        assert rc == 0, f"{name}: {argv[0]} failed with exit code {rc}"
     print("fixtures written to", HERE)
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cdranks
+from cdranks import DroppedDatasetsWarning, SmallSampleWarning
 from cdranks.cli import _detect_format, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -19,11 +20,11 @@ MANIFEST = str(FIXTURES / "manifest_31x8.json")
 REPORT = str(FIXTURES / "report_31x8.json")
 
 
-def _simulate_goldens() -> dict:
+def _goldens(name: str) -> dict:
     spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SIMULATE_GOLDENS
+    return getattr(module, name)
 
 
 def run(capsys, *argv):
@@ -102,6 +103,14 @@ class TestAnalyze:
         assert code == 0
         assert cr_out == out
 
+    @pytest.mark.parametrize("name, argv", sorted(_goldens("LONG_GOLDENS").items()))
+    def test_long_golden_bytes(self, capsys, tmp_path, name, argv):
+        out = tmp_path / name
+        with pytest.warns(DroppedDatasetsWarning), pytest.warns(SmallSampleWarning):
+            code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (FIXTURES / name).read_bytes()
+
     def test_format_detection_honours_every_line_boundary(self):
         # str.splitlines has no line boundary at or above U+3000
         header = "dataset,model,fold,value"
@@ -122,6 +131,21 @@ class TestAnalyze:
         )
         assert code == 2
         assert "header must be 'dataset,model,fold,value'" in err
+
+    @pytest.mark.parametrize(
+        "header, row",
+        [("dataset,model,fold,value", "d1,a,0,{}"), ("dataset,a", "d1,{}")],
+        ids=["long", "wide"],
+    )
+    def test_oversized_field_exits_2(self, capsys, tmp_path, header, row):
+        # the csv module rejects fields over 131072 characters
+        csv = tmp_path / "huge.csv"
+        csv.write_text("\n".join([header, row.format("1"), row.format("9" * 131073)]) + "\n")
+        code, out, err = run(
+            capsys, "analyze", str(csv), "--manifest", write_manifest(tmp_path, "a")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3: field larger than field limit")
 
     def test_missing_pair_exit_code_and_message(self, capsys, tmp_path):
         csv = tmp_path / "gappy.csv"
@@ -329,8 +353,14 @@ class TestDiagram:
             ({"average_ranks": [{"label": "a", "rank": True}, {"label": "b", "rank": 2.2},
                                 {"label": "c", "rank": 2.4}]}, ()),
             ({"n_datasets": 0}, ("--alpha", "0.1")),
+            ({"average_ranks": [{"label": "a", "rank": 50}, {"label": "b", "rank": 2.2},
+                                {"label": "c", "rank": 2.4}]}, ()),
+            ({"average_ranks": [{"label": "a", "rank": 0}, {"label": "b", "rank": 2.2},
+                                {"label": "c", "rank": 2.4}]}, ()),
+            ({"posthoc_licensed": True}, ()),
         ],
-        ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0"],
+        ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0",
+             "rank_50", "rank_0", "posthoc_licensed_true"],
     )
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
         code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
@@ -395,7 +425,7 @@ class TestSimulate:
         assert serial == parallel
 
     @pytest.mark.parametrize("workers", ["1", "3"])
-    @pytest.mark.parametrize("name, argv", sorted(_simulate_goldens().items()))
+    @pytest.mark.parametrize("name, argv", sorted(_goldens("SIMULATE_GOLDENS").items()))
     def test_golden_bytes(self, capsys, tmp_path, name, argv, workers):
         out = tmp_path / name
         assert run(capsys, *argv, "--workers", workers, "--out", str(out)) == (0, "", "")

@@ -11,7 +11,6 @@ from cdranks import (
     Direction,
     DroppedDatasetsWarning,
     ExperimentManifest,
-    FoldRecord,
     IncompleteDesignError,
     ModelId,
     NemenyiResult,
@@ -24,7 +23,6 @@ from cdranks import (
     parse_long_csv,
     parse_manifest,
     parse_wide_csv,
-    records_to_long_csv,
     summarize_by_tag,
 )
 
@@ -46,20 +44,19 @@ def long_csv(*rows):
 
 class TestParseLongCsv:
     def test_single_record(self):
-        recs = parse_long_csv(long_csv("courseA,adaboost_click,3,0.912"))
-        assert recs == [FoldRecord("courseA", "adaboost_click", "3", 0.912)]
+        cells = parse_long_csv(long_csv("courseA,adaboost_click,3,0.912"))
+        assert cells == {("courseA", "adaboost_click"): {"3": 0.912}}
 
-    def test_header_only_gives_empty_list(self):
-        assert parse_long_csv("dataset,model,fold,value\n") == []
+    def test_header_only_gives_empty_table(self):
+        assert parse_long_csv("dataset,model,fold,value\n") == {}
 
     def test_blank_lines_and_crlf_tolerated(self):
         text = "dataset,model,fold,value\r\n\r\nd1,m1,0,0.5\r\n\r\n"
-        assert len(parse_long_csv(text)) == 1
+        assert parse_long_csv(text) == {("d1", "m1"): {"0": 0.5}}
 
     def test_whitespace_stripped(self):
-        recs = parse_long_csv(long_csv(" d1 , m1 , 0 , 0.5 "))
-        assert recs[0].dataset_id == "d1"
-        assert recs[0].metric_value == 0.5
+        cells = parse_long_csv(long_csv(" d1 , m1 , 0 , 0.5 "))
+        assert cells == {("d1", "m1"): {"0": 0.5}}
 
     def test_empty_document(self):
         with pytest.raises(ValidationError, match="header"):
@@ -78,20 +75,21 @@ class TestParseLongCsv:
             parse_long_csv(long_csv("d1,,0,0.5"))
 
     def test_duplicate_triple(self):
-        with pytest.raises(ValidationError, match="line 3: duplicate"):
-            parse_long_csv(long_csv("d1,m1,0,0.5", "d1,m1,0,0.6"))
+        with pytest.raises(ValidationError, match="line 4: duplicate record for \\('d1', 'm1', '0'\\)"):
+            parse_long_csv(long_csv("d1,m1,0,0.5", "d1,m2,0,0.5", "d1,m1,0,0.6"))
 
     def test_same_pair_different_folds_ok(self):
-        recs = parse_long_csv(long_csv("d1,m1,0,0.5", "d1,m1,1,0.6"))
-        assert len(recs) == 2
+        cells = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.7", "d1,m1,1,0.6"))
+        assert cells == {("d1", "m1"): {"0": 0.5, "1": 0.6}, ("d2", "m1"): {"0": 0.7}}
+        assert list(cells) == [("d1", "m1"), ("d2", "m1")]
 
     @pytest.mark.parametrize(
         "raw,expected",
         [("1", 1.0), ("1.", 1.0), (".5", 0.5), ("1e-3", 0.001), ("+0.5", 0.5), ("-2E+4", -20000.0)],
     )
     def test_accepted_number_forms(self, raw, expected):
-        recs = parse_long_csv(long_csv(f"d1,m1,0,{raw}"))
-        assert recs[0].metric_value == expected
+        cells = parse_long_csv(long_csv(f"d1,m1,0,{raw}"))
+        assert cells[("d1", "m1")]["0"] == expected
 
     @pytest.mark.parametrize("raw", ["NA", "nan", "inf", "-inf", "1_000", "0x10", ""])
     def test_rejected_number_forms(self, raw):
@@ -103,17 +101,19 @@ class TestParseLongCsv:
             parse_long_csv(long_csv("d1,m1,0,1e999"))
 
     def test_fixture_file(self):
-        records = parse_long_csv(
-            records_to_long_csv(
-                [
-                    FoldRecord(f"d{i}", f"m{j}", str(f), 0.1 * i + 0.01 * j + 0.001 * f)
+        cells = parse_long_csv(
+            long_csv(
+                *(
+                    f"d{i},m{j},{f},{0.1 * i + 0.01 * j + 0.001 * f!r}"
                     for i in range(2)
                     for j in range(4)
                     for f in range(5)
-                ]
+                )
             )
         )
-        assert len(records) == 40
+        assert len(cells) == 8
+        assert all(list(folds) == ["0", "1", "2", "3", "4"] for folds in cells.values())
+        assert cells[("d1", "m3")]["4"] == 0.1 * 1 + 0.01 * 3 + 0.001 * 4
 
 
 class TestParseWideCsv:
@@ -154,14 +154,6 @@ class TestParseWideCsv:
 
 
 class TestRoundTrips:
-    def test_long(self):
-        records = [
-            FoldRecord("d1", "m1", "0", 0.123456789),
-            FoldRecord("d1", "m2", "0", 1e-7),
-            FoldRecord("d2", "m1", "1", -3.5),
-        ]
-        assert parse_long_csv(records_to_long_csv(records)) == records
-
     def test_wide(self):
         m = parse_wide_csv("dataset,a,b,c\nd1,0.9,0.1234567890123,3e-9\n")
         again = parse_wide_csv(matrix_to_wide_csv(m))
@@ -237,13 +229,12 @@ class TestParseManifest:
 
 class TestAggregateFolds:
     def test_means_per_cell(self):
-        records = [
-            FoldRecord("d1", "a", "0", 0.8),
-            FoldRecord("d1", "a", "1", 0.9),
-            FoldRecord("d1", "b", "0", 0.5),
-            FoldRecord("d1", "c", "0", 0.4),
-        ]
-        m = aggregate_folds(records, manifest_of("a", "b", "c"))
+        cells = {
+            ("d1", "a"): {"0": 0.8, "1": 0.9},
+            ("d1", "b"): {"0": 0.5},
+            ("d1", "c"): {"0": 0.4},
+        }
+        m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert m.values[0, 0] == pytest.approx(0.85)
         assert m.values[0, 1] == 0.5
         assert m.datasets == ("d1",)
@@ -251,73 +242,78 @@ class TestAggregateFolds:
     def test_mean_stays_within_fold_range(self):
         rng = np.random.default_rng(31)
         scores = rng.uniform(0.0, 1.0, size=10)
-        records = [
-            FoldRecord("d1", "a", str(f), float(v)) for f, v in enumerate(scores)
-        ] + [FoldRecord("d1", l, "0", 0.5) for l in ("b", "c")]
-        m = aggregate_folds(records, manifest_of("a", "b", "c"))
+        cells = {("d1", "a"): {str(f): float(v) for f, v in enumerate(scores)}}
+        cells.update({("d1", l): {"0": 0.5} for l in ("b", "c")})
+        m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert scores.min() <= m.values[0, 0] <= scores.max()
 
     def test_record_order_is_irrelevant(self):
-        records = [
-            FoldRecord(f"d{i}", l, str(f), 0.1 * i + 0.01 * f + len(l) * 0.001)
+        rows = [
+            f"d{i},{l},{f},{0.1 * i + 0.01 * f + len(l) * 0.001!r}"
             for i in range(3)
             for l in ("a", "bb", "ccc")
             for f in range(4)
         ]
         man = manifest_of("a", "bb", "ccc")
-        forward = aggregate_folds(records, man)
-        backward = aggregate_folds(list(reversed(records)), man)
+        forward = aggregate_folds(parse_long_csv(long_csv(*rows)), man)
+        backward = aggregate_folds(parse_long_csv(long_csv(*reversed(rows))), man)
         assert np.array_equal(forward.values, backward.values)
         assert forward.datasets == backward.datasets
 
     def test_manifest_fixes_column_order(self):
-        records = [
-            FoldRecord("d1", l, "0", v)
-            for l, v in [("b", 0.2), ("c", 0.3), ("a", 0.1)]
-        ]
-        m = aggregate_folds(records, manifest_of("a", "b", "c"))
+        cells = {("d1", l): {"0": v} for l, v in [("b", 0.2), ("c", 0.3), ("a", 0.1)]}
+        m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert m.labels == ("a", "b", "c")
         assert m.values[0].tolist() == [0.1, 0.2, 0.3]
 
     def test_unknown_label(self):
-        records = [FoldRecord("d1", "mystery", "0", 0.5)]
-        with pytest.raises(ValidationError, match="'mystery', which is not in the manifest"):
-            aggregate_folds(records, manifest_of("a"))
+        # the error names the first row whose model the manifest lacks
+        cells = parse_long_csv(long_csv("d1,a,0,0.5", "d2,mystery,0,0.5", "d1,other,0,0.5"))
+        with pytest.raises(
+            ValidationError,
+            match="^record for dataset 'd2' names model 'mystery', which is not in the manifest$",
+        ):
+            aggregate_folds(cells, manifest_of("a"))
 
     def test_missing_pair_payload(self):
-        records = [
-            FoldRecord("d1", "a", "0", 0.1),
-            FoldRecord("d1", "b", "0", 0.2),
-            FoldRecord("d1", "c", "0", 0.3),
-            FoldRecord("d2", "a", "0", 0.4),
-            FoldRecord("d2", "b", "0", 0.5),
-        ]
+        cells = {
+            ("d1", "a"): {"0": 0.1},
+            ("d1", "b"): {"0": 0.2},
+            ("d1", "c"): {"0": 0.3},
+            ("d2", "a"): {"0": 0.4},
+            ("d2", "b"): {"0": 0.5},
+        }
         with pytest.raises(IncompleteDesignError) as err:
-            aggregate_folds(records, manifest_of("a", "b", "c"))
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert err.value.missing_pairs == (("d2", "c"),)
         assert "d2" in str(err.value) and "c" in str(err.value)
         assert err.value.exit_code == 2
+        # a cell without folds is missing too
+        cells[("d2", "c")] = {}
+        with pytest.raises(IncompleteDesignError) as err:
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
+        assert err.value.missing_pairs == (("d2", "c"),)
 
     def test_drop_incomplete(self):
-        records = [
-            FoldRecord("d1", "a", "0", 0.1),
-            FoldRecord("d1", "b", "0", 0.2),
-            FoldRecord("d1", "c", "0", 0.3),
-            FoldRecord("d2", "a", "0", 0.4),
-        ]
+        cells = {
+            ("d1", "a"): {"0": 0.1},
+            ("d1", "b"): {"0": 0.2},
+            ("d1", "c"): {"0": 0.3},
+            ("d2", "a"): {"0": 0.4},
+        }
         with pytest.warns(DroppedDatasetsWarning, match="dropped 1 incomplete dataset\\(s\\): d2"):
-            m = aggregate_folds(records, manifest_of("a", "b", "c"), drop_incomplete=True)
+            m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
         assert m.datasets == ("d1",)
         assert m.values[0].tolist() == [0.1, 0.2, 0.3]
 
     def test_drop_everything_fails(self):
-        records = [FoldRecord("d1", "a", "0", 0.1)]
+        cells = {("d1", "a"): {"0": 0.1}}
         with pytest.raises(ValidationError, match="nothing remains"):
-            aggregate_folds(records, manifest_of("a", "b", "c"), drop_incomplete=True)
+            aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
 
     def test_empty_records(self):
         with pytest.raises(ValidationError, match="no fold records"):
-            aggregate_folds([], manifest_of("a"))
+            aggregate_folds({}, manifest_of("a"))
 
     def test_fixture_loads_cleanly(self):
         m = parse_wide_csv((FIXTURES / "results_31x8.csv").read_text())
@@ -328,15 +324,15 @@ class TestAggregateFolds:
     def test_fixture_recast_long_with_one_pair_removed(self):
         m = parse_wide_csv((FIXTURES / "results_31x8.csv").read_text())
         man = parse_manifest((FIXTURES / "manifest_31x8.json").read_text())
-        records = [
-            FoldRecord(d, l, "0", float(m.values[i, j]))
+        cells = {
+            (d, l): {"0": float(m.values[i, j])}
             for i, d in enumerate(m.datasets)
             for j, l in enumerate(m.labels)
-        ]
-        victim = (records[0].dataset_id, records[0].model_label)
-        kept = [r for r in records if (r.dataset_id, r.model_label) != victim]
+        }
+        victim = next(iter(cells))
+        del cells[victim]
         with pytest.raises(IncompleteDesignError) as err:
-            aggregate_folds(kept, man)
+            aggregate_folds(cells, man)
         assert err.value.missing_pairs == (victim,)
 
 

@@ -226,6 +226,27 @@ class TestEstimatePower:
         cfg = config(n=12, k=4, effect=(1.0, 0.5, 0.0, 0.0), trials=40, seed=11)
         assert estimate_power(cfg, workers=1).to_dict() == estimate_power(cfg, workers=4).to_dict()
 
+    def test_pool_never_larger_than_span_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("cdranks.simulate.ProcessPoolExecutor", InProcessPool)
+        cfg = config(n=12, k=4, effect=(2.0, 1.0, 0.0, 0.0), trials=3, seed=11)
+        assert estimate_power(cfg, workers=64).to_dict() == estimate_power(cfg, workers=1).to_dict()
+        assert sizes == [3]
+
     def test_detection_read_only(self):
         est = estimate_power(config(effect=(1.0, 0.0, 0.0), trials=2))
         with pytest.raises(ValueError):
