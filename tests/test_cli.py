@@ -103,6 +103,12 @@ class TestAnalyze:
         assert code == 0
         assert cr_out == out
 
+    def test_golden_report_bytes(self, capsys, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["analyze", RESULTS, "--manifest", MANIFEST, "--summarize-tag", "feature_set"]
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert out.read_bytes() == Path(REPORT).read_bytes()
+
     @pytest.mark.parametrize("name, argv", sorted(_goldens("LONG_GOLDENS").items()))
     def test_long_golden_bytes(self, capsys, tmp_path, name, argv):
         out = tmp_path / name
