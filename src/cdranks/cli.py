@@ -31,7 +31,7 @@ from .procedure import (
     nemenyi_cd,
     nemenyi_test,
 )
-from .ranks import average_ranks
+from .ranks import AverageRanks, average_ranks
 from .simulate import SimConfig, estimate_power, estimate_type1
 
 _FORMATS_HELP = """\
@@ -50,7 +50,8 @@ input formats:
                                    "feature_set": "clickstream"}}, ...]}
              model order fixes column order; tags are free-form string pairs
 
-values are plain or scientific decimal notation (no locale separators)
+values are plain or scientific decimal notation in ASCII digits
+(no locale separators)
 """
 
 
@@ -173,10 +174,10 @@ def _load_report(text: str) -> dict:
             and type(e.get("rank")) in (int, float)
         ):
             raise ValidationError("each average_ranks entry needs a label and a rank")
-        if not 1 <= e["rank"] <= len(entries):
-            raise ValidationError(
-                f"report average_ranks rank must lie in [1, {len(entries)}], got {e['rank']!r}"
-            )
+    try:
+        AverageRanks([e["rank"] for e in entries])
+    except ValidationError as exc:
+        raise ValidationError(f"report average_ranks: {exc}") from None
     _require(report, "cd", (int, float))
     alpha = _require(report, "alpha", (int, float))
     check_alpha(alpha)

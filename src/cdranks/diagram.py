@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import ValidationError
 from .procedure import indistinguishable_groups
@@ -135,6 +134,11 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     )
 
 
+def _escape(text: str) -> str:
+    """Escape text for an XML element body; ``&`` goes first so no entity is escaped twice."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _px(v: float) -> str:
     return f"{v:.2f}"
 
@@ -232,13 +236,13 @@ def render_svg(
         text = f"{e.label} ({e.rank:.{opts.decimals_for_rank}f})"
         out.append(
             f'<text class="label" x="{_px(tx)}" y="{_px(ry + 0.35 * fs)}" '
-            f'text-anchor="{anchor}">{escape(text)}</text>'
+            f'text-anchor="{anchor}">{_escape(text)}</text>'
         )
 
     if annotation is not None:
         out.append(
             f'<text class="annotation" x="{_px(w / 2)}" y="{_px(height - pad)}" '
-            f'text-anchor="middle" font-style="italic">{escape(annotation)}</text>'
+            f'text-anchor="middle" font-style="italic">{_escape(annotation)}</text>'
         )
 
     out.append("</svg>")

@@ -33,9 +33,10 @@ from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
 
 LONG_HEADER = ("dataset", "model", "fold", "value")
 
-# Plain decimal or scientific notation only; inf/nan, underscores, and
-# locale separators are rejected.
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+# Plain decimal or scientific notation in ASCII digits only; inf/nan,
+# underscores, locale separators and non-ASCII digits (which float() would
+# accept) are rejected.
+_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 
 def _parse_value(text: str, where: str) -> float:

@@ -364,9 +364,11 @@ class TestDiagram:
             ({"average_ranks": [{"label": "a", "rank": 0}, {"label": "b", "rank": 2.2},
                                 {"label": "c", "rank": 2.4}]}, ()),
             ({"posthoc_licensed": True}, ()),
+            ({"average_ranks": [{"label": "a", "rank": 2.5}, {"label": "b", "rank": 2.5},
+                                {"label": "c", "rank": 2.5}]}, ()),
         ],
         ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0",
-             "rank_50", "rank_0", "posthoc_licensed_true"],
+             "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum"],
     )
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
         code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
@@ -438,11 +440,14 @@ class TestSimulate:
         assert out.read_bytes() == (FIXTURES / name).read_bytes()
 
     def test_scipy_stats_never_imported(self, tmp_path):
-        # scipy.integrate serves only the test-side quadrature oracle
+        # scipy is a test-time oracle only; xml.sax.saxutils would pull in
+        # urllib.request, http.client and email for one escape call
         script = (
             "import json, sys\n"
+            "BANNED = ('scipy', 'xml.sax', 'urllib.request', 'http.client', 'email')\n"
             "def loaded():\n"
-            "    return [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if any(m == b or m.startswith(b + '.') for b in BANNED))\n"
             "import cdranks\n"
             "steps = [['import', 0, loaded()]]\n"
             "import cdranks.cli\n"

@@ -1,10 +1,14 @@
 """Layout geometry and SVG rendering."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cdranks import RenderOptions, ValidationError, layout, render_svg
+from cdranks.diagram import _escape
 
 
 def spec_for(ranks, labels=None, cd=1.0):
@@ -149,6 +153,10 @@ class TestRenderSvg:
         text = render_svg(spec)
         assert "a&lt;b&gt;&amp;c" in text
         ET.fromstring(text)
+
+    @given(st.text(alphabet=st.sampled_from("&<>;amplgt# a\"'"), max_size=12))
+    def test_escape_matches_saxutils(self, text):
+        assert _escape(text) == escape(text)
 
     def test_annotation_rendering(self):
         spec = spec_for([1.0, 2.0], cd=5.0)

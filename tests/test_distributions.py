@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import betainc, betaincc, gammaincc, ndtri
 
 from cdranks import (
     QTable,
@@ -17,6 +17,7 @@ from cdranks import (
     q_alpha,
     q_table,
 )
+from cdranks.distributions import _log_gamma_ratio
 from studentized_range import studentized_range_cdf, studentized_range_quantile
 
 # 0.05 critical value of chi-square with 7 df (high-precision root of the sf).
@@ -40,6 +41,11 @@ class TestChiSquareSf:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
+    def test_never_above_one(self):
+        # unclipped, the sum reads 1.0000000000000002 at x = 0.00065, df = 9
+        xs = np.linspace(0.0, 2.0, 4001)
+        assert all(chi_square_sf(xs, df).max() <= 1.0 for df in range(1, 61))
+
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
             chi_square_sf(-1.0, 3)
@@ -47,6 +53,81 @@ class TestChiSquareSf:
             chi_square_sf(1.0, 0)
         with pytest.raises(ValidationError):
             chi_square_sf(float("nan"), 3)
+
+
+class TestChiSquareSfAccuracy:
+    # 0 to 2000, plus a fine band where exp(-x/2) is subnormal but the tail is not
+    XS = np.concatenate([np.linspace(0.0, 2000.0, 2001), np.linspace(1420.0, 1500.0, 321)])
+
+    @pytest.mark.parametrize("df", range(1, 61))
+    def test_matches_scipy_gammaincc(self, df):
+        ref = gammaincc(df / 2.0, self.XS / 2.0)
+        got = chi_square_sf(self.XS, df)
+        seen = ref > 1e-290
+        assert np.all(np.abs(got[seen] - ref[seen]) <= 1e-12 * ref[seen])
+        assert np.all(got[~seen] <= 1e-290)
+
+    def test_subnormal_exp_keeps_the_tail(self):
+        # exp(-750) is 0.0 in double precision; the tail is about 5.3e-274
+        assert chi_square_sf(1500.0, 60) == pytest.approx(gammaincc(30.0, 750.0), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 8, 59, 60])
+    def test_stacked_equals_scalar(self, df):
+        xs = self.XS[::7].reshape(-1, 1, 1) * np.ones((1, 2, 3))
+        got = chi_square_sf(xs, df)
+        assert got.shape == xs.shape
+        assert got.tolist() == np.vectorize(lambda x: chi_square_sf(float(x), df))(xs).tolist()
+
+
+def _f_sf_oracle(x: float, d1: int, d2: int) -> float:
+    """I_w(d2/2, d1/2) at w = d2 / (d2 + d1 x), through the complement when w >= 1/2.
+
+    Rounding w near 1 perturbs 1 - w, to which the tail is sensitive, so the
+    oracle is handed whichever of w and 1 - w is the smaller.
+    """
+    t = d1 * x
+    if d2 >= t:
+        return float(betaincc(d1 / 2.0, d2 / 2.0, t / (d2 + t)))
+    return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + t)))
+
+
+class TestFSfAccuracy:
+    XS = [1e-6, 1e-3, 0.05, 0.3, 0.7, 0.95, 1.0, 1.05, 1.3, 1.7, 2.01, 3.0, 5.0, 12.0,
+          40.0, 200.0, 1e4]
+
+    @pytest.mark.parametrize(
+        "d2s, rtol",
+        [
+            ((1, 2, 3, 5, 8, 13, 30, 60, 210, 999, 4321, 30000, 99991, 100000), 1e-9),
+            ((250001, 1000000, 1999999, 2000000), 1e-8),
+        ],
+        ids=["d2_to_1e5", "d2_to_2e6"],
+    )
+    def test_matches_scipy_betainc(self, d2s, rtol):
+        worst = 0.0
+        for d1 in range(1, 40):
+            for d2 in d2s:
+                for x in self.XS:
+                    ref = _f_sf_oracle(x, d1, d2)
+                    if ref > 1e-290:
+                        worst = max(worst, abs(f_sf(x, d1, d2) - ref) / ref)
+        assert worst <= rtol
+
+    def test_matches_plain_betainc(self):
+        for d1, d2, x in [(7, 210, 2.01), (3, 30, 40.0), (39, 100000, 1.7)]:
+            ref = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
+            assert f_sf(x, d1, d2) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [3.5, 99.5, 100.0, 12345.25, 1e6, 1e8])
+    def test_log_gamma_ratio_at_integer_steps(self, a):
+        # Gamma(a + 1) / Gamma(a) = a; at a = 10^6 a plain lgamma difference is off by ~1e-9
+        assert _log_gamma_ratio(a, 1.0) == pytest.approx(math.log(a), rel=1e-14, abs=1e-14)
+        assert _log_gamma_ratio(a, 2.0) == pytest.approx(
+            math.log(a) + math.log(a + 1.0), rel=1e-14, abs=1e-14
+        )
+
+    def test_underflowing_ratio_is_one(self):
+        assert f_sf(5e-324, 1, 2000000) == 1.0
 
 
 class TestFSf:

@@ -38,6 +38,10 @@ def manifest_of(*labels, direction="maximize", alpha=0.05, tags=None):
     )
 
 
+# Numbers in non-ASCII digits (Arabic-Indic, fullwidth) that float() would accept.
+NON_ASCII_NUMBERS = ["\u0660.\u0667", "\uff11.\uff15", "\u0663e2"]
+
+
 def long_csv(*rows):
     return "dataset,model,fold,value\n" + "\n".join(rows) + "\n"
 
@@ -91,10 +95,13 @@ class TestParseLongCsv:
         cells = parse_long_csv(long_csv(f"d1,m1,0,{raw}"))
         assert cells[("d1", "m1")]["0"] == expected
 
-    @pytest.mark.parametrize("raw", ["NA", "nan", "inf", "-inf", "1_000", "0x10", ""])
+    @pytest.mark.parametrize(
+        "raw", ["NA", "nan", "inf", "-inf", "1_000", "0x10", "", *NON_ASCII_NUMBERS]
+    )
     def test_rejected_number_forms(self, raw):
-        with pytest.raises(ValidationError, match="line 2"):
+        with pytest.raises(ValidationError, match="line 2") as exc:
             parse_long_csv(long_csv(f"d1,m1,0,{raw}"))
+        assert exc.value.exit_code == 2
 
     def test_overflowing_literal(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -127,6 +134,12 @@ class TestParseWideCsv:
     def test_direction_parameter(self):
         m = parse_wide_csv("dataset,a,b,c\nd1,1,2,3\n", direction="minimize")
         assert m.direction is Direction.MINIMIZE
+
+    @pytest.mark.parametrize("raw", NON_ASCII_NUMBERS)
+    def test_rejected_number_forms(self, raw):
+        with pytest.raises(ValidationError, match="line 2, column 'b'") as exc:
+            parse_wide_csv(f"dataset,a,b\nd1,1,{raw}\n")
+        assert exc.value.exit_code == 2
 
     def test_non_numeric_cell_names_line_and_column(self):
         with pytest.raises(ValidationError, match="line 3, column 'b'"):
