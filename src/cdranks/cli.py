@@ -14,25 +14,7 @@ import re
 import sys
 from pathlib import Path
 
-from .diagram import RenderOptions, layout, render_svg
-from .errors import CdranksError, ValidationError, check_alpha
-from .ingest import (
-    aggregate_folds,
-    apply_manifest,
-    parse_long_csv,
-    parse_manifest,
-    parse_wide_csv,
-    summarize_by_tag,
-)
-from .procedure import (
-    Variant,
-    build_report,
-    friedman_test,
-    nemenyi_cd,
-    nemenyi_test,
-)
-from .ranks import AverageRanks, average_ranks
-from .simulate import SimConfig, estimate_power, estimate_type1
+from .errors import CdranksError, ValidationError, check_alpha, check_int
 
 _FORMATS_HELP = """\
 input formats:
@@ -55,37 +37,33 @@ values are plain or scientific decimal notation in ASCII digits
 """
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _checked(convert, check, *args):
+    """An argparse type: ``convert`` the text, then apply one of the shared checks.
+
+    Text that does not convert reaches the check unchanged and fails there.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            return check(value, *args)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+_positive_int = _checked(int, check_int, "value", 1)
+_nonnegative_int = _checked(int, check_int, "value", 0)
+_level = _checked(float, check_alpha)
 
 
-def _level(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie strictly in (0, 1), got {text!r}")
-    return value
+def _variant(text: str):
+    from .procedure import Variant
 
-
-def _variant(text: str) -> Variant:
     try:
         return Variant.parse(text.replace("-", "_"))
     except ValidationError as exc:
@@ -126,6 +104,17 @@ def _detect_format(text: str) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .ingest import (
+        aggregate_folds,
+        apply_manifest,
+        parse_long_csv,
+        parse_manifest,
+        parse_wide_csv,
+        summarize_by_tag,
+    )
+    from .procedure import build_report, friedman_test, nemenyi_test
+    from .ranks import average_ranks
+
     manifest = parse_manifest(_read(args.manifest))
     text = _read(args.input)
     fmt = args.format if args.format != "auto" else _detect_format(text)
@@ -158,6 +147,8 @@ def _require(report: dict, key: str, kinds: tuple) -> object:
 
 
 def _load_report(text: str) -> dict:
+    from .ranks import AverageRanks
+
     try:
         report = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -198,6 +189,9 @@ def _load_report(text: str) -> dict:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
+    from .diagram import RenderOptions, layout, render_svg
+    from .procedure import nemenyi_cd
+
     report = _load_report(_read(args.report))
     entries = report["average_ranks"]
     labels = [e["label"] for e in entries]
@@ -220,6 +214,8 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .simulate import SimConfig, estimate_power, estimate_type1
+
     effect = args.effect if args.effect is not None else (0.0,) * args.k
     cfg = SimConfig(
         n_datasets=args.n,
@@ -266,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--variant",
         type=_variant,
-        default=Variant.FRIEDMAN,
+        default="friedman",
         metavar="{friedman,iman-davenport}",
         help="omnibus statistic form (default: friedman)",
     )

@@ -9,10 +9,11 @@ function of its inputs, so identical calls produce identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .procedure import indistinguishable_groups
 from .ranks import rank_vector
 
@@ -27,14 +28,10 @@ class RenderOptions:
     decimals_for_rank: int = 3
 
     def __post_init__(self):
-        for name in ("width_px", "row_height_px", "font_size_px"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.decimals_for_rank, int) or self.decimals_for_rank < 0:
-            raise ValidationError(
-                f"decimals_for_rank must be a nonnegative integer, got {self.decimals_for_rank!r}"
-            )
+        for name, lo in (
+            ("width_px", 1), ("row_height_px", 1), ("font_size_px", 1), ("decimals_for_rank", 0)
+        ):
+            check_int(getattr(self, name), name, lo)
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,10 @@ class DiagramSpec:
     cd_bracket: CDBracket
     entries: tuple
     bars: tuple
+
+
+# Anything outside the XML 1.0 Char production, lone surrogates included.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _assign_bar_levels(spans: Sequence) -> list:
@@ -107,6 +108,9 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     if len(set(labels)) != k:
         dupes = sorted({l for l in labels if list(labels).count(l) > 1})
         raise ValidationError(f"duplicate label(s): {', '.join(dupes)}")
+    for label in labels:
+        if _NOT_XML_CHAR.search(label):
+            raise ValidationError(f"label {label!r} holds a character that XML 1.0 forbids")
 
     order = sorted(range(k), key=lambda j: (r[j], labels[j]))
     left_count = (k + 1) // 2

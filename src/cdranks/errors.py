@@ -58,3 +58,16 @@ def check_alpha(alpha: float) -> float:
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     return alpha
+
+
+def check_int(value: int, name: str, lo: int, hi: "int | None" = None) -> int:
+    """Return ``value`` if it is an int, not a bool, with lo <= value (< hi); else ValidationError."""
+    if not (
+        isinstance(value, int)
+        and not isinstance(value, bool)
+        and lo <= value
+        and (hi is None or value < hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
+        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+    return value

@@ -381,12 +381,3 @@ def summarize_by_tag(
     summaries.sort(key=lambda s: (s.mean_rank, s.tag_value))
     return summaries
 
-
-def matrix_to_wide_csv(matrix: PerformanceMatrix) -> str:
-    """Serialize a matrix back to wide CSV (inverse of parse_wide_csv)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", *matrix.labels])
-    for i, dataset in enumerate(matrix.datasets):
-        writer.writerow([dataset, *(repr(float(v)) for v in matrix.values[i])])
-    return buf.getvalue()

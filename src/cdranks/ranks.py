@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class PerformanceMatrix:
         return tuple(m.label for m in self.models)
 
 
-def _check_rank_rows(r: np.ndarray, name: str) -> None:
+def _check_rank_vectors(r: np.ndarray, name: str) -> None:
     """Every vector along the last axis is finite, lies in [1, k] and sums to k(k+1)/2.
 
     The sum test is ``math.isclose(total, k(k+1)/2, rel_tol=1e-9, abs_tol=1e-9)``.
@@ -141,25 +141,6 @@ def _check_rank_rows(r: np.ndarray, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class RankMatrix:
-    """Per-dataset mid-ranks, rank 1 = best; each row sums to k(k+1)/2."""
-
-    ranks: np.ndarray
-
-    def __post_init__(self):
-        ranks = np.array(self.ranks, dtype=float)
-        if ranks.ndim != 2:
-            raise ValidationError(f"ranks must be 2-dimensional, got shape {ranks.shape}")
-        _check_rank_rows(ranks, "rank")
-        ranks.setflags(write=False)
-        object.__setattr__(self, "ranks", ranks)
-
-    @property
-    def k(self) -> int:
-        return self.ranks.shape[1]
-
-
-@dataclass(frozen=True)
 class AverageRanks:
     """Length-k vector of average ranks; entries sum to k(k+1)/2."""
 
@@ -171,7 +152,7 @@ class AverageRanks:
             raise ValidationError(f"average ranks must be 1-dimensional, got shape {r.shape}")
         if r.shape[0] < 2:
             raise ValidationError("average ranks need at least two models")
-        _check_rank_rows(r, "average rank")
+        _check_rank_vectors(r, "average rank")
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
@@ -227,44 +208,6 @@ def midranks(a) -> np.ndarray:
     return out
 
 
-def rank_row(values: Sequence[float], direction: "str | Direction") -> np.ndarray:
-    """Rank one dataset row: best value gets rank 1, ties get mid-ranks.
-
-    Under ``maximize`` the largest value is best; under ``minimize`` the
-    smallest.  Tied values share the arithmetic mean of the rank positions
-    they span, which keeps the row sum at exactly k(k+1)/2.
-
-    Raises
-    ------
-    ValidationError
-        If any value is non-finite (the offending index is named) or if the
-        row has fewer than two entries.
-    """
-    direction = Direction.parse(direction)
-    row = np.asarray(values, dtype=float)
-    if row.ndim != 1 or row.shape[0] < 2:
-        raise ValidationError("rank_row needs a 1-d vector of at least two values")
-    bad = np.flatnonzero(~np.isfinite(row))
-    if bad.size:
-        raise ValidationError(f"non-finite value at index {bad[0]}")
-    signed = -row if direction is Direction.MAXIMIZE else row
-    return midranks(signed)
-
-
-def rank_matrix(m: PerformanceMatrix) -> RankMatrix:
-    """Rank every dataset row of a performance matrix."""
-    values = m.values
-    bad_rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
-    if bad_rows.size:
-        # Unreachable through the validated constructor; kept so raw callers
-        # still get the dataset id in the message.
-        i = bad_rows[0]
-        j = np.flatnonzero(~np.isfinite(values[i]))[0]
-        raise ValidationError(f"dataset {m.datasets[i]!r}: non-finite value at index {j}")
-    signed = -values if m.direction is Direction.MAXIMIZE else values
-    return RankMatrix(midranks(signed))
-
-
 def average_ranks(m: PerformanceMatrix) -> AverageRanks:
     """Average the per-dataset ranks into one rank per model (lower = better)."""
     return AverageRanks(stacked_average_ranks(m.values, m.direction))
@@ -275,9 +218,9 @@ def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
 
     The bulk form of :func:`average_ranks` for callers that rank many
     matrices at once.  It enforces, once per stack, the invariants that the
-    PerformanceMatrix, RankMatrix and AverageRanks constructors enforce per
-    matrix: finite values, ranks in [1, k], rank rows and average-rank
-    vectors summing to k(k+1)/2.
+    PerformanceMatrix and AverageRanks constructors enforce per matrix:
+    finite values, ranks in [1, k], rank rows and average-rank vectors
+    summing to k(k+1)/2.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim < 2 or values.shape[-1] < 2:
@@ -286,7 +229,7 @@ def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
         raise ValidationError("performance values must be finite")
     signed = -values if Direction.parse(direction) is Direction.MAXIMIZE else values
     ranks = midranks(signed)
-    _check_rank_rows(ranks, "rank")
+    _check_rank_vectors(ranks, "rank")
     avg = ranks.mean(axis=-2)
-    _check_rank_rows(avg, "average rank")
+    _check_rank_vectors(avg, "average rank")
     return avg

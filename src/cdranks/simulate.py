@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .distributions import chi_square_sf
-from .errors import ValidationError, check_alpha
+from .errors import ValidationError, check_alpha, check_int
 from .procedure import friedman_statistic, nemenyi_cd, pairwise_significance
 from .ranks import Direction, ModelId, PerformanceMatrix, stacked_average_ranks
 
@@ -53,13 +53,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name, lo in (("n_datasets", 2), ("n_models", 3), ("trials", 1)):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < lo:
-                raise ValidationError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (
-            0 <= self.seed < 2**64
-        ):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+            check_int(getattr(self, name), name, lo)
+        check_int(self.seed, "seed", 0, 2**64)
         effect = tuple(float(e) for e in self.effect)
         if len(effect) != self.n_models:
             raise ValidationError(
@@ -115,10 +110,7 @@ def _draw(cfg: SimConfig, first_trial: int, out: np.ndarray) -> None:
 
 def generate_matrix(cfg: SimConfig, trial_index: int) -> PerformanceMatrix:
     """Draw the synthetic matrix for one trial (the kernel draws the same values)."""
-    if not isinstance(trial_index, int) or not (0 <= trial_index < cfg.trials):
-        raise ValidationError(
-            f"trial_index must lie in [0, {cfg.trials}), got {trial_index!r}"
-        )
+    check_int(trial_index, "trial_index", 0, cfg.trials)
     values = np.empty((1, cfg.n_datasets, cfg.n_models))
     _draw(cfg, trial_index, values)
     return PerformanceMatrix(
@@ -153,8 +145,7 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
 
 
 def _run_trials(cfg: SimConfig, workers: int) -> tuple:
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise ValidationError(f"workers must be a positive integer, got {workers!r}")
+    check_int(workers, "workers", 1)
     if workers == 1:
         return _run_chunk(cfg, 0, cfg.trials)
     bounds = [i * cfg.trials // workers for i in range(workers + 1)]

@@ -28,7 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cdranks import cli, nemenyi_cd, parse_wide_csv, rank_matrix
+from cdranks import cli, nemenyi_cd, parse_wide_csv
+from cdranks.ranks import midranks
 
 HERE = Path(__file__).parent
 SEED = 20260815
@@ -77,7 +78,7 @@ def build_csv() -> str:
 
 def check_planted_structure(csv_text: str) -> None:
     matrix = parse_wide_csv(csv_text)
-    ranks = rank_matrix(matrix).ranks
+    ranks = midranks(-matrix.values)
     avg = ranks.mean(axis=0)
     cd = nemenyi_cd(len(MODELS), N_DATASETS, 0.05)
     click, rest = avg[:2], avg[2:]

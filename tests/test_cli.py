@@ -375,6 +375,17 @@ class TestDiagram:
         assert code == 2 and out == ""
         assert next(iter(overrides)) in err
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\ud800", "\ufffe"])
+    def test_label_outside_xml_char_exits_2(self, capsys, tmp_path, char):
+        ranks = [{"label": f"cart{char}click", "rank": 1.4}, {"label": "b", "rank": 2.2},
+                 {"label": "c", "rank": 2.4}]
+        svg = tmp_path / "cd.svg"
+        code, out, err = run(
+            capsys, "diagram", self.write_report(tmp_path, average_ranks=ranks), "--out", str(svg)
+        )
+        assert (code, out, svg.exists()) == (2, "", False)
+        assert "XML 1.0" in err
+
     def test_stdin_report(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "sys.stdin", io.StringIO(Path(REPORT).read_text(encoding="utf-8"))
@@ -441,35 +452,46 @@ class TestSimulate:
 
     def test_scipy_stats_never_imported(self, tmp_path):
         # scipy is a test-time oracle only; xml.sax.saxutils would pull in
-        # urllib.request, http.client and email for one escape call
+        # urllib.request, http.client and email for one escape call.  Each
+        # subcommand runs in a fresh process and loads only its own modules.
+        banned = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
+        steps = {
+            "import": ([], "cdranks", banned + ("numpy", "cdranks.cli")),
+            "analyze": (
+                ["analyze", RESULTS, "--manifest", MANIFEST, "--out", str(tmp_path / "r.json")],
+                "cdranks.ingest",
+                banned + ("concurrent.futures", "cdranks.simulate", "cdranks.diagram"),
+            ),
+            "diagram": (
+                ["diagram", REPORT, "--out", str(tmp_path / "cd.svg")],
+                "cdranks.diagram",
+                banned + ("concurrent.futures", "cdranks.ingest", "cdranks.simulate"),
+            ),
+            "simulate": (
+                ["simulate", "--n", "10", "--k", "4", "--trials", "300",
+                 "--effect", "0.5,0,0,0", "--out", str(tmp_path / "power.json")],
+                "cdranks.simulate",
+                banned,
+            ),
+        }
         script = (
             "import json, sys\n"
-            "BANNED = ('scipy', 'xml.sax', 'urllib.request', 'http.client', 'email')\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules\n"
-            "                  if any(m == b or m.startswith(b + '.') for b in BANNED))\n"
             "import cdranks\n"
-            "steps = [['import', 0, loaded()]]\n"
-            "import cdranks.cli\n"
-            "report, svg, power = sys.argv[1:]\n"
-            "for name, argv in [\n"
-            f"    ('analyze', ['analyze', {RESULTS!r}, '--manifest', {MANIFEST!r}, '--out', report]),\n"
-            "    ('diagram', ['diagram', report, '--out', svg]),\n"
-            "    ('simulate', ['simulate', '--n', '10', '--k', '4', '--trials', '300',\n"
-            "                  '--effect', '0.5,0,0,0', '--out', power]),\n"
-            "]:\n"
-            "    steps.append([name, cdranks.cli.main(argv), loaded()])\n"
-            "print(json.dumps(steps))\n"
+            "code = 0\n"
+            "if sys.argv[1:]:\n"
+            "    from cdranks.cli import main\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
-        outputs = [str(tmp_path / name) for name in ("report.json", "cd.svg", "power.json")]
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *outputs],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(proc.stdout) == [
-            ["import", 0, []], ["analyze", 0, []], ["diagram", 0, []], ["simulate", 0, []]
-        ]
+        for name, (argv, needed, absent) in steps.items():
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            code, modules = json.loads(proc.stdout)
+            loaded = [m for m in modules if any(m == b or m.startswith(b + ".") for b in absent)]
+            assert (name, code, needed in modules, loaded) == (name, 0, True, [])
 
     def test_zero_trials_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -492,6 +514,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "x.csv", "--manifest", "m.json", "--variant", "anova"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--n", "x"), ("--n", "0"), ("--workers", "1.5"), ("--seed", "-1")]
+    )
+    def test_bad_integer_value(self, capsys, flag, value):
+        argv = {"--n": "10", "--k": "3", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *(item for pair in argv.items() for item in pair)])
+        assert exc.value.code == 2
+        assert f"argument {flag}: value must be an integer >= " in capsys.readouterr().err
 
     def test_bad_alpha_value(self):
         with pytest.raises(SystemExit) as exc:

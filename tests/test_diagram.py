@@ -41,6 +41,8 @@ class TestRenderOptions:
             {"row_height_px": 0},
             {"font_size_px": 0},
             {"decimals_for_rank": -1},
+            {"width_px": True},
+            {"decimals_for_rank": True},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
@@ -98,6 +100,10 @@ class TestLayout:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             spec_for([1.0, 2.0], ["a", "a"])
+
+    def test_label_outside_xml_char_rejected(self):
+        with pytest.raises(ValidationError, match="XML 1.0"):
+            spec_for([1.0, 2.0], ["a", "cart\x01click"])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

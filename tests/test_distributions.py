@@ -7,7 +7,6 @@ import pytest
 from scipy.special import betainc, betaincc, gammaincc, ndtri
 
 from cdranks import (
-    QTable,
     SUPPORTED_ALPHAS,
     SUPPORTED_K,
     UnsupportedDesignError,
@@ -15,9 +14,8 @@ from cdranks import (
     chi_square_sf,
     f_sf,
     q_alpha,
-    q_table,
 )
-from cdranks.distributions import _log_gamma_ratio
+from cdranks.distributions import _Q_TABLES, _log_gamma_ratio
 from studentized_range import studentized_range_cdf, studentized_range_quantile
 
 # 0.05 critical value of chi-square with 7 df (high-precision root of the sf).
@@ -236,10 +234,4 @@ class TestQTable:
 
     def test_table_covers_all_k(self):
         for alpha in SUPPORTED_ALPHAS:
-            assert sorted(q_table(alpha).entries) == list(SUPPORTED_K)
-
-    def test_qtable_rejects_non_increasing(self):
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            QTable(0.05, {2: 2.0, 3: 1.9})
-        with pytest.raises(ValidationError):
-            QTable(0.05, {2: -1.0, 3: 2.0})
+            assert sorted(_Q_TABLES[alpha]) == list(SUPPORTED_K)

@@ -1,0 +1,108 @@
+"""The package's public surface: every exported name, loaded on first use."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import cdranks
+from cdranks.errors import ValidationError, check_int
+
+EXPORTS = [
+    "AverageRanks",
+    "CDBracket",
+    "CdranksError",
+    "DegenerateStatisticError",
+    "DiagramBar",
+    "DiagramEntry",
+    "DiagramSpec",
+    "Direction",
+    "DroppedDatasetsWarning",
+    "ExperimentManifest",
+    "FriedmanResult",
+    "IncompleteDesignError",
+    "ModelId",
+    "NemenyiResult",
+    "PerformanceMatrix",
+    "PowerEstimate",
+    "RenderOptions",
+    "SUPPORTED_ALPHAS",
+    "SUPPORTED_K",
+    "SimConfig",
+    "SmallSampleWarning",
+    "TagSummary",
+    "Type1Estimate",
+    "UnsupportedDesignError",
+    "ValidationError",
+    "Variant",
+    "aggregate_folds",
+    "apply_manifest",
+    "average_ranks",
+    "build_report",
+    "chi_square_sf",
+    "estimate_power",
+    "estimate_type1",
+    "f_sf",
+    "friedman_statistic",
+    "friedman_test",
+    "generate_matrix",
+    "indistinguishable_groups",
+    "layout",
+    "nemenyi_cd",
+    "nemenyi_test",
+    "pairwise_significance",
+    "parse_long_csv",
+    "parse_manifest",
+    "parse_wide_csv",
+    "q_alpha",
+    "render_svg",
+    "summarize_by_tag",
+]
+
+SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+
+
+class TestExports:
+    def test_all_is_pinned(self):
+        assert cdranks.__all__ == EXPORTS
+
+    def test_every_name_resolves_and_is_listed_by_dir(self):
+        for name in EXPORTS:
+            module = importlib.import_module(f"cdranks.{cdranks._EXPORTS[name]}")
+            assert getattr(cdranks, name) is getattr(module, name)
+        assert set(EXPORTS) <= set(dir(cdranks))
+        assert "__version__" in dir(cdranks)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="rank_row"):
+            cdranks.rank_row
+        assert not hasattr(cdranks, "QTable")
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from cdranks import *", namespace)
+        assert set(EXPORTS) <= set(namespace)
+
+    def test_bench_names_exported(self):
+        tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "cdranks"
+            for alias in node.names
+        ]
+        assert len(imported) == 22
+        assert set(imported) <= set(EXPORTS)
+
+
+class TestCheckInt:
+    @pytest.mark.parametrize("value", [1, 5, 2**70])
+    def test_accepts(self, value):
+        assert check_int(value, "n", 1) == value
+
+    @pytest.mark.parametrize("value", [0, -3, True, 1.0, "2", None])
+    def test_rejects(self, value):
+        with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
+            check_int(value, "n", 1)
+

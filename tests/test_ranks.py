@@ -12,12 +12,9 @@ from cdranks import (
     Direction,
     ModelId,
     PerformanceMatrix,
-    RankMatrix,
     UnsupportedDesignError,
     ValidationError,
     average_ranks,
-    rank_matrix,
-    rank_row,
 )
 from cdranks.ranks import midranks, stacked_average_ranks
 
@@ -33,39 +30,40 @@ def matrix(values, direction="maximize"):
     )
 
 
+def ranks_of_row(values, direction):
+    """Ranks of one dataset row: the average ranks of a one-row block."""
+    return stacked_average_ranks([values], direction)
+
+
 class TestRankRow:
     def test_strictly_ordered(self):
-        assert rank_row([0.9, 0.8, 0.7], "maximize").tolist() == [1, 2, 3]
-        assert rank_row([0.9, 0.8, 0.7], "minimize").tolist() == [3, 2, 1]
+        assert ranks_of_row([0.9, 0.8, 0.7], "maximize").tolist() == [1, 2, 3]
+        assert ranks_of_row([0.9, 0.8, 0.7], "minimize").tolist() == [3, 2, 1]
 
     def test_midrank_tie(self):
-        assert rank_row([0.9, 0.8, 0.9], "maximize").tolist() == [1.5, 3, 1.5]
+        assert ranks_of_row([0.9, 0.8, 0.9], "maximize").tolist() == [1.5, 3, 1.5]
 
     def test_full_tie(self):
-        assert rank_row([0.5, 0.5, 0.5], "maximize").tolist() == [2, 2, 2]
-
-    def test_nonfinite_names_index(self):
-        with pytest.raises(ValidationError, match="index 1"):
-            rank_row([0.5, float("nan"), 0.7], "maximize")
+        assert ranks_of_row([0.5, 0.5, 0.5], "maximize").tolist() == [2, 2, 2]
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            rank_row([0.5], "maximize")
+            ranks_of_row([0.5], "maximize")
 
     def test_bad_direction(self):
         with pytest.raises(ValidationError):
-            rank_row([0.5, 0.6], "upwards")
+            ranks_of_row([0.5, 0.6], "upwards")
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=8))
     def test_minimize_equals_maximize_of_negated(self, values):
-        left = rank_row(values, Direction.MINIMIZE)
-        right = rank_row([-v for v in values], Direction.MAXIMIZE)
+        left = ranks_of_row(values, Direction.MINIMIZE)
+        right = ranks_of_row([-v for v in values], Direction.MAXIMIZE)
         assert left.tolist() == right.tolist()
 
     @given(st.lists(st.integers(0, 4), min_size=2, max_size=8))
     def test_row_sum_exact(self, values):
         k = len(values)
-        assert rank_row([float(v) for v in values], "maximize").sum() == k * (k + 1) / 2
+        assert ranks_of_row([float(v) for v in values], "maximize").sum() == k * (k + 1) / 2
 
 
 # Value families that exercise the tie handling: continuous draws (ties
@@ -192,14 +190,6 @@ class TestModelId:
 
 
 class TestRankTypes:
-    def test_rank_matrix_row_sum_enforced(self):
-        with pytest.raises(ValidationError, match="rank sum"):
-            RankMatrix(np.array([[1.0, 2.0, 2.0]]))
-
-    def test_rank_matrix_bounds(self):
-        with pytest.raises(ValidationError):
-            RankMatrix(np.array([[0.5, 2.0, 3.5]]))
-
     def test_average_ranks_sum_enforced(self):
         with pytest.raises(ValidationError):
             AverageRanks(np.array([1.5, 2.0, 3.9, 4.6]))
@@ -223,13 +213,6 @@ class TestAverageRanks:
         rng = np.random.default_rng(5)
         m = matrix(rng.standard_normal((6, 4)))
         assert average_ranks(m).r.sum() == 10
-
-    def test_rank_matrix_rows(self):
-        rng = np.random.default_rng(6)
-        m = matrix(rng.standard_normal((5, 4)))
-        rm = rank_matrix(m)
-        assert rm.ranks.shape == (5, 4)
-        assert np.all(rm.ranks.sum(axis=1) == 10)
 
     def test_direction_respected(self):
         up = matrix([[1.0, 2.0, 3.0]] * 2, direction="maximize")

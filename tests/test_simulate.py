@@ -115,6 +115,8 @@ class TestGenerateMatrix:
             generate_matrix(cfg, 10)
         with pytest.raises(ValidationError):
             generate_matrix(cfg, -1)
+        with pytest.raises(ValidationError):
+            generate_matrix(cfg, True)
 
     def test_no_ties_within_rows_under_null(self):
         cfg = config(n=50, k=8, trials=20)
