@@ -80,9 +80,9 @@ def _effect(text: str) -> tuple:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """Read a file, or stdin for ``-``, without a leading UTF-8 byte order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _emit(text: str, out: str | None) -> None:

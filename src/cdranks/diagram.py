@@ -9,11 +9,10 @@ function of its inputs, so identical calls produce identical bytes.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_label
 from .procedure import indistinguishable_groups
 from .ranks import rank_vector
 
@@ -67,10 +66,6 @@ class DiagramSpec:
     bars: tuple
 
 
-# Anything outside the XML 1.0 Char production, lone surrogates included.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
-
-
 def _assign_bar_levels(spans: Sequence) -> list:
     """Greedy level assignment: first free level, scanning bars by rank_lo.
 
@@ -109,8 +104,7 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
         dupes = sorted({l for l in labels if list(labels).count(l) > 1})
         raise ValidationError(f"duplicate label(s): {', '.join(dupes)}")
     for label in labels:
-        if _NOT_XML_CHAR.search(label):
-            raise ValidationError(f"label {label!r} holds a character that XML 1.0 forbids")
+        check_label(label)
 
     order = sorted(range(k), key=lambda j: (r[j], labels[j]))
     left_count = (k + 1) // 2

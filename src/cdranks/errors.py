@@ -6,6 +6,8 @@ bad input (2) from an unsupported statistical design (3).
 
 from __future__ import annotations
 
+import re
+
 
 class CdranksError(Exception):
     """Base class for all errors raised by this package."""
@@ -51,6 +53,17 @@ class SmallSampleWarning(UserWarning):
 
 class DroppedDatasetsWarning(UserWarning):
     """Datasets were dropped because they were missing measurements."""
+
+
+# Anything outside the XML 1.0 Char production, lone surrogates included.
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def check_label(label: str) -> str:
+    """Return ``label`` if XML 1.0 allows every character in it; else ValidationError."""
+    if _NOT_XML_CHAR.search(label):
+        raise ValidationError(f"label {label!r} holds a character that XML 1.0 forbids")
+    return label
 
 
 def check_alpha(alpha: float) -> float:

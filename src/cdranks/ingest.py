@@ -18,7 +18,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,21 +46,6 @@ def _parse_value(text: str, where: str) -> float:
     if not math.isfinite(value):
         raise ValidationError(f"{where}: value {text!r} overflows to non-finite")
     return value
-
-
-def _rows(text: str) -> Iterator[tuple]:
-    """Yield ``(line number, fields)`` per CSV row, blank rows included.
-
-    The line number is that of the row's last physical line.  Errors from
-    the csv module, such as a field over its size limit, become
-    :class:`ValidationError` naming the line.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for row in reader:
-            yield reader.line_num, row
-    except csv.Error as exc:
-        raise ValidationError(f"line {reader.line_num}: {exc}") from None
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -151,31 +136,50 @@ def parse_long_csv(text: str) -> dict:
     Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
     and folds in first-seen row order.  Blank rows are skipped.  Malformed
     rows, duplicate (dataset, model, fold) triples, and non-numeric values
-    raise :class:`ValidationError` naming the offending line.
+    raise :class:`ValidationError` naming the offending line, the row's last
+    physical line.
     """
-    reader = _rows(text)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty document: expected header 'dataset,model,fold,value'") from None
-    if tuple(h.strip() for h in header) != LONG_HEADER:
-        raise ValidationError(
-            f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
-        )
+    reader = csv.reader(io.StringIO(text, newline=""))
     cells = {}
-    for line, row in reader:
-        if _is_blank(row):
-            continue
-        if len(row) != 4:
-            raise ValidationError(f"line {line}: expected 4 fields, got {len(row)}")
-        dataset, model, fold, raw = (cell.strip() for cell in row)
-        if not dataset or not model or not fold:
-            raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
-        value = _parse_value(raw, f"line {line}")
-        folds = cells.setdefault((dataset, model), {})
-        if fold in folds:
-            raise ValidationError(f"line {line}: duplicate record for {(dataset, model, fold)!r}")
-        folds[fold] = value
+    get, match, isfinite = cells.get, _NUMBER_RE.fullmatch, math.isfinite
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError("empty document: expected header 'dataset,model,fold,value'")
+        if tuple(h.strip() for h in header) != LONG_HEADER:
+            raise ValidationError(
+                f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
+            )
+        for row in reader:
+            # Fast path: a row that passes every check is recorded without
+            # looking up its line number.  Any other row takes the full
+            # checks below, in order, so each message stays the same.
+            if len(row) == 4:
+                dataset, model, fold, raw = row
+                key = (dataset.strip(), model.strip())
+                fold, raw = fold.strip(), raw.strip()
+                if key[0] and key[1] and fold and match(raw) and isfinite(value := float(raw)):
+                    folds = get(key)
+                    if folds is None:
+                        folds = cells[key] = {}
+                    if fold not in folds:
+                        folds[fold] = value
+                        continue
+            line = reader.line_num
+            if _is_blank(row):
+                continue
+            if len(row) != 4:
+                raise ValidationError(f"line {line}: expected 4 fields, got {len(row)}")
+            dataset, model, fold, raw = (cell.strip() for cell in row)
+            if not dataset or not model or not fold:
+                raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
+            value = _parse_value(raw, f"line {line}")
+            folds = cells.setdefault((dataset, model), {})
+            if fold in folds:
+                raise ValidationError(f"line {line}: duplicate record for {(dataset, model, fold)!r}")
+            folds[fold] = value
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
     return cells
 
 
@@ -185,38 +189,40 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
     Every data row must carry one value per model column.  Dataset rows are
     sorted lexicographically so the matrix is independent of file row order.
     """
-    reader = _rows(text)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty document: expected header 'dataset,<model labels...>'") from None
-    fields = [h.strip() for h in header]
-    if len(fields) < 2 or fields[0] != "dataset":
-        raise ValidationError(
-            f"line 1: header must be 'dataset,<model labels...>', got {','.join(header)!r}"
-        )
-    labels = fields[1:]
-    if any(not l for l in labels):
-        raise ValidationError("line 1: model column labels must be non-empty")
-    if len(set(labels)) != len(labels):
-        dupes = sorted({l for l in labels if labels.count(l) > 1})
-        raise ValidationError(f"line 1: duplicate model column(s): {', '.join(dupes)}")
-
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = {}
-    for line, row in reader:
-        if _is_blank(row):
-            continue
-        if len(row) != len(fields):
-            raise ValidationError(f"line {line}: expected {len(fields)} fields, got {len(row)}")
-        dataset = row[0].strip()
-        if not dataset:
-            raise ValidationError(f"line {line}: dataset id must be non-empty")
-        if dataset in rows:
-            raise ValidationError(f"line {line}: duplicate dataset id {dataset!r}")
-        rows[dataset] = [
-            _parse_value(cell.strip(), f"line {line}, column {labels[j]!r}")
-            for j, cell in enumerate(row[1:])
-        ]
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError("empty document: expected header 'dataset,<model labels...>'")
+        fields = [h.strip() for h in header]
+        if len(fields) < 2 or fields[0] != "dataset":
+            raise ValidationError(
+                f"line 1: header must be 'dataset,<model labels...>', got {','.join(header)!r}"
+            )
+        labels = fields[1:]
+        if any(not l for l in labels):
+            raise ValidationError("line 1: model column labels must be non-empty")
+        if len(set(labels)) != len(labels):
+            dupes = sorted({l for l in labels if labels.count(l) > 1})
+            raise ValidationError(f"line 1: duplicate model column(s): {', '.join(dupes)}")
+        for row in reader:
+            line = reader.line_num
+            if _is_blank(row):
+                continue
+            if len(row) != len(fields):
+                raise ValidationError(f"line {line}: expected {len(fields)} fields, got {len(row)}")
+            dataset = row[0].strip()
+            if not dataset:
+                raise ValidationError(f"line {line}: dataset id must be non-empty")
+            if dataset in rows:
+                raise ValidationError(f"line {line}: duplicate dataset id {dataset!r}")
+            rows[dataset] = [
+                _parse_value(cell.strip(), f"line {line}, column {labels[j]!r}")
+                for j, cell in enumerate(row[1:])
+            ]
+    except csv.Error as exc:
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError("no data rows")
 

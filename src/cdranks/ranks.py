@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import UnsupportedDesignError, ValidationError
+from .errors import UnsupportedDesignError, ValidationError, check_label
 
 
 class Direction(str, Enum):
@@ -50,6 +50,7 @@ class ModelId:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise ValidationError("model label must be a non-empty string")
+        check_label(self.label)
         object.__setattr__(self, "tags", dict(self.tags))
 
 

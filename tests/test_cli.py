@@ -139,19 +139,72 @@ class TestAnalyze:
         assert "header must be 'dataset,model,fold,value'" in err
 
     @pytest.mark.parametrize(
-        "header, row",
-        [("dataset,model,fold,value", "d1,a,0,{}"), ("dataset,a", "d1,{}")],
-        ids=["long", "wide"],
+        "header, row, line",
+        [
+            ("dataset,model,fold,value", "d1,a,0,{}", 3),
+            ("dataset,a", "d1,{}", 3),
+            ("dataset,model,fold,value", 'd1,a,0,"\n{}"', 5),
+        ],
+        ids=["long", "wide", "long_quoted"],
     )
-    def test_oversized_field_exits_2(self, capsys, tmp_path, header, row):
-        # the csv module rejects fields over 131072 characters
+    def test_oversized_field_exits_2(self, capsys, tmp_path, header, row, line):
+        # the csv module rejects fields over 131072 characters; a quoted
+        # field spanning lines fails on the line where it overflows
         csv = tmp_path / "huge.csv"
         csv.write_text("\n".join([header, row.format("1"), row.format("9" * 131073)]) + "\n")
         code, out, err = run(
             capsys, "analyze", str(csv), "--manifest", write_manifest(tmp_path, "a")
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: line 3: field larger than field limit")
+        assert err.startswith(f"error: line {line}: field larger than field limit")
+
+    @pytest.mark.parametrize("where", ["manifest", "wide_header"])
+    def test_label_outside_xml_char_exits_2(self, capsys, tmp_path, where):
+        # analyze rejects a label that diagram could not render
+        bad = "a\x01b"
+        csv = tmp_path / "w.csv"
+        csv.write_text(
+            f"dataset,{bad},b,c\n" + "".join(f"d{i:02d},0.{i},0.5,0.3\n" for i in range(16))
+        )
+        labels = (bad if where == "manifest" else "a", "b", "c")
+        out_path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "analyze", str(csv), "--manifest", write_manifest(tmp_path, *labels),
+            "--out", str(out_path),
+        )
+        assert (code, out, out_path.exists()) == (2, "", False)
+        assert "XML 1.0" in err
+
+    @pytest.mark.parametrize(
+        "results, fmt",
+        [("long", "auto"), ("long", "long"), ("wide", "auto"), ("wide", "wide")],
+    )
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_utf8_bom_is_dropped(self, capsys, tmp_path, monkeypatch, results, fmt, via):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        if results == "long":
+            rows = ["dataset,model,fold,value"]
+            rows += [f"{d},{m},0,{v}" for d in ("d1", "d2") for m, v in zip("abc", (0.9, 0.6, 0.3))]
+        else:
+            rows = ["dataset,a,b,c"] + [f"{d},0.9,0.6,0.3" for d in ("d1", "d2")]
+        text = "\n".join(rows) + "\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        bom.write_text(text, encoding="utf-8-sig")
+        manifest = write_manifest(tmp_path, "a", "b", "c")
+        bom_manifest = tmp_path / "bom_manifest.json"
+        bom_manifest.write_text(Path(manifest).read_text(), encoding="utf-8-sig")
+        argv = ["--manifest", str(bom_manifest), "--format", fmt]
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+            source = "-"
+        else:
+            source = str(bom)
+        with pytest.warns(SmallSampleWarning):
+            expected = run(capsys, "analyze", str(plain), "--manifest", manifest, "--format", fmt)
+        with pytest.warns(SmallSampleWarning):
+            assert run(capsys, "analyze", source, *argv) == expected
+        assert expected[0] == 0
 
     def test_missing_pair_exit_code_and_message(self, capsys, tmp_path):
         csv = tmp_path / "gappy.csv"
@@ -385,6 +438,15 @@ class TestDiagram:
         )
         assert (code, out, svg.exists()) == (2, "", False)
         assert "XML 1.0" in err
+
+    def test_utf8_bom_report(self, capsys, tmp_path, monkeypatch):
+        text = Path(REPORT).read_text(encoding="utf-8")
+        golden = (FIXTURES / "golden_cd.svg").read_text(encoding="utf-8")
+        path = tmp_path / "report.json"
+        path.write_text(text, encoding="utf-8-sig")
+        assert run(capsys, "diagram", str(path)) == (0, golden, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert run(capsys, "diagram", "-") == (0, golden, "")
 
     def test_stdin_report(self, capsys, monkeypatch):
         monkeypatch.setattr(

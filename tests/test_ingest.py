@@ -5,6 +5,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from long_csv_oracle import parse_long_csv as oracle_parse_long_csv
 
 from cdranks import (
     AverageRanks,
@@ -106,6 +109,17 @@ class TestParseLongCsv:
         with pytest.raises(ValidationError, match="non-finite"):
             parse_long_csv(long_csv("d1,m1,0,1e999"))
 
+    def test_quoted_row_reports_its_last_line(self):
+        # the row on lines 3-4 holds a quoted value with a line break in it
+        text = long_csv("d1,m1,0,0.5", 'd1,m1,1,"0.\n5"')
+        with pytest.raises(ValidationError, match=r"^line 4: non-numeric value '0\.\\n5'$"):
+            parse_long_csv(text)
+        # a good quoted row on lines 2-3 shifts every later line number
+        text = long_csv('"d\r\n1",m1,0,0.5', "d1,m1,0,0.5", "d1,m1,1,x")
+        assert list(parse_long_csv(text.replace(",x", ",1"))) == [("d\r\n1", "m1"), ("d1", "m1")]
+        with pytest.raises(ValidationError, match="^line 5: non-numeric value 'x'$"):
+            parse_long_csv(text)
+
     def test_fixture_file(self):
         cells = parse_long_csv(
             long_csv(
@@ -120,6 +134,81 @@ class TestParseLongCsv:
         assert len(cells) == 8
         assert all(list(folds) == ["0", "1", "2", "3", "4"] for folds in cells.values())
         assert cells[("d1", "m3")]["4"] == 0.1 * 1 + 0.01 * 3 + 0.001 * 4
+
+
+# Every piece below is a fragment the long-CSV parser must treat exactly as
+# the original per-row loop did: padding (including Unicode whitespace that
+# str.strip removes but csv does not split on), quotes, line breaks inside
+# quoted fields, and numbers that are valid, malformed, non-ASCII, or overflow.
+_PADDING = st.sampled_from(["", " ", "\t", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85", "\u2028"])
+_KEYS = st.sampled_from(["d1", "d2", "m", "x y", "\u00e9", "0", "1", "", "a\nb", "a\r\nb", 'a"b'])
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(
+        ["1.", ".5", "+0.5", "-2E+4", "1e999", "-1e999", "nan", "inf", "1_000", "0x10",
+         "", "NA", "1 2", *NON_ASCII_NUMBERS, "9" * 131073]
+    ),
+)
+
+
+@st.composite
+def _field(draw, text):
+    body = draw(_PADDING) + draw(text) + draw(_PADDING)
+    if draw(st.booleans()):
+        return '"' + body.replace('"', '""') + '"'
+    return body
+
+
+_ROWS = st.one_of(
+    st.tuples(_field(_KEYS), _field(_KEYS), _field(_KEYS), _field(_NUMBERS)).map(",".join),
+    st.lists(st.one_of(_field(_KEYS), _field(_NUMBERS)), max_size=6).map(",".join),
+    st.sampled_from(["", "  ", "\t", ",,,", " , , , ", ",,", '""', '"",,,""']),
+)
+_HEADERS = st.sampled_from(
+    ["dataset,model,fold,value"] * 4
+    + [" dataset , model ,fold,\tvalue", '"dataset",model,fold,value', "dataset,model,value", ""]
+)
+
+
+@st.composite
+def long_csv_texts(draw):
+    rows = [draw(_HEADERS), *draw(st.lists(_ROWS, max_size=12))]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(rows), max_size=len(rows)))
+    text = "".join(row + end for row, end in zip(rows, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+def _outcome(parse, text):
+    try:
+        cells = parse(text)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [(key, list(folds.items())) for key, folds in cells.items()]
+
+
+class TestLongCsvDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(long_csv_texts())
+    def test_matches_original_loop(self, text):
+        assert _outcome(parse_long_csv, text) == _outcome(oracle_parse_long_csv, text)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["d1,m,0"], "line 2: expected 4 fields, got 3"),
+            (["", ",,,", 'd1,"",0,1'], "line 4: dataset, model, and fold must be non-empty"),
+            (["d1,m,0,\u0663e2"], "line 2: non-numeric value '\u0663e2'"),
+            (["d1,m,0,1e999"], "line 2: value '1e999' overflows to non-finite"),
+            (["d1,m,0,1", "d1, m ,\u30000,2"], "line 3: duplicate record for ('d1', 'm', '0')"),
+            (["d1,m,0," + "9" * 131073], "line 2: field larger than field limit (131072)"),
+        ],
+        ids=["field_count", "empty_key", "non_ascii", "overflow", "duplicate", "oversized"],
+    )
+    def test_each_message_matches_original_loop(self, rows, message):
+        text = long_csv(*rows)
+        assert _outcome(parse_long_csv, text) == (ValidationError, message)
+        assert _outcome(oracle_parse_long_csv, text) == (ValidationError, message)
 
 
 class TestParseWideCsv:
@@ -215,6 +304,11 @@ class TestParseManifest:
     def test_tags_must_be_string_maps(self):
         doc = dict(self.GOOD, models=[{"label": "a", "tags": {"k": 3}}])
         with pytest.raises(ValidationError, match="tags"):
+            parse_manifest(json.dumps(doc))
+
+    def test_label_outside_xml_char(self):
+        doc = dict(self.GOOD, models=[{"label": "a\x01b"}, {"label": "b"}])
+        with pytest.raises(ValidationError, match="XML 1.0"):
             parse_manifest(json.dumps(doc))
 
     def test_duplicate_labels(self):

@@ -182,6 +182,11 @@ class TestModelId:
         with pytest.raises(ValidationError):
             ModelId("")
 
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\ud800", "\ufffe"])
+    def test_label_outside_xml_char(self, char):
+        with pytest.raises(ValidationError, match="XML 1.0"):
+            ModelId(f"cart{char}click")
+
     def test_tags_copied(self):
         tags = {"feature_set": "forum"}
         m = ModelId("m", tags)
