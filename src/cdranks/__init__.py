@@ -19,14 +19,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "cd": "SUPPORTED_ALPHAS SUPPORTED_K indistinguishable_groups nemenyi_cd q_alpha",
         "diagram": "CDBracket DiagramBar DiagramEntry DiagramSpec RenderOptions layout render_svg",
-        "distributions": "SUPPORTED_ALPHAS SUPPORTED_K chi_square_sf f_sf q_alpha",
+        "distributions": "chi_square_sf f_sf",
         "errors": "CdranksError DegenerateStatisticError DroppedDatasetsWarning "
         "IncompleteDesignError SmallSampleWarning UnsupportedDesignError ValidationError",
         "ingest": "ExperimentManifest TagSummary aggregate_folds apply_manifest "
         "parse_long_csv parse_manifest parse_wide_csv summarize_by_tag",
         "procedure": "FriedmanResult NemenyiResult Variant build_report friedman_statistic "
-        "friedman_test indistinguishable_groups nemenyi_cd nemenyi_test pairwise_significance",
+        "friedman_test nemenyi_test pairwise_significance",
         "ranks": "AverageRanks Direction ModelId PerformanceMatrix average_ranks",
         "simulate": "PowerEstimate SimConfig Type1Estimate estimate_power estimate_type1 "
         "generate_matrix",

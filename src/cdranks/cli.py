@@ -12,7 +12,6 @@ import argparse
 import json
 import re
 import sys
-from pathlib import Path
 
 from .errors import CdranksError, ValidationError, check_alpha, check_int
 
@@ -80,16 +79,19 @@ def _effect(text: str) -> tuple:
 
 
 def _read(path: str) -> str:
-    """Read a file, or stdin for ``-``, without a leading UTF-8 byte order mark."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return text.removeprefix("\ufeff")
+    """Read a file, or stdin for ``-``, with newlines untranslated and no leading UTF-8 BOM."""
+    if path == "-":
+        return sys.stdin.read().removeprefix("\ufeff")
+    with open(path, encoding="utf-8", newline="") as f:
+        return f.read().removeprefix("\ufeff")
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 # Every line boundary str.splitlines honours.
@@ -147,7 +149,7 @@ def _require(report: dict, key: str, kinds: tuple) -> object:
 
 
 def _load_report(text: str) -> dict:
-    from .ranks import AverageRanks
+    from .cd import check_average_ranks
 
     try:
         report = json.loads(text)
@@ -166,8 +168,8 @@ def _load_report(text: str) -> dict:
         ):
             raise ValidationError("each average_ranks entry needs a label and a rank")
     try:
-        AverageRanks([e["rank"] for e in entries])
-    except ValidationError as exc:
+        check_average_ranks([float(e["rank"]) for e in entries])
+    except (ValidationError, OverflowError) as exc:
         raise ValidationError(f"report average_ranks: {exc}") from None
     _require(report, "cd", (int, float))
     alpha = _require(report, "alpha", (int, float))
@@ -189,8 +191,8 @@ def _load_report(text: str) -> dict:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
+    from .cd import nemenyi_cd
     from .diagram import RenderOptions, layout, render_svg
-    from .procedure import nemenyi_cd
 
     report = _load_report(_read(args.report))
     entries = report["average_ranks"]

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .cd import indistinguishable_groups, rank_list
 from .errors import ValidationError, check_int, check_label
-from .procedure import indistinguishable_groups
-from .ranks import rank_vector
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,11 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     (ceil(k/2) entries) goes on the left side, best at the top row, and the
     remaining models go on the right with the worst at the top row.  Bars
     come from the indistinguishable groups at the given critical difference;
-    single-member groups draw no bar.  ``ranks`` may be AverageRanks or any
-    finite rank vector.
+    single-member groups draw no bar.  ``ranks`` may be AverageRanks, a
+    sequence or a 1-d array of finite ranks; anything else is a ValidationError.
     """
-    r = rank_vector(ranks)
-    k = r.shape[0]
+    r = rank_list(ranks)
+    k = len(r)
     if len(labels) != k:
         raise ValidationError(f"{len(labels)} labels for {k} ranks")
     if len(set(labels)) != k:
@@ -114,10 +113,10 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
             side, row = "left", pos
         else:
             side, row = "right", k - 1 - pos
-        entries.append(DiagramEntry(label=labels[j], rank=float(r[j]), side=side, row=row))
+        entries.append(DiagramEntry(label=labels[j], rank=r[j], side=side, row=row))
 
     spans = [
-        (float(min(r[j] for j in g)), float(max(r[j] for j in g)))
+        (min(r[j] for j in g), max(r[j] for j in g))
         for g in indistinguishable_groups(r, cd)
         if len(g) > 1
     ]

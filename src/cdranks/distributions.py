@@ -1,14 +1,9 @@
-"""Reference distributions for the two-stage test.
+"""Reference distributions for the omnibus test: chi-square and F survival functions.
 
-Only what the procedure needs: chi-square and F survival functions for the
-omnibus test, and the post-hoc critical values q_alpha.
-
-Both survival functions use numpy and ``math`` only.  Degrees of freedom
-are integers, so the chi-square tail is an exact finite sum and the F tail
-a regularized incomplete beta evaluated by its continued fraction; the test
-suite checks both against an independent library.  The q_alpha values come
-from a hardcoded table, so CD values are reproducible bit-for-bit across
-platforms; the test suite recomputes every entry by quadrature.
+Both use numpy and ``math`` only.  Degrees of freedom are integers, so the
+chi-square tail is an exact finite sum and the F tail a regularized
+incomplete beta evaluated by its continued fraction; the test suite checks
+both against an independent library.
 """
 
 from __future__ import annotations
@@ -17,10 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import UnsupportedDesignError, ValidationError, check_int
-
-SUPPORTED_ALPHAS = (0.01, 0.05, 0.10)
-SUPPORTED_K = range(2, 21)
+from .cd import SUPPORTED_ALPHAS, SUPPORTED_K, q_alpha  # noqa: F401 (re-exported)
+from .errors import ValidationError, check_int
 
 
 def chi_square_sf(x, df: int):
@@ -138,47 +131,3 @@ def f_sf(x: float, d1: int, d2: int) -> float:
     if r == 0.0:
         return 1.0
     return _beta_inc(d2 / 2.0, d1 / 2.0, r)
-
-
-# (1 - alpha) quantiles of the infinite-df studentized range divided by
-# sqrt(2), for k = 2..20 groups.  Rounded to 6 decimals from quadrature
-# quantiles; the test suite revalidates every entry against its own
-# quadrature oracle to 1e-3.
-_Q_TABLES = {
-    0.01: {
-        2: 2.575829, 3: 2.913494, 4: 3.113250, 5: 3.254686, 6: 3.363740,
-        7: 3.452213, 8: 3.526471, 9: 3.590339, 10: 3.646291, 11: 3.696021,
-        12: 3.740733, 13: 3.781318, 14: 3.818451, 15: 3.852655, 16: 3.884343,
-        17: 3.913850, 18: 3.941446, 19: 3.967357, 20: 3.991770,
-    },
-    0.05: {
-        2: 1.959964, 3: 2.343701, 4: 2.569032, 5: 2.727774, 6: 2.849705,
-        7: 2.948320, 8: 3.030878, 9: 3.101730, 10: 3.163684, 11: 3.218654,
-        12: 3.268004, 13: 3.312739, 14: 3.353618, 15: 3.391230, 16: 3.426041,
-        17: 3.458425, 18: 3.488685, 19: 3.517073, 20: 3.543799,
-    },
-    0.10: {
-        2: 1.644854, 3: 2.052293, 4: 2.291342, 5: 2.459516, 6: 2.588521,
-        7: 2.692732, 8: 2.779884, 9: 2.854606, 10: 2.919889, 11: 2.977768,
-        12: 3.029694, 13: 3.076734, 14: 3.119693, 15: 3.159199, 16: 3.195743,
-        17: 3.229723, 18: 3.261461, 19: 3.291224, 20: 3.319233,
-    },
-}
-
-
-def q_alpha(k: int, alpha: float) -> float:
-    """Critical value for k groups: the (1-alpha) quantile of the infinite-df
-    studentized range divided by sqrt(2).
-    """
-    table = _Q_TABLES.get(alpha)
-    if table is None:
-        supported = ", ".join(f"{a:.2f}" for a in SUPPORTED_ALPHAS)
-        raise UnsupportedDesignError(
-            f"alpha={alpha} is not tabulated; supported levels: {supported}"
-        )
-    if not isinstance(k, int) or isinstance(k, bool) or k not in table:
-        raise UnsupportedDesignError(
-            f"k={k!r} is outside the tabulated range "
-            f"{min(SUPPORTED_K)}..{max(SUPPORTED_K)}"
-        )
-    return table[k]

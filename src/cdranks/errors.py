@@ -56,7 +56,7 @@ class DroppedDatasetsWarning(UserWarning):
 
 
 # Anything outside the XML 1.0 Char production, lone surrogates included.
-_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def check_label(label: str) -> str:

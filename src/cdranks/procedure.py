@@ -16,7 +16,8 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import chi_square_sf, f_sf, q_alpha
+from .cd import indistinguishable_groups, nemenyi_cd, rank_list
+from .distributions import chi_square_sf, f_sf
 from .errors import (
     DegenerateStatisticError,
     SmallSampleWarning,
@@ -101,7 +102,7 @@ def friedman_statistic(ranks, n_datasets: int, k: int):
     """
     if k < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
-    r = rank_vector(ranks, stacked=True)
+    r = rank_vector(ranks)
     if r.shape[-1] != k:
         raise ValidationError(f"{r.shape[-1]} average ranks for k={k} models")
     if n_datasets < 2:
@@ -169,13 +170,6 @@ def friedman_test(
     )
 
 
-def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
-    """Critical difference q_alpha * sqrt(k(k+1) / (6N)) in average-rank units."""
-    if n_datasets < 2:
-        raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
-    return q_alpha(k, alpha) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
-
-
 def pairwise_significance(ranks, cd: float) -> np.ndarray:
     """Boolean k x k matrix: True where |R_a - R_b| >= cd.
 
@@ -187,48 +181,16 @@ def pairwise_significance(ranks, cd: float) -> np.ndarray:
     """
     if not (math.isfinite(cd) and cd > 0):
         raise ValidationError(f"cd must be a positive real, got {cd!r}")
-    r = rank_vector(ranks, stacked=True)
+    r = rank_vector(ranks)
     sig = np.abs(r[..., :, None] - r[..., None, :]) >= cd
     sig.setflags(write=False)
     return sig
 
 
-def indistinguishable_groups(ranks, cd: float) -> list:
-    """Maximal runs of rank-adjacent models whose rank spread is below the CD.
-
-    Models are sorted by average rank (ties broken by index for determinism);
-    every maximal contiguous run with spread < cd becomes one group, so a
-    model far from all others comes back as a singleton.  No returned group
-    is a subset of another and together they cover all k models.  ``ranks``
-    may be AverageRanks or any finite rank vector.
-
-    Returns a list of tuples of model indices, each tuple in rank order.
-    """
-    if not (math.isfinite(cd) and cd > 0):
-        raise ValidationError(f"cd must be a positive real, got {cd!r}")
-    r = rank_vector(ranks)
-    k = r.shape[0]
-    order = sorted(range(k), key=lambda j: (r[j], j))
-    sorted_r = [float(r[j]) for j in order]
-
-    # The run end index is nondecreasing in the start index, so a run is
-    # maximal exactly when it reaches further than the previous kept run.
-    groups = []
-    last_end = -1
-    for start in range(k):
-        end = start
-        while end + 1 < k and sorted_r[end + 1] - sorted_r[start] < cd:
-            end += 1
-        if end > last_end:
-            groups.append(tuple(order[start : end + 1]))
-            last_end = end
-    return groups
-
-
 def nemenyi_test(ranks, n_datasets: int, alpha: float = 0.05) -> NemenyiResult:
     """Run the post-hoc test: critical difference, pairwise calls, and groups."""
     check_alpha(alpha)
-    cd = nemenyi_cd(len(rank_vector(ranks)), n_datasets, alpha)
+    cd = nemenyi_cd(len(rank_list(ranks)), n_datasets, alpha)
     return NemenyiResult(
         cd=cd,
         alpha=alpha,

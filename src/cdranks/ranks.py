@@ -14,6 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .cd import check_average_ranks
 from .errors import UnsupportedDesignError, ValidationError, check_label
 
 
@@ -125,7 +126,8 @@ def _check_rank_vectors(r: np.ndarray, name: str) -> None:
     """Every vector along the last axis is finite, lies in [1, k] and sums to k(k+1)/2.
 
     The sum test is ``math.isclose(total, k(k+1)/2, rel_tol=1e-9, abs_tol=1e-9)``.
-    ``name`` ("rank" or "average rank") words the error messages.
+    ``name`` ("rank" or "average rank") words the error messages;
+    ``cd.check_average_ranks`` is the pure-Python form for one vector.
     """
     k = r.shape[-1]
     if np.any(~np.isfinite(r)):
@@ -151,9 +153,7 @@ class AverageRanks:
         r = np.array(self.r, dtype=float)
         if r.ndim != 1:
             raise ValidationError(f"average ranks must be 1-dimensional, got shape {r.shape}")
-        if r.shape[0] < 2:
-            raise ValidationError("average ranks need at least two models")
-        _check_rank_vectors(r, "average rank")
+        check_average_ranks(r.tolist())
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
 
@@ -168,16 +168,13 @@ class AverageRanks:
         return float(self.r[j])
 
 
-def rank_vector(ranks, stacked: bool = False) -> np.ndarray:
-    """Coerce AverageRanks or any finite rank sequence to a 1-d array.
+def rank_vector(ranks) -> np.ndarray:
+    """Coerce AverageRanks, a finite rank vector or a stack of them (last axis) to an array.
 
-    The post-hoc geometry (pairwise gaps, grouping, layout) is meaningful
-    for any vector in rank units, not only exact column means, so these
-    functions do not require the AverageRanks sum invariant.  With
-    ``stacked``, an array of rank vectors along its last axis is accepted too.
+    Unlike AverageRanks, no sum invariant: ``cd.rank_list`` is the numpy-free 1-d form.
     """
     r = ranks.r if isinstance(ranks, AverageRanks) else np.asarray(ranks, dtype=float)
-    if r.ndim < 1 or (r.ndim > 1 and not stacked) or r.shape[-1] < 2:
+    if r.ndim < 1 or r.shape[-1] < 2:
         raise ValidationError("need a 1-d vector of at least two ranks")
     if np.any(~np.isfinite(r)):
         raise ValidationError("ranks must be finite")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,23 @@ class TestAnalyze:
         with pytest.warns(SmallSampleWarning):
             assert run(capsys, "analyze", source, *argv) == expected
         assert expected[0] == 0
+
+    @pytest.mark.parametrize("models", ["a", "abc"], ids=["incomplete", "complete"])
+    def test_file_and_stdin_read_the_same_text(self, capsys, tmp_path, monkeypatch, models):
+        # the quoted ids "d\r\n1" and "d\n1" are two datasets however the bytes arrive
+        rows = [f'"d{sep}1",{m},0,0.{j + 3}' for sep in ("\r\n", "\n") for j, m in enumerate(models)]
+        data = "\r\n".join(["dataset,model,fold,value", *rows, ""]).encode()
+        path = tmp_path / "results.csv"
+        path.write_bytes(data)
+        manifest = write_manifest(tmp_path, "a", "b", "c")
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
+        monkeypatch.setattr("sys.stdin", stdin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallSampleWarning)
+            via_file = run(capsys, "analyze", str(path), "--manifest", manifest)
+            via_stdin = run(capsys, "analyze", "-", "--manifest", manifest)
+        assert via_file == via_stdin
+        assert via_file[0] == (2 if models == "a" else 0)
 
     def test_missing_pair_exit_code_and_message(self, capsys, tmp_path):
         csv = tmp_path / "gappy.csv"
@@ -419,9 +437,11 @@ class TestDiagram:
             ({"posthoc_licensed": True}, ()),
             ({"average_ranks": [{"label": "a", "rank": 2.5}, {"label": "b", "rank": 2.5},
                                 {"label": "c", "rank": 2.5}]}, ()),
+            ({"average_ranks": [{"label": "a", "rank": 10**400}, {"label": "b", "rank": 2.2},
+                                {"label": "c", "rank": 2.4}]}, ()),
         ],
         ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0",
-             "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum"],
+             "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum", "rank_overflow"],
     )
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
         code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
@@ -517,17 +537,25 @@ class TestSimulate:
         # urllib.request, http.client and email for one escape call.  Each
         # subcommand runs in a fresh process and loads only its own modules.
         banned = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
+        # the critical-difference rule and the layout need no numpy
+        diagram_bans = ("numpy", "concurrent.futures", "cdranks.ingest", "cdranks.simulate")
         steps = {
             "import": ([], "cdranks", banned + ("numpy", "cdranks.cli")),
             "analyze": (
                 ["analyze", RESULTS, "--manifest", MANIFEST, "--out", str(tmp_path / "r.json")],
                 "cdranks.ingest",
-                banned + ("concurrent.futures", "cdranks.simulate", "cdranks.diagram"),
+                banned + ("concurrent.futures", "cdranks.simulate", "cdranks.diagram",
+                          "statistics", "fractions", "decimal"),
             ),
             "diagram": (
                 ["diagram", REPORT, "--out", str(tmp_path / "cd.svg")],
                 "cdranks.diagram",
-                banned + ("concurrent.futures", "cdranks.ingest", "cdranks.simulate"),
+                banned + diagram_bans,
+            ),
+            "diagram --alpha": (
+                ["diagram", REPORT, "--alpha", "0.1", "--out", str(tmp_path / "cd.svg")],
+                "cdranks.diagram",
+                banned + diagram_bans,
             ),
             "simulate": (
                 ["simulate", "--n", "10", "--k", "4", "--trials", "300",

@@ -3,11 +3,12 @@
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdranks import RenderOptions, ValidationError, layout, render_svg
+from cdranks import AverageRanks, RenderOptions, ValidationError, layout, render_svg
 from cdranks.diagram import _escape
 
 
@@ -104,6 +105,25 @@ class TestLayout:
     def test_label_outside_xml_char_rejected(self):
         with pytest.raises(ValidationError, match="XML 1.0"):
             spec_for([1.0, 2.0], ["a", "cart\x01click"])
+
+    def test_same_spec_for_every_rank_container(self):
+        r = [1.25, 1.75, 3.5, 3.5]
+        expected = spec_for(r)
+        assert expected.bars and all(type(e.rank) is float for e in expected.entries)
+        for ranks in (AverageRanks(r), tuple(r), np.array(r)):
+            spec = spec_for(ranks)
+            assert spec == expected
+            assert all(type(e.rank) is float for e in spec.entries)
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([[1.0], [2.0]]), [1.0, float("nan")],
+         [1.0, float("inf")], [1.0, None], "12", np.array(1.5)],
+        ids=["2d", "column", "nan", "inf", "none", "str", "0d"],
+    )
+    def test_rejects_non_vector_or_nonfinite_ranks(self, ranks):
+        with pytest.raises(ValidationError):
+            layout(ranks, ["a", "b"], 1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -15,7 +15,8 @@ from cdranks import (
     f_sf,
     q_alpha,
 )
-from cdranks.distributions import _Q_TABLES, _log_gamma_ratio
+from cdranks.cd import _Q_TABLES
+from cdranks.distributions import _log_gamma_ratio
 from studentized_range import studentized_range_cdf, studentized_range_quantile
 
 # 0.05 critical value of chi-square with 7 df (high-precision root of the sf).

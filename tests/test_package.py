@@ -2,12 +2,13 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import cdranks
-from cdranks.errors import ValidationError, check_int
+from cdranks.errors import _NOT_XML_CHAR, ValidationError, check_int
 
 EXPORTS = [
     "AverageRanks",
@@ -62,6 +63,11 @@ EXPORTS = [
 
 SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
 
+# The XML 1.0 Char test written as the complement of the allowed ranges: the
+# oracle for errors._NOT_XML_CHAR, which lists the forbidden set instead
+# because that class compiles about ten times faster, on every CLI start.
+NOT_XML_CHAR_COMPLEMENT = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
 
 class TestExports:
     def test_all_is_pinned(self):
@@ -106,3 +112,12 @@ class TestCheckInt:
         with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
             check_int(value, "n", 1)
 
+
+
+class TestCheckLabel:
+    def test_forbidden_set_matches_complement_on_every_code_point(self):
+        text = "".join(map(chr, range(0x110000)))
+        found = [m.start() for m in _NOT_XML_CHAR.finditer(text)]
+        assert found == [m.start() for m in NOT_XML_CHAR_COMPLEMENT.finditer(text)]
+        # 29 C0 controls besides tab, LF and CR; 2048 surrogates; U+FFFE and U+FFFF
+        assert len(found) == 29 + 2048 + 2

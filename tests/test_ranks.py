@@ -16,7 +16,8 @@ from cdranks import (
     ValidationError,
     average_ranks,
 )
-from cdranks.ranks import midranks, stacked_average_ranks
+from cdranks.cd import check_average_ranks
+from cdranks.ranks import _check_rank_vectors, midranks, stacked_average_ranks
 
 
 def matrix(values, direction="maximize"):
@@ -198,6 +199,22 @@ class TestRankTypes:
     def test_average_ranks_sum_enforced(self):
         with pytest.raises(ValidationError):
             AverageRanks(np.array([1.5, 2.0, 3.9, 4.6]))
+
+    @pytest.mark.parametrize(
+        "r",
+        [[1.0, 2.0, 3.0], [2.0, 2.0, 2.0], [1.5, 2.0, 3.9, 4.6], [0.0, 3.0, 3.0], [1.0, 2.0, 4.0],
+         [1.0, float("nan"), 5.0], [1.0, float("inf"), 2.0], [1.0, 2.0 + 1e-9, 3.0],
+         [1.0, 2.0 + 1e-8, 3.0], [1.0, 1.0]],
+    )
+    def test_vector_check_matches_stacked_check(self, r):
+        def outcome(check, *args):
+            try:
+                check(*args)
+            except ValidationError as exc:
+                return str(exc)
+
+        stacked = outcome(_check_rank_vectors, np.array(r), "average rank")
+        assert outcome(check_average_ranks, r) == stacked
 
     def test_average_ranks_indexing(self):
         r = AverageRanks(np.array([1.0, 2.0, 3.0]))
