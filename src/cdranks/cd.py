@@ -59,7 +59,8 @@ def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
     """Critical difference q_alpha * sqrt(k(k+1) / (6N)) in average-rank units."""
     if n_datasets < 2:
         raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
-    return q_alpha(k, alpha) * math.sqrt(k * (k + 1) / (6.0 * n_datasets))
+    # int arithmetic: 6.0 * N would overflow for N past the float range
+    return q_alpha(k, alpha) * math.sqrt(k * (k + 1) / (6 * n_datasets))
 
 
 def check_average_ranks(r: list) -> None:

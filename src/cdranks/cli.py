@@ -153,7 +153,8 @@ def _load_report(text: str) -> dict:
 
     try:
         report = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"report is not valid JSON: {exc}") from None
     if not isinstance(report, dict):
         raise ValidationError("report must be a JSON object")
@@ -171,7 +172,10 @@ def _load_report(text: str) -> dict:
         check_average_ranks([float(e["rank"]) for e in entries])
     except (ValidationError, OverflowError) as exc:
         raise ValidationError(f"report average_ranks: {exc}") from None
-    _require(report, "cd", (int, float))
+    cd = _require(report, "cd", (int, float))
+    # an int beyond the float range would overflow float(cd) below
+    if not 0 < cd <= sys.float_info.max:
+        raise ValidationError(f"report cd must be a positive real, got {cd!r}")
     alpha = _require(report, "alpha", (int, float))
     check_alpha(alpha)
     p_value = _require(report, "p_value", (int, float))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -36,6 +37,25 @@ LONG_HEADER = ("dataset", "model", "fold", "value")
 # underscores, locale separators and non-ASCII digits (which float() would
 # accept) are rejected.
 _NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
+
+# The least number of characters _csv_reader copies into one StringIO.
+_SLICE_CHARS = 1 << 16
+
+
+def _csv_reader(text: str):
+    """A csv.reader over ``text``, fed as a chain of line-aligned StringIO slices.
+
+    A StringIO holds up to 4 bytes per character, so one over the whole text
+    would hold four times its size.  Each slice ends just after a ``"\n"``,
+    which with ``newline=""`` never splits a line or a ``"\r\n"`` pair: the
+    reader sees the same lines, rows and ``line_num`` as over one StringIO.
+    Text with no later ``"\n"`` (only ``"\r"`` line ends, say) stays one slice.
+    """
+    cuts = [0]
+    while cuts[-1] < len(text):
+        cuts.append(text.find("\n", cuts[-1] + _SLICE_CHARS - 1) + 1 or len(text))
+    slices = (io.StringIO(text[a:b], newline="") for a, b in itertools.pairwise(cuts))
+    return csv.reader(itertools.chain.from_iterable(slices))
 
 
 def _parse_value(text: str, where: str) -> float:
@@ -96,7 +116,8 @@ def parse_manifest(text: str) -> ExperimentManifest:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"manifest is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValidationError("manifest must be a JSON object")
@@ -118,14 +139,11 @@ def parse_manifest(text: str) -> ExperimentManifest:
                 f"manifest model {entry['label']!r}: tags must map strings to strings"
             )
         models.append(ModelId(label=entry["label"], tags=tags))
-    alpha = data.get("alpha", 0.05)
-    if isinstance(alpha, int) and not isinstance(alpha, bool):
-        alpha = float(alpha)
     return ExperimentManifest(
         metric_name=data["metric_name"],
         direction=data["direction"],
         models=tuple(models),
-        alpha=alpha,
+        alpha=data.get("alpha", 0.05),
     )
 
 
@@ -137,10 +155,14 @@ def parse_long_csv(text: str) -> dict:
     rows, duplicate (dataset, model, fold) triples, and non-numeric values
     raise :class:`ValidationError` naming the offending line, the row's last
     physical line.
+
+    Memory beyond ``text`` is the fold table plus one slice of it (see
+    :func:`_csv_reader`); each distinct fold id is one shared string.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_reader(text)
     cells = {}
     get, match, isfinite = cells.get, _NUMBER_RE.fullmatch, math.isfinite
+    share = {}.setdefault
     try:
         header = next(reader, None)
         if header is None:
@@ -162,7 +184,7 @@ def parse_long_csv(text: str) -> dict:
                     if folds is None:
                         folds = cells[key] = {}
                     if fold not in folds:
-                        folds[fold] = value
+                        folds[share(fold, fold)] = value
                         continue
             line = reader.line_num
             if _is_blank(row):
@@ -176,7 +198,7 @@ def parse_long_csv(text: str) -> dict:
             folds = cells.setdefault((dataset, model), {})
             if fold in folds:
                 raise ValidationError(f"line {line}: duplicate record for {(dataset, model, fold)!r}")
-            folds[fold] = value
+            folds[share(fold, fold)] = value
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
     return cells
@@ -188,7 +210,7 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
     Every data row must carry one value per model column.  Dataset rows are
     sorted lexicographically so the matrix is independent of file row order.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_reader(text)
     rows = {}
     try:
         header = next(reader, None)

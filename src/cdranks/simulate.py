@@ -20,7 +20,6 @@ about ten arrays of CHUNK_TRIALS * N * k floats, 4.6 MB at N=31, k=8.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -150,6 +149,8 @@ def _run_trials(cfg: SimConfig, workers: int) -> tuple:
         return _run_chunk(cfg, 0, cfg.trials)
     bounds = [i * cfg.trials // workers for i in range(workers + 1)]
     spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    # imported here so a 1-worker run does not pay for concurrent.futures and logging
+    from concurrent.futures import ProcessPoolExecutor
     # Under fork the pool starts all max_workers processes up front.
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         results = list(

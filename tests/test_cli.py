@@ -267,6 +267,12 @@ class TestAnalyze:
         )
         assert code == 0 and json.loads(out)["alpha"] == 0.05
 
+    def test_manifest_alpha_beyond_float_range_exits_2(self, capsys, tmp_path):
+        manifest = write_manifest(tmp_path, "a", "b", "c", alpha=10**400)
+        code, out, err = run(capsys, "analyze", RESULTS, "--manifest", manifest)
+        assert code == 2 and out == ""
+        assert err.startswith("error: alpha must lie strictly in (0, 1)")
+
     def test_iman_davenport_variant(self, capsys):
         code, out, _ = run(
             capsys,
@@ -406,10 +412,12 @@ class TestDiagram:
 
     def test_invalid_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "r.json"
-        path.write_text("{nope")
-        code, _, err = run(capsys, "diagram", str(path))
-        assert code == 2
-        assert "not valid JSON" in err
+        # too many digits for int(), or nesting too deep for the decoder
+        for text in ("{nope", '{"cd": 1' + "0" * 5000 + "}", "[" * 100_000):
+            path.write_text(text)
+            code, _, err = run(capsys, "diagram", str(path))
+            assert code == 2
+            assert "not valid JSON" in err
 
     @pytest.mark.parametrize("key", ["average_ranks", "cd", "alpha", "p_value", "posthoc_licensed"])
     def test_missing_key_exits_2(self, capsys, tmp_path, key):
@@ -439,14 +447,23 @@ class TestDiagram:
                                 {"label": "c", "rank": 2.5}]}, ()),
             ({"average_ranks": [{"label": "a", "rank": 10**400}, {"label": "b", "rank": 2.2},
                                 {"label": "c", "rank": 2.4}]}, ()),
+            ({"cd": 10**400}, ()),
         ],
         ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0",
-             "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum", "rank_overflow"],
+             "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum", "rank_overflow",
+             "cd_overflow"],
     )
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
         code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
         assert code == 2 and out == ""
         assert next(iter(overrides)) in err
+
+    def test_n_datasets_beyond_float_range_exits_2(self, capsys, tmp_path):
+        # the CD at N = 10**400 underflows to 0.0, which the layout rejects
+        path = self.write_report(tmp_path, n_datasets=10**400)
+        code, out, err = run(capsys, "diagram", path, "--alpha", "0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cd must be a positive real, got 0.0")
 
     @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\ud800", "\ufffe"])
     def test_label_outside_xml_char_exits_2(self, capsys, tmp_path, char):
@@ -561,7 +578,8 @@ class TestSimulate:
                 ["simulate", "--n", "10", "--k", "4", "--trials", "300",
                  "--effect", "0.5,0,0,0", "--out", str(tmp_path / "power.json")],
                 "cdranks.simulate",
-                banned,
+                # one worker starts no pool
+                banned + ("concurrent.futures",),
             ),
         }
         script = (

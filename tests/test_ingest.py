@@ -1,6 +1,7 @@
 """CSV parsing, fold aggregation, manifest handling, tag summaries."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,19 +180,35 @@ def long_csv_texts(draw):
     return text if draw(st.booleans()) else text[: -len(ends[-1])]
 
 
-def _outcome(parse, text):
-    try:
-        cells = parse(text)
-    except ValidationError as exc:
-        return type(exc), str(exc)
-    return [(key, list(folds.items())) for key, folds in cells.items()]
+# Slice sizes below most line lengths, so nearly every line is a slice of its own.
+TINY_SLICES = (1, 3)
+
+
+def _outcome(parse, text, slice_chars=None):
+    """The fold table or matrix ``parse`` returns, as plain lists, or its error.
+
+    With ``slice_chars`` the CSV reader is fed slices of at least that many
+    characters instead of the default size.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if slice_chars is not None:
+            mp.setattr("cdranks.ingest._SLICE_CHARS", slice_chars)
+        try:
+            result = parse(text)
+        except ValidationError as exc:
+            return type(exc), str(exc)
+    if isinstance(result, dict):
+        return [(key, list(folds.items())) for key, folds in result.items()]
+    return result.datasets, result.labels, result.values.tolist()
 
 
 class TestLongCsvDifferential:
     @settings(max_examples=400, deadline=None)
     @given(long_csv_texts())
     def test_matches_original_loop(self, text):
-        assert _outcome(parse_long_csv, text) == _outcome(oracle_parse_long_csv, text)
+        expected = _outcome(oracle_parse_long_csv, text)
+        for slice_chars in (None, *TINY_SLICES):
+            assert _outcome(parse_long_csv, text, slice_chars) == expected
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -209,6 +226,97 @@ class TestLongCsvDifferential:
         text = long_csv(*rows)
         assert _outcome(parse_long_csv, text) == (ValidationError, message)
         assert _outcome(oracle_parse_long_csv, text) == (ValidationError, message)
+
+
+class TestSlicedReader:
+    """The CSV reader is fed line-aligned slices; no cut may change a row,
+    a message or a line number."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                long_csv("d1,m,f0,0.5", "d1,m,f1,0.25").replace("\n", "\r\n"),
+                [(("d1", "m"), [("f0", 0.5), ("f1", 0.25)])],
+            ),
+            (
+                long_csv('"d\r\n1",m,f0,0.5', '"d\n1",m,"f\n1",0.25', "d1,m,f0,x"),
+                (ValidationError, "line 7: non-numeric value 'x'"),
+            ),
+            (
+                "dataset,model,fold,value\rd1,m,f0,0.5\rd1,m,f0,0.75\r",
+                (ValidationError, "line 3: duplicate record for ('d1', 'm', 'f0')"),
+            ),
+        ],
+        ids=["crlf", "quoted_line_breaks", "cr_only"],
+    )
+    def test_long_csv_at_every_cut(self, text, expected):
+        # slice sizes 1 .. len(text) + 1 put a cut right after every "\n",
+        # inside quoted fields and after "\r\n" pairs included
+        assert _outcome(oracle_parse_long_csv, text) == expected
+        for slice_chars in range(1, len(text) + 2):
+            assert _outcome(parse_long_csv, text, slice_chars) == expected
+
+    def test_oversized_field_with_carriage_return_line_ends(self):
+        text = "dataset,model,fold,value\rd1,m,f0,0.5\rd1,m,f1," + "9" * 131073 + "\r"
+        expected = (ValidationError, "line 3: field larger than field limit (131072)")
+        assert _outcome(oracle_parse_long_csv, text) == expected
+        for slice_chars in (None, *TINY_SLICES):
+            assert _outcome(parse_long_csv, text, slice_chars) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                'dataset,b,a,c\r\nd2,0.3,0.2,0.1\r\n"d\n1",0.6,0.5,0.4\r\n',
+                (("d\n1", "d2"), ("b", "a", "c"), [[0.6, 0.5, 0.4], [0.3, 0.2, 0.1]]),
+            ),
+            (
+                'dataset,a,b\n"d\n1",1,2\nd2,3,NA\n',
+                (ValidationError, "line 4, column 'b': non-numeric value 'NA'"),
+            ),
+            ("dataset,a,b\rd1,1,2\rd1,3,4\r", (ValidationError, "line 3: duplicate dataset id 'd1'")),
+            (
+                "dataset,a\nd1,1\nd2," + "9" * 131073 + "\n",
+                (ValidationError, "line 3: field larger than field limit (131072)"),
+            ),
+        ],
+        ids=["matrix", "non_numeric", "cr_only", "oversized"],
+    )
+    def test_wide_csv_with_tiny_slices(self, text, expected):
+        for slice_chars in (None, *TINY_SLICES):
+            assert _outcome(parse_wide_csv, text, slice_chars) == expected
+
+
+class TestLongCsvMemory:
+    @staticmethod
+    def long_text():
+        # 20k rows: 100 datasets x 20 models x 10 folds, shaped like the benchmark's file
+        rows = (
+            f"ds_{d:03d},model_{m:02d},fold_{f},{0.7 + 1e-6 * (d * 200 + m * 10 + f)!r}"
+            for d in range(100)
+            for m in range(20)
+            for f in range(10)
+        )
+        return long_csv(*rows)
+
+    def test_transient_memory_below_document_size(self):
+        # a single io.StringIO over the document holds 4 bytes per character
+        text = self.long_text()
+        tracemalloc.start()
+        try:
+            cells = parse_long_csv(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 2000
+        assert peak - retained < len(text)
+
+    def test_each_fold_id_is_one_shared_string(self):
+        cells = parse_long_csv(self.long_text())
+        folds = [f for table in cells.values() for f in table]
+        assert len(folds) == 20_000
+        assert len({id(f) for f in folds}) == len(set(folds)) == 10
 
 
 class TestParseWideCsv:
@@ -289,8 +397,10 @@ class TestParseManifest:
             parse_manifest(json.dumps(doc))
 
     def test_invalid_json(self):
-        with pytest.raises(ValidationError, match="not valid JSON"):
-            parse_manifest("{")
+        # too many digits for int(), or nesting too deep for the decoder
+        for text in ("{", '{"alpha": 1' + "0" * 5000 + "}", "[" * 100_000):
+            with pytest.raises(ValidationError, match="not valid JSON"):
+                parse_manifest(text)
 
     def test_non_object(self):
         with pytest.raises(ValidationError, match="JSON object"):
@@ -319,9 +429,10 @@ class TestParseManifest:
     def test_alpha_read_and_validated(self):
         doc = dict(self.GOOD, alpha=0.1)
         assert parse_manifest(json.dumps(doc)).alpha == 0.1
-        doc = dict(self.GOOD, alpha=1.5)
-        with pytest.raises(ValidationError, match="alpha"):
-            parse_manifest(json.dumps(doc))
+        for alpha in (1.5, 10**400):
+            doc = dict(self.GOOD, alpha=alpha)
+            with pytest.raises(ValidationError, match="alpha"):
+                parse_manifest(json.dumps(doc))
 
     def test_bad_direction(self):
         doc = dict(self.GOOD, direction="upward")

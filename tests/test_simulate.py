@@ -244,7 +244,7 @@ class TestEstimatePower:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("cdranks.simulate.ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         cfg = config(n=12, k=4, effect=(2.0, 1.0, 0.0, 0.0), trials=3, seed=11)
         assert estimate_power(cfg, workers=64).to_dict() == estimate_power(cfg, workers=1).to_dict()
         assert sizes == [3]
