@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnsupportedDesignError, ValidationError
+from .errors import UnsupportedDesignError, ValidationError, check_positive
 
 SUPPORTED_ALPHAS = (0.01, 0.05, 0.10)
 SUPPORTED_K = range(2, 21)
@@ -101,8 +101,7 @@ def indistinguishable_groups(ranks, cd: float) -> list:
 
     Returns a list of tuples of model indices, each tuple in rank order.
     """
-    if not (math.isfinite(cd) and cd > 0):
-        raise ValidationError(f"cd must be a positive real, got {cd!r}")
+    check_positive(cd, "cd")
     r = rank_list(ranks)
     k = len(r)
     order = sorted(range(k), key=lambda j: (r[j], j))

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .errors import CdranksError, ValidationError, check_alpha, check_int
+from .errors import CdranksError, ValidationError, check_alpha, check_int, check_positive
 
 _FORMATS_HELP = """\
 input formats:
@@ -99,10 +99,11 @@ _LINE_BREAK = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 def _detect_format(text: str) -> str:
+    from .ingest import LONG_HEADER
+
     end = _LINE_BREAK.search(text)
     first = text[: end.start()] if end else text
-    fields = tuple(f.strip() for f in first.split(","))
-    return "long" if fields == ("dataset", "model", "fold", "value") else "wide"
+    return "long" if tuple(f.strip() for f in first.split(",")) == LONG_HEADER else "wide"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -148,7 +149,8 @@ def _require(report: dict, key: str, kinds: tuple) -> object:
     return value
 
 
-def _load_report(text: str) -> dict:
+def _load_report(text: str, need_n_datasets: bool = False) -> dict:
+    """Parse and check a report; ``n_datasets`` is checked if present or needed."""
     from .cd import check_average_ranks
 
     try:
@@ -172,12 +174,8 @@ def _load_report(text: str) -> dict:
         check_average_ranks([float(e["rank"]) for e in entries])
     except (ValidationError, OverflowError) as exc:
         raise ValidationError(f"report average_ranks: {exc}") from None
-    cd = _require(report, "cd", (int, float))
-    # an int beyond the float range would overflow float(cd) below
-    if not 0 < cd <= sys.float_info.max:
-        raise ValidationError(f"report cd must be a positive real, got {cd!r}")
-    alpha = _require(report, "alpha", (int, float))
-    check_alpha(alpha)
+    check_positive(_require(report, "cd", (int, float)), "report cd")
+    alpha = check_alpha(_require(report, "alpha", (int, float)))
     p_value = _require(report, "p_value", (int, float))
     if not 0.0 <= p_value <= 1.0:
         raise ValidationError(f"report p_value must lie in [0, 1], got {p_value!r}")
@@ -187,10 +185,8 @@ def _load_report(text: str) -> dict:
             f"report posthoc_licensed {licensed} disagrees with p_value {p_value!r} "
             f"and alpha {alpha!r}"
         )
-    if "n_datasets" in report:
-        n_datasets = _require(report, "n_datasets", (int,))
-        if n_datasets < 1:
-            raise ValidationError(f"report n_datasets must be positive, got {n_datasets}")
+    if need_n_datasets or "n_datasets" in report:
+        check_int(report.get("n_datasets"), "report n_datasets", 2)
     return report
 
 
@@ -198,19 +194,18 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     from .cd import nemenyi_cd
     from .diagram import RenderOptions, layout, render_svg
 
-    report = _load_report(_read(args.report))
+    report = _load_report(_read(args.report), need_n_datasets=args.alpha is not None)
     entries = report["average_ranks"]
     labels = [e["label"] for e in entries]
     ranks = [float(e["rank"]) for e in entries]
 
     cd = float(report["cd"])
-    alpha = float(report["alpha"])
+    alpha = report["alpha"]
     licensed = report["posthoc_licensed"]
     if args.alpha is not None:
-        n_datasets = _require(report, "n_datasets", (int,))
         alpha = args.alpha
-        cd = nemenyi_cd(len(ranks), int(n_datasets), alpha)
-        licensed = float(report["p_value"]) < alpha
+        cd = nemenyi_cd(len(ranks), report["n_datasets"], alpha)
+        licensed = report["p_value"] < alpha
 
     spec = layout(ranks, labels, cd)
     annotation = None if licensed else f"no significant differences at alpha = {alpha:g}"

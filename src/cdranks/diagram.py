@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .cd import indistinguishable_groups, rank_list
-from .errors import ValidationError, check_int, check_label
+from .errors import ValidationError, check_int, check_label, check_unique
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,7 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     k = len(r)
     if len(labels) != k:
         raise ValidationError(f"{len(labels)} labels for {k} ranks")
-    if len(set(labels)) != k:
-        dupes = sorted({l for l in labels if list(labels).count(l) > 1})
-        raise ValidationError(f"duplicate label(s): {', '.join(dupes)}")
+    check_unique(labels, "duplicate label(s)")
     for label in labels:
         check_label(label)
 

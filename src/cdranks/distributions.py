@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .cd import SUPPORTED_ALPHAS, SUPPORTED_K, q_alpha  # noqa: F401 (re-exported)
 from .errors import ValidationError, check_int
 
 

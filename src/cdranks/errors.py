@@ -7,6 +7,7 @@ bad input (2) from an unsupported statistical design (3).
 from __future__ import annotations
 
 import re
+import sys
 
 
 class CdranksError(Exception):
@@ -59,11 +60,32 @@ class DroppedDatasetsWarning(UserWarning):
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def check_label(label: str) -> str:
-    """Return ``label`` if XML 1.0 allows every character in it; else ValidationError."""
+def check_label(label) -> str:
+    """Return ``label`` if it is a non-empty string that XML 1.0 can hold; else ValidationError."""
+    if not isinstance(label, str) or not label:
+        raise ValidationError("model label must be a non-empty string")
     if _NOT_XML_CHAR.search(label):
         raise ValidationError(f"label {label!r} holds a character that XML 1.0 forbids")
     return label
+
+
+def check_unique(items, what: str) -> None:
+    """Raise ValidationError ``"<what>: <repeated items, sorted>"`` if any item occurs twice."""
+    items = list(items)
+    if len(set(items)) != len(items):
+        dupes = sorted({x for x in items if items.count(x) > 1})
+        raise ValidationError(f"{what}: {', '.join(dupes)}")
+
+
+def check_choice(enum_cls, value, name: str):
+    """Return ``value`` as a member of the str Enum ``enum_cls``; else ValidationError."""
+    if isinstance(value, enum_cls):
+        return value
+    try:
+        return enum_cls(value)
+    except ValueError:
+        choices = " or ".join(repr(m.value) for m in enum_cls)
+        raise ValidationError(f"{name} must be {choices}, got {value!r}") from None
 
 
 def check_alpha(alpha: float) -> float:
@@ -71,6 +93,19 @@ def check_alpha(alpha: float) -> float:
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     return alpha
+
+
+def check_positive(value, name: str):
+    """Return ``value`` if it is a non-bool int or float in (0, max float]; else ValidationError.
+
+    The bounds are compared without float(), so an int past the float range
+    fails here instead of overflowing later.
+    """
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
+    ):
+        raise ValidationError(f"{name} must be a positive real, got {value!r}")
+    return value
 
 
 def check_int(value: int, name: str, lo: int, hi: "int | None" = None) -> int:

@@ -27,6 +27,7 @@ from .errors import (
     IncompleteDesignError,
     ValidationError,
     check_alpha,
+    check_unique,
 )
 from .procedure import NemenyiResult
 from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
@@ -91,10 +92,7 @@ class ExperimentManifest:
         models = tuple(self.models)
         if not models:
             raise ValidationError("manifest must list at least one model")
-        labels = [m.label for m in models]
-        if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise ValidationError(f"duplicate model label(s) in manifest: {', '.join(dupes)}")
+        check_unique((m.label for m in models), "duplicate model label(s) in manifest")
         object.__setattr__(self, "models", models)
         check_alpha(self.alpha)
 
@@ -172,33 +170,32 @@ def parse_long_csv(text: str) -> dict:
                 f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
             )
         for row in reader:
-            # Fast path: a row that passes every check is recorded without
-            # looking up its line number.  Any other row takes the full
-            # checks below, in order, so each message stays the same.
+            # A 4-field row with a non-empty key and fold is parsed, checked
+            # for a duplicate and stored; only a failing row looks up its
+            # line number.  Any other row is blank or an error.
             if len(row) == 4:
                 dataset, model, fold, raw = row
                 key = (dataset.strip(), model.strip())
-                fold, raw = fold.strip(), raw.strip()
-                if key[0] and key[1] and fold and match(raw) and isfinite(value := float(raw)):
+                fold = fold.strip()
+                if key[0] and key[1] and fold:
+                    raw = raw.strip()
+                    if not (match(raw) and isfinite(value := float(raw))):
+                        value = _parse_value(raw, f"line {reader.line_num}")
                     folds = get(key)
                     if folds is None:
                         folds = cells[key] = {}
-                    if fold not in folds:
-                        folds[share(fold, fold)] = value
-                        continue
-            line = reader.line_num
+                    if fold in folds:
+                        raise ValidationError(
+                            f"line {reader.line_num}: duplicate record for {(*key, fold)!r}"
+                        )
+                    folds[share(fold, fold)] = value
+                    continue
             if _is_blank(row):
                 continue
+            line = reader.line_num
             if len(row) != 4:
                 raise ValidationError(f"line {line}: expected 4 fields, got {len(row)}")
-            dataset, model, fold, raw = (cell.strip() for cell in row)
-            if not dataset or not model or not fold:
-                raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
-            value = _parse_value(raw, f"line {line}")
-            folds = cells.setdefault((dataset, model), {})
-            if fold in folds:
-                raise ValidationError(f"line {line}: duplicate record for {(dataset, model, fold)!r}")
-            folds[share(fold, fold)] = value
+            raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
     return cells
@@ -224,9 +221,7 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
         labels = fields[1:]
         if any(not l for l in labels):
             raise ValidationError("line 1: model column labels must be non-empty")
-        if len(set(labels)) != len(labels):
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise ValidationError(f"line 1: duplicate model column(s): {', '.join(dupes)}")
+        check_unique(labels, "line 1: duplicate model column(s)")
         for row in reader:
             line = reader.line_num
             if _is_blank(row):

@@ -9,7 +9,6 @@ within the CD of each other are grouped as statistically indistinguishable.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +23,8 @@ from .errors import (
     UnsupportedDesignError,
     ValidationError,
     check_alpha,
+    check_choice,
+    check_positive,
 )
 from .ranks import AverageRanks, PerformanceMatrix, average_ranks, rank_vector
 
@@ -40,14 +41,7 @@ class Variant(str, Enum):
 
     @classmethod
     def parse(cls, value: "str | Variant") -> "Variant":
-        if isinstance(value, Variant):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValidationError(
-                f"variant must be 'friedman' or 'iman_davenport', got {value!r}"
-            ) from None
+        return check_choice(cls, value, "variant")
 
 
 @dataclass(frozen=True)
@@ -179,8 +173,7 @@ def pairwise_significance(ranks, cd: float) -> np.ndarray:
     rank vectors along its last axis, which gives one k x k matrix per vector.
     The diagonal is False because a zero gap never reaches a positive CD.
     """
-    if not (math.isfinite(cd) and cd > 0):
-        raise ValidationError(f"cd must be a positive real, got {cd!r}")
+    check_positive(cd, "cd")
     r = rank_vector(ranks)
     sig = np.abs(r[..., :, None] - r[..., None, :]) >= cd
     sig.setflags(write=False)
@@ -203,7 +196,7 @@ def build_report(
     m: PerformanceMatrix,
     friedman: FriedmanResult,
     nemenyi: NemenyiResult,
-    ranks: AverageRanks | None = None,
+    ranks: AverageRanks,
 ) -> dict:
     """Assemble the JSON-serializable analysis report.
 
@@ -212,8 +205,6 @@ def build_report(
     omnibus test actually rejected, since an accepted null leaves the
     pairwise conclusions unsupported.
     """
-    if ranks is None:
-        ranks = average_ranks(m)
     k = m.k
     order = sorted(range(k), key=lambda j: (ranks.r[j], m.models[j].label))
 

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .cd import check_average_ranks
-from .errors import UnsupportedDesignError, ValidationError, check_label
+from .errors import UnsupportedDesignError, ValidationError, check_choice, check_label, check_unique
 
 
 class Direction(str, Enum):
@@ -26,14 +26,7 @@ class Direction(str, Enum):
 
     @classmethod
     def parse(cls, value: "str | Direction") -> "Direction":
-        if isinstance(value, Direction):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValidationError(
-                f"direction must be 'maximize' or 'minimize', got {value!r}"
-            ) from None
+        return check_choice(cls, value, "direction")
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,6 @@ class ModelId:
     tags: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise ValidationError("model label must be a non-empty string")
         check_label(self.label)
         object.__setattr__(self, "tags", dict(self.tags))
 
@@ -89,13 +80,9 @@ class PerformanceMatrix:
             raise UnsupportedDesignError(
                 f"k={k} models unsupported: the rank test machinery needs k >= 3"
             )
-        if len(set(datasets)) != n:
-            dupes = sorted({d for d in datasets if datasets.count(d) > 1})
-            raise ValidationError(f"duplicate dataset id(s): {', '.join(dupes)}")
+        check_unique(datasets, "duplicate dataset id(s)")
         labels = [m.label for m in models]
-        if len(set(labels)) != k:
-            dupes = sorted({l for l in labels if labels.count(l) > 1})
-            raise ValidationError(f"duplicate model label(s): {', '.join(dupes)}")
+        check_unique(labels, "duplicate model label(s)")
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]

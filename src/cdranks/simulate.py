@@ -26,8 +26,9 @@ from itertools import repeat
 import numpy as np
 
 from .distributions import chi_square_sf
-from .errors import ValidationError, check_alpha, check_int
-from .procedure import friedman_statistic, nemenyi_cd, pairwise_significance
+from .cd import nemenyi_cd
+from .errors import ValidationError, check_alpha, check_int, check_positive
+from .procedure import friedman_statistic, pairwise_significance
 from .ranks import Direction, ModelId, PerformanceMatrix, stacked_average_ranks
 
 # 97.5% normal quantile, for the 95% Wilson interval.
@@ -62,13 +63,7 @@ class SimConfig:
         if not all(math.isfinite(e) for e in effect):
             raise ValidationError("effect entries must be finite")
         object.__setattr__(self, "effect", effect)
-        if isinstance(self.noise_sd, bool) or not (
-            isinstance(self.noise_sd, (int, float))
-            and math.isfinite(self.noise_sd)
-            and self.noise_sd > 0
-        ):
-            raise ValidationError(f"noise_sd must be a positive real, got {self.noise_sd!r}")
-        object.__setattr__(self, "noise_sd", float(self.noise_sd))
+        object.__setattr__(self, "noise_sd", float(check_positive(self.noise_sd, "noise_sd")))
         check_alpha(self.alpha)
 
     @property

@@ -14,6 +14,8 @@ import pytest
 from scipy.special import ndtri
 
 from cdranks import (
+    SUPPORTED_ALPHAS,
+    SUPPORTED_K,
     ModelId,
     PerformanceMatrix,
     SimConfig,
@@ -29,7 +31,6 @@ from cdranks import (
     q_alpha,
 )
 from cdranks.cli import main
-from cdranks.distributions import SUPPORTED_ALPHAS, SUPPORTED_K
 from studentized_range import studentized_range_quantile
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -10,10 +10,26 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import cdranks
-from cdranks import DroppedDatasetsWarning, SmallSampleWarning
-from cdranks.cli import _detect_format, main
+from cdranks import (
+    DegenerateStatisticError,
+    DroppedDatasetsWarning,
+    ExperimentManifest,
+    ModelId,
+    PerformanceMatrix,
+    SmallSampleWarning,
+    average_ranks,
+    build_report,
+    friedman_test,
+    layout,
+    nemenyi_test,
+    summarize_by_tag,
+)
+from cdranks.cli import _detect_format, _load_report, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = str(FIXTURES / "results_31x8.csv")
@@ -448,10 +464,13 @@ class TestDiagram:
             ({"average_ranks": [{"label": "a", "rank": 10**400}, {"label": "b", "rank": 2.2},
                                 {"label": "c", "rank": 2.4}]}, ()),
             ({"cd": 10**400}, ()),
+            ({"n_datasets": 1}, ()),
+            ({"n_datasets": 1}, ("--alpha", "0.1")),
+            ({"n_datasets": 20.0}, ()),
         ],
         ids=["alpha_5", "alpha_-1", "p_value_7", "rank_true", "n_datasets_0",
              "rank_50", "rank_0", "posthoc_licensed_true", "rank_sum", "rank_overflow",
-             "cd_overflow"],
+             "cd_overflow", "n_datasets_1", "n_datasets_1_alpha", "n_datasets_float"],
     )
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, overrides, flags):
         code, out, err = run(capsys, "diagram", self.write_report(tmp_path, **overrides), *flags)
@@ -476,6 +495,14 @@ class TestDiagram:
         assert (code, out, svg.exists()) == (2, "", False)
         assert "XML 1.0" in err
 
+    def test_empty_label_exits_2(self, capsys, tmp_path):
+        # analyze can never write this label, so diagram must not draw it
+        ranks = [{"label": "", "rank": 1.4}, {"label": "b", "rank": 2.2},
+                 {"label": "c", "rank": 2.4}]
+        code, out, err = run(capsys, "diagram", self.write_report(tmp_path, average_ranks=ranks))
+        assert (code, out) == (2, "")
+        assert err == "error: model label must be a non-empty string\n"
+
     def test_utf8_bom_report(self, capsys, tmp_path, monkeypatch):
         text = Path(REPORT).read_text(encoding="utf-8")
         golden = (FIXTURES / "golden_cd.svg").read_text(encoding="utf-8")
@@ -492,6 +519,55 @@ class TestDiagram:
         code, out, _ = run(capsys, "diagram", "-")
         assert code == 0
         assert out == (FIXTURES / "golden_cd.svg").read_text(encoding="utf-8")
+
+
+class TestReportRoundTrip:
+    """Every report the writer builds is one the report reader and the layout accept."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(2, 40),
+        k=st.integers(3, 20),
+        levels=st.integers(2, 4),
+        variant=st.sampled_from(["friedman", "iman_davenport"]),
+        alpha=st.sampled_from([0.01, 0.05, 0.10]),
+        summarize=st.booleans(),
+    )
+    def test_written_report_loads_and_lays_out(self, data, n, k, levels, variant, alpha, summarize):
+        # few score levels, so ties are common
+        values = data.draw(hnp.arrays(float, (n, k), elements=st.integers(0, levels - 1)))
+        labels = data.draw(
+            st.lists(
+                st.text(st.characters(codec="utf-8", exclude_categories=("Cc",)), min_size=1),
+                min_size=k,
+                max_size=k,
+                unique=True,
+            )
+        )
+        assume(not any(c in "\ufffe\uffff" for label in labels for c in label))
+        models = tuple(ModelId(l, {"group": f"g{j % 3}"}) for j, l in enumerate(labels))
+        manifest = ExperimentManifest("score", "maximize", models, alpha)
+        m = PerformanceMatrix(tuple(f"d{i}" for i in range(n)), models, values)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SmallSampleWarning)
+                omnibus = friedman_test(m, alpha=alpha, variant=variant)
+        except DegenerateStatisticError:
+            assume(False)
+        ranks = average_ranks(m)
+        posthoc = nemenyi_test(ranks, n, alpha=alpha)
+        report = build_report(m, omnibus, posthoc, ranks)
+        if summarize:
+            report["tag_summaries"] = [
+                s.to_dict() for s in summarize_by_tag(ranks, posthoc, manifest, "group")
+            ]
+
+        loaded = _load_report(json.dumps(report), need_n_datasets=True)
+        assert loaded == report
+        entries = loaded["average_ranks"]
+        spec = layout([e["rank"] for e in entries], [e["label"] for e in entries], loaded["cd"])
+        assert sorted(e.label for e in spec.entries) == sorted(labels)
 
 
 class TestSimulate:

@@ -134,6 +134,8 @@ class TestLayout:
             spec_for([1.0, 2.0], cd=0.0)
         with pytest.raises(ValidationError):
             spec_for([1.0, 2.0], cd=float("nan"))
+        with pytest.raises(ValidationError):
+            spec_for([1.0, 2.0], cd=10**400)
 
 
 class TestRenderSvg:

@@ -2,13 +2,15 @@
 
 import ast
 import importlib
+import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import cdranks
-from cdranks.errors import _NOT_XML_CHAR, ValidationError, check_int
+from cdranks.errors import _NOT_XML_CHAR, ValidationError, check_int, check_label, check_positive
 
 EXPORTS = [
     "AverageRanks",
@@ -114,7 +116,23 @@ class TestCheckInt:
 
 
 
+class TestCheckPositive:
+    @pytest.mark.parametrize("value", [1, 0.5, 5e-324, sys.float_info.max])
+    def test_accepts(self, value):
+        assert check_positive(value, "cd") == value
+
+    @pytest.mark.parametrize("value", [0, -1.5, math.nan, math.inf, True, 10**400, "2", None])
+    def test_rejects(self, value):
+        with pytest.raises(ValidationError, match=r"^cd must be a positive real, got "):
+            check_positive(value, "cd")
+
+
 class TestCheckLabel:
+    @pytest.mark.parametrize("label", ["", None, 3, b"a"])
+    def test_rejects_non_string_or_empty(self, label):
+        with pytest.raises(ValidationError, match="^model label must be a non-empty string$"):
+            check_label(label)
+
     def test_forbidden_set_matches_complement_on_every_code_point(self):
         text = "".join(map(chr, range(0x110000)))
         found = [m.start() for m in _NOT_XML_CHAR.finditer(text)]

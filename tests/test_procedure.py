@@ -219,6 +219,10 @@ class TestPairwiseSignificance:
     def test_cd_validated(self):
         with pytest.raises(ValidationError):
             pairwise_significance((1.0, 2.0), 0.0)
+        # an int past the float range, a bool, and non-finite values
+        for cd in (10**400, True, math.inf, math.nan):
+            with pytest.raises(ValidationError, match="^cd must be a positive real"):
+                pairwise_significance([1.0, 2.0, 3.0], cd)
 
 
 class TestIndistinguishableGroups:
@@ -227,6 +231,15 @@ class TestIndistinguishableGroups:
 
     def test_overlapping_runs(self):
         assert indistinguishable_groups((1.0, 1.8, 2.5), 1.0) == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "cd",
+        [0.0, -1.0, math.nan, math.inf, True, 10**400],
+        ids=["zero", "negative", "nan", "inf", "bool", "int_past_float_range"],
+    )
+    def test_cd_validated(self, cd):
+        with pytest.raises(ValidationError, match="^cd must be a positive real"):
+            indistinguishable_groups([1.0, 2.0, 3.0], cd)
 
     def test_cd_beyond_span_gives_one_group(self):
         assert indistinguishable_groups((1.0, 2.0, 3.0, 4.0), 5.0) == [(0, 1, 2, 3)]

@@ -51,6 +51,8 @@ class TestSimConfig:
             {"alpha": 1.0},
             {"effect": (0.0, 0.0)},
             {"effect": (0.0, 0.0, float("nan"))},
+            {"noise_sd": True},
+            {"noise_sd": 10**400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
