@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .errors import CdranksError, ValidationError, check_alpha, check_int, check_positive
+from .errors import CdranksError, ValidationError, check_alpha, check_int, check_number, check_positive
 
 _FORMATS_HELP = """\
 input formats:
@@ -31,21 +31,19 @@ input formats:
                                    "feature_set": "clickstream"}}, ...]}
              model order fixes column order; tags are free-form string pairs
 
-values are plain or scientific decimal notation in ASCII digits
-(no locale separators)
+numbers, in CSV values and numeric flags alike, are plain or scientific decimal
+in ASCII digits: no underscores, locale separators, inf, nan or overflow
 """
 
 
 def _checked(convert, check, *args):
-    """An argparse type: ``convert`` the text, then apply one of the shared checks.
-
-    Text that does not convert reaches the check unchanged and fails there.
-    """
+    """An argparse type: ``check`` the text, converted if ``check_number`` and ``convert`` pass."""
 
     def parse(text: str):
         try:
+            check_number(text)
             value = convert(text)
-        except ValueError:
+        except (ValidationError, ValueError):
             value = text
         try:
             return check(value, *args)
@@ -57,6 +55,7 @@ def _checked(convert, check, *args):
 
 _positive_int = _checked(int, check_int, "value", 1)
 _nonnegative_int = _checked(int, check_int, "value", 0)
+_positive_real = _checked(float, check_positive, "value")
 _level = _checked(float, check_alpha)
 
 
@@ -71,19 +70,21 @@ def _variant(text: str):
 
 def _effect(text: str) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a comma-separated list of numbers"
-        ) from None
+        return tuple(check_number(part) for part in text.split(","))
+    except ValidationError:
+        message = f"{text!r} is not a comma-separated list of numbers"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _read(path: str) -> str:
-    """Read a file, or stdin for ``-``, with newlines untranslated and no leading UTF-8 BOM."""
-    if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    with open(path, encoding="utf-8", newline="") as f:
-        return f.read().removeprefix("\ufeff")
+    """Read a file, or stdin for ``-``, as UTF-8 with newlines untranslated and no leading BOM."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
+        with open(path, "rb") as f:
+            return f.read().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path!r} is not valid UTF-8 (byte {exc.start})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-model mean offsets; all zeros (the default) estimates the Type-I rate",
     )
     simulate.add_argument(
-        "--noise-sd", type=float, default=1.0, help="noise standard deviation (default: 1.0)"
+        "--noise-sd", type=_positive_real, default=1.0, help="noise standard deviation (default: 1.0)"
     )
     simulate.add_argument(
         "--workers", type=_positive_int, default=1, help="parallel worker processes"
@@ -340,12 +341,9 @@ def main(argv: "list | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CdranksError as exc:
+    except (CdranksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code if isinstance(exc, CdranksError) else 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ bad input (2) from an unsupported statistical design (3).
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 
@@ -93,6 +94,19 @@ def check_alpha(alpha: float) -> float:
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
     return alpha
+
+
+def check_number(text: str) -> float:
+    """The one rule for text to number: ASCII, no ``_``, and ``float()`` gives a finite value."""
+    try:
+        value = float(text) if text.isascii() and "_" not in text else math.nan
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value):
+        return value
+    if math.isinf(value) and not text.lstrip("+-").isalpha():  # 1e999, not a spelled-out inf
+        raise ValidationError(f"value {text!r} overflows to non-finite")
+    raise ValidationError(f"non-numeric value {text!r}")
 
 
 def check_positive(value, name: str):

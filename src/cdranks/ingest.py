@@ -15,7 +15,6 @@ import io
 import itertools
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -27,17 +26,13 @@ from .errors import (
     IncompleteDesignError,
     ValidationError,
     check_alpha,
+    check_number,
     check_unique,
 )
 from .procedure import NemenyiResult
 from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
 
 LONG_HEADER = ("dataset", "model", "fold", "value")
-
-# Plain decimal or scientific notation in ASCII digits only; inf/nan,
-# underscores, locale separators and non-ASCII digits (which float() would
-# accept) are rejected.
-_NUMBER_RE = re.compile(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", re.ASCII)
 
 # The least number of characters _csv_reader copies into one StringIO.
 _SLICE_CHARS = 1 << 16
@@ -57,15 +52,6 @@ def _csv_reader(text: str):
         cuts.append(text.find("\n", cuts[-1] + _SLICE_CHARS - 1) + 1 or len(text))
     slices = (io.StringIO(text[a:b], newline="") for a, b in itertools.pairwise(cuts))
     return csv.reader(itertools.chain.from_iterable(slices))
-
-
-def _parse_value(text: str, where: str) -> float:
-    if not _NUMBER_RE.fullmatch(text):
-        raise ValidationError(f"{where}: non-numeric value {text!r}")
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: value {text!r} overflows to non-finite")
-    return value
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -159,8 +145,7 @@ def parse_long_csv(text: str) -> dict:
     """
     reader = _csv_reader(text)
     cells = {}
-    get, match, isfinite = cells.get, _NUMBER_RE.fullmatch, math.isfinite
-    share = {}.setdefault
+    get, share = cells.get, {}.setdefault
     try:
         header = next(reader, None)
         if header is None:
@@ -178,9 +163,10 @@ def parse_long_csv(text: str) -> dict:
                 key = (dataset.strip(), model.strip())
                 fold = fold.strip()
                 if key[0] and key[1] and fold:
-                    raw = raw.strip()
-                    if not (match(raw) and isfinite(value := float(raw))):
-                        value = _parse_value(raw, f"line {reader.line_num}")
+                    try:
+                        value = check_number(raw.strip())
+                    except ValidationError as exc:
+                        raise ValidationError(f"line {reader.line_num}: {exc}") from None
                     folds = get(key)
                     if folds is None:
                         folds = cells[key] = {}
@@ -233,10 +219,12 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
                 raise ValidationError(f"line {line}: dataset id must be non-empty")
             if dataset in rows:
                 raise ValidationError(f"line {line}: duplicate dataset id {dataset!r}")
-            rows[dataset] = [
-                _parse_value(cell.strip(), f"line {line}, column {labels[j]!r}")
-                for j, cell in enumerate(row[1:])
-            ]
+            values = rows[dataset] = []
+            for label, cell in zip(labels, row[1:]):
+                try:
+                    values.append(check_number(cell.strip()))
+                except ValidationError as exc:
+                    raise ValidationError(f"line {line}, column {label!r}: {exc}") from None
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
     if not rows:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -29,7 +30,7 @@ from cdranks import (
     nemenyi_test,
     summarize_by_tag,
 )
-from cdranks.cli import _detect_format, _load_report, main
+from cdranks.cli import _build_parser, _detect_format, _load_report, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = str(FIXTURES / "results_31x8.csv")
@@ -42,6 +43,25 @@ def _goldens(name: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return getattr(module, name)
+
+
+def stdin_of(data: bytes):
+    """A stand-in for ``sys.stdin`` as Python sets it up on POSIX.
+
+    UTF-8 text over a byte buffer, no newline translation, and undecodable
+    bytes smuggled through as lone surrogates, as in the C locale.
+    """
+    return io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n"
+    )
+
+
+# 0xe9 is Latin-1 "e acute"; on its own it is no UTF-8 sequence.
+NOT_UTF8 = {
+    "input": Path(RESULTS).read_bytes().replace(b"\ncourse_01", b"\n\xe9course_01"),
+    "manifest": Path(MANIFEST).read_bytes().replace(b'"accuracy"', b'"accur\xe9cy"'),
+    "report": Path(REPORT).read_bytes().replace(b'"label": "', b'"label": "\xe9', 1),
+}
 
 
 def run(capsys, *argv):
@@ -113,8 +133,8 @@ class TestAnalyze:
         assert report["n_datasets"] == 2
         assert [e["rank"] for e in report["average_ranks"]] == [1.0, 2.0, 3.0]
 
-        # \r-only line endings; a StringIO stdin hands them over untranslated
-        monkeypatch.setattr("sys.stdin", io.StringIO("\r".join(rows) + "\r"))
+        # \r-only line endings; stdin hands them over untranslated
+        monkeypatch.setattr("sys.stdin", stdin_of(("\r".join(rows) + "\r").encode()))
         with pytest.warns(UserWarning):
             code, cr_out, _ = run(capsys, "analyze", "-", "--manifest", manifest)
         assert code == 0
@@ -213,7 +233,7 @@ class TestAnalyze:
         bom_manifest.write_text(Path(manifest).read_text(), encoding="utf-8-sig")
         argv = ["--manifest", str(bom_manifest), "--format", fmt]
         if via == "stdin":
-            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+            monkeypatch.setattr("sys.stdin", stdin_of(("\ufeff" + text).encode()))
             source = "-"
         else:
             source = str(bom)
@@ -231,8 +251,7 @@ class TestAnalyze:
         path = tmp_path / "results.csv"
         path.write_bytes(data)
         manifest = write_manifest(tmp_path, "a", "b", "c")
-        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\n")
-        monkeypatch.setattr("sys.stdin", stdin)
+        monkeypatch.setattr("sys.stdin", stdin_of(data))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", SmallSampleWarning)
             via_file = run(capsys, "analyze", str(path), "--manifest", manifest)
@@ -349,10 +368,31 @@ class TestAnalyze:
         assert code == 2
         assert "missing tag 'flavor'" in err
 
-    def test_stdin_input(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(Path(RESULTS).read_text(encoding="utf-8"))
+    @pytest.mark.parametrize("bad", ["input", "manifest"])
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_non_utf8_exits_2(self, capsys, tmp_path, monkeypatch, bad, via):
+        paths = {"input": RESULTS, "manifest": MANIFEST}
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(NOT_UTF8[bad]))
+            paths[bad] = "-"
+        else:
+            paths[bad] = str(tmp_path / "bad")
+            Path(paths[bad]).write_bytes(NOT_UTF8[bad])
+        code, out, err = run(capsys, "analyze", paths["input"], "--manifest", paths["manifest"])
+        at = NOT_UTF8[bad].index(b"\xe9")
+        assert (code, out, err) == (2, "", f"error: {paths[bad]!r} is not valid UTF-8 (byte {at})\n")
+
+    def test_non_utf8_stdin_of_a_real_process(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdranks.cli", "analyze", "-", "--manifest", MANIFEST],
+            input=NOT_UTF8["input"], capture_output=True, env=env,
         )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: '-' is not valid UTF-8 (byte ")
+
+    def test_stdin_input(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("sys.stdin", stdin_of(Path(RESULTS).read_bytes()))
         code, out, _ = run(capsys, "analyze", "-", "--manifest", MANIFEST)
         assert code == 0
         assert json.loads(out)["n_datasets"] == 31
@@ -509,13 +549,23 @@ class TestDiagram:
         path = tmp_path / "report.json"
         path.write_text(text, encoding="utf-8-sig")
         assert run(capsys, "diagram", str(path)) == (0, golden, "")
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        monkeypatch.setattr("sys.stdin", stdin_of(("\ufeff" + text).encode()))
         assert run(capsys, "diagram", "-") == (0, golden, "")
 
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_non_utf8_report_exits_2(self, capsys, tmp_path, monkeypatch, via):
+        path = "-"
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(NOT_UTF8["report"]))
+        else:
+            path = str(tmp_path / "report.json")
+            Path(path).write_bytes(NOT_UTF8["report"])
+        at = NOT_UTF8["report"].index(b"\xe9")
+        expected = (2, "", f"error: {path!r} is not valid UTF-8 (byte {at})\n")
+        assert run(capsys, "diagram", path) == expected
+
     def test_stdin_report(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO(Path(REPORT).read_text(encoding="utf-8"))
-        )
+        monkeypatch.setattr("sys.stdin", stdin_of(Path(REPORT).read_bytes()))
         code, out, _ = run(capsys, "diagram", "-")
         assert code == 0
         assert out == (FIXTURES / "golden_cd.svg").read_text(encoding="utf-8")
@@ -708,6 +758,51 @@ class TestParser:
             main(["simulate", *(item for pair in argv.items() for item in pair)])
         assert exc.value.code == 2
         assert f"argument {flag}: value must be an integer >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["analyze", "x.csv", "--manifest", "m.json", "--alpha", "0.0_5"], "--alpha: alpha"),
+            (["diagram", "r.json", "--alpha", "0.0_5"], "--alpha: alpha"),
+            (["diagram", "r.json", "--width", "8_00"], "--width: value"),
+            (["simulate", "--n", "\u0663", "--k", "3"], "--n: value"),
+            (["simulate", "--n", "10", "--k", "3", "--alpha", "0.0_5"], "--alpha: alpha"),
+            (["simulate", "--n", "10", "--k", "3", "--seed", "1_0"], "--seed: value"),
+            (["simulate", "--n", "10", "--k", "3", "--trials", "1e3"], "--trials: value"),
+            (["simulate", "--n", "10", "--k", "3", "--noise-sd", "\uff11"], "--noise-sd: value"),
+            (["simulate", "--n", "10", "--k", "3", "--noise-sd", "inf"], "--noise-sd: value"),
+            (["simulate", "--n", "10", "--k", "3", "--noise-sd", "-1"], "--noise-sd: value"),
+            (["simulate", "--n", "10", "--k", "3", "--effect", "1_0,0,\u0663"], "--effect: '1_0"),
+            (["simulate", "--n", "10", "--k", "3", "--effect", "1,nan,0"], "--effect: '1,nan"),
+        ],
+    )
+    def test_number_rule_covers_every_numeric_flag(self, capsys, argv, err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {err}" in capsys.readouterr().err
+
+    def test_plain_and_scientific_flags_still_accepted(self, capsys):
+        code, out, err = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST, "--alpha", "1e-1")
+        assert (code, err, json.loads(out)["alpha"]) == (0, "", 0.1)
+        code, out, err = run(
+            capsys, "simulate", "--n", "10", "--k", "3", "--trials", "5", "--alpha", "1e-1",
+            "--effect", "1.0, 0, 0", "--noise-sd", "2.5E0",
+        )
+        assert (code, err) == (0, "")
+        config = json.loads(out)["config"]
+        assert (config["alpha"], config["effect"], config["noise_sd"]) == (0.1, [1.0, 0, 0], 2.5)
+
+    def test_no_flag_parses_with_bare_float_or_int(self):
+        # a new numeric flag must go through _checked, so the number rule covers it
+        parsers, bare = [_build_parser()], []
+        for parser in parsers:
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif action.type in (float, int):
+                    bare.append(action.option_strings)
+        assert (len(parsers), bare) == (4, [])
 
     def test_bad_alpha_value(self):
         with pytest.raises(SystemExit) as exc:

@@ -2,15 +2,24 @@
 
 import ast
 import importlib
+import itertools
 import math
 import re
 import sys
 from pathlib import Path
 
 import pytest
+from long_csv_oracle import _parse_value as oracle_parse_value
 
 import cdranks
-from cdranks.errors import _NOT_XML_CHAR, ValidationError, check_int, check_label, check_positive
+from cdranks.errors import (
+    _NOT_XML_CHAR,
+    ValidationError,
+    check_int,
+    check_label,
+    check_number,
+    check_positive,
+)
 
 EXPORTS = [
     "AverageRanks",
@@ -114,6 +123,40 @@ class TestCheckInt:
         with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
             check_int(value, "n", 1)
 
+
+
+def _number_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _prefixed_check_number(text: str) -> float:
+    try:
+        return check_number(text)
+    except ValidationError as exc:
+        raise ValidationError(f"line 2: {exc}") from None
+
+
+class TestCheckNumber:
+    # Every string of length 1-4 over this alphabet, stripped as the CSV
+    # parsers strip a cell: signs, digits, exponents, underscores, spelled-out
+    # inf/nan, hex, whitespace float() would strip, and a non-ASCII digit.
+    ALPHABET = [*"09.eE+-_ inaINFx", "\t", "\x0b", "\x1c", "\u0663"]
+    # longer forms: overflows, and texts float() alone would accept or reject
+    EXTRA = ["1e999", "-9E+999", "1" * 400 + ".", ".5e400", "-Infinity", "0x10", "1 2"]
+
+    def test_agrees_with_the_regex_oracle(self):
+        texts = [
+            "".join(chars).strip()
+            for size in range(1, 5)
+            for chars in itertools.product(self.ALPHABET, repeat=size)
+        ]
+        assert len(texts) == 168_420
+        for text in texts + self.EXTRA:
+            expected = _number_outcome(lambda t: oracle_parse_value(t, "line 2"), text)
+            assert _number_outcome(_prefixed_check_number, text) == expected, text
 
 
 class TestCheckPositive:
