@@ -64,7 +64,7 @@ def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
 
 
 def check_average_ranks(r: list) -> None:
-    """``ranks._check_rank_vectors`` for one list of average ranks: same tolerance, same messages."""
+    """``simulate._check_rank_vectors`` for one list of ranks: same tolerance, same messages."""
     k = len(r)
     if k < 2:
         raise ValidationError("average ranks need at least two models")

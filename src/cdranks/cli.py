@@ -119,6 +119,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .procedure import build_report, friedman_test, nemenyi_test
     from .ranks import average_ranks
 
+    if args.input == args.manifest == "-":
+        raise ValidationError("stdin ('-') can be given only once: as the input or as --manifest")
     manifest = parse_manifest(_read(args.manifest))
     text = _read(args.input)
     fmt = args.format if args.format != "auto" else _detect_format(text)
@@ -254,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     analyze.add_argument("input", help="results CSV (long or wide; '-' for stdin)")
-    analyze.add_argument("--manifest", required=True, help="manifest JSON path")
+    analyze.add_argument("--manifest", required=True, help="manifest JSON path ('-' for stdin)")
     analyze.add_argument(
         "--alpha",
         type=_level,

@@ -1,22 +1,20 @@
 """Reference distributions for the omnibus test: chi-square and F survival functions.
 
-Both use numpy and ``math`` only.  Degrees of freedom are integers, so the
-chi-square tail is an exact finite sum and the F tail a regularized
-incomplete beta evaluated by its continued fraction; the test suite checks
-both against an independent library.
+Both take one scalar and use ``math`` only.  Degrees of freedom are
+integers, so the chi-square tail is an exact finite sum and the F tail a
+regularized incomplete beta evaluated by its continued fraction; the test
+suite checks both against an independent library.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ValidationError, check_int
 
 
-def chi_square_sf(x, df: int):
-    """Survival function P(chi2_df >= x), elementwise when ``x`` is an array.
+def chi_square_sf(x: float, df: int) -> float:
+    """Survival function P(chi2_df >= x).
 
     With y = x/2 this is the finite sum (Abramowitz & Stegun 26.4.4-5)
 
@@ -27,26 +25,21 @@ def chi_square_sf(x, df: int):
     exp(-y) alone is subnormal or zero keeps its full precision.
     """
     check_int(df, "df", 1)
-    xs = np.asarray(x, dtype=float)
-    bad = ~(np.isfinite(xs) & (xs >= 0))
-    if bad.any():
-        shown = x if xs.ndim == 0 else xs[bad][0]
-        raise ValidationError(f"x must be a finite nonnegative real, got {shown!r}")
-    y = xs / 2.0
-    with np.errstate(divide="ignore"):
-        log_y = np.log(y)
+    if not math.isfinite(x) or x < 0:
+        raise ValidationError(f"x must be a finite nonnegative real, got {x!r}")
+    y = x / 2.0
+    if y == 0.0:
+        return 1.0
+    log_y = math.log(y)
     if df % 2:
-        p = np.array([math.erfc(math.sqrt(v)) for v in y.flat]).reshape(y.shape)
-        a = 0.5
+        p, a = math.erfc(math.sqrt(y)), 0.5
     else:
-        p = np.exp(-y)
-        a = 1.0
+        p, a = math.exp(-y), 1.0
     while a < df / 2.0:
-        p += np.exp(a * log_y - y - math.lgamma(a + 1.0))
+        p += math.exp(a * log_y - y - math.lgamma(a + 1.0))
         a += 1.0
     # near x = 0 the rounded terms can sum to a few ulps above 1
-    p = np.minimum(p, 1.0)
-    return float(p) if p.ndim == 0 else p
+    return min(p, 1.0)
 
 
 # Convergence threshold and step cap of the incomplete-beta continued

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     DroppedDatasetsWarning,
     IncompleteDesignError,
@@ -231,11 +229,10 @@ def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE)
         raise ValidationError("no data rows")
 
     datasets = tuple(sorted(rows))
-    values = np.array([rows[d] for d in datasets], dtype=float)
     return PerformanceMatrix(
         datasets=datasets,
         models=tuple(ModelId(label) for label in labels),
-        values=values,
+        values=[rows[d] for d in datasets],
         direction=direction,
     )
 
@@ -288,11 +285,10 @@ def aggregate_folds(
 
     # fsum / n is statistics.fmean bit for bit, without importing statistics
     mean = {key: math.fsum(folds.values()) / len(folds) for key, folds in cells.items() if folds}
-    values = np.array([[mean[(d, l)] for l in labels] for d in datasets], dtype=float)
     return PerformanceMatrix(
         datasets=tuple(datasets),
         models=manifest.models,
-        values=values,
+        values=[[mean[(d, l)] for l in labels] for d in datasets],
         direction=manifest.direction,
     )
 
@@ -318,7 +314,7 @@ def apply_manifest(matrix: PerformanceMatrix, manifest: ExperimentManifest) -> P
     return PerformanceMatrix(
         datasets=matrix.datasets,
         models=manifest.models,
-        values=matrix.values[:, order],
+        values=[[row[j] for j in order] for row in matrix.values],
         direction=manifest.direction,
     )
 
@@ -375,7 +371,7 @@ def summarize_by_tag(
                 other
                 for other, other_idx in groups.items()
                 if other != value
-                and all(result.significant[i, j] for i in idx for j in other_idx)
+                and all(result.significant[i][j] for i in idx for j in other_idx)
             )
         )
         summaries.append(

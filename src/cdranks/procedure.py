@@ -13,8 +13,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .cd import indistinguishable_groups, nemenyi_cd, rank_list
 from .distributions import chi_square_sf, f_sf
 from .errors import (
@@ -26,7 +24,7 @@ from .errors import (
     check_choice,
     check_positive,
 )
-from .ranks import AverageRanks, PerformanceMatrix, average_ranks, rank_vector
+from .ranks import AverageRanks, PerformanceMatrix, average_ranks
 
 # Below this many datasets the chi-square approximation is rough and exact
 # small-sample critical values would be preferable.
@@ -73,40 +71,47 @@ class NemenyiResult:
 
     cd: float
     alpha: float
-    significant: np.ndarray
+    significant: tuple
     groups: tuple
 
     def __post_init__(self):
-        sig = np.array(self.significant, dtype=bool)
-        sig.setflags(write=False)
+        sig = tuple(tuple(map(bool, row)) for row in self.significant)
         object.__setattr__(self, "significant", sig)
         object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
 
 
-def friedman_statistic(ranks, n_datasets: int, k: int):
-    """The rank-based omnibus statistic 12N/(k(k+1)) * [sum_j R_j^2 - k(k+1)^2/4].
+def _sum_t2(ranks, n_datasets: int, k: int) -> int:
+    """The integer sum of T_j^2, T_j = 2 S_j - N(k+1), from average ranks R_j = S_j / N.
 
-    Computed in the centered form 12N/(k(k+1)) * sum_j (R_j - (k+1)/2)^2,
-    which is the same expression but cannot go negative through rounding.
-    Zero exactly when all average ranks are equal.
-
-    ``ranks`` is an AverageRanks (the result is a float) or an array of
-    average-rank vectors along its last axis (the result is an array with
-    one statistic per vector, each equal to the single-vector value).
+    Each doubled rank sum 2 S_j is recovered as round(2N R_j).  Ranks that are
+    not mid-rank sums over N datasets raise ValidationError: 2 S_j / (2N) must
+    give R_j back, each 2 S_j must lie in [2N, 2Nk], and they must total N k(k+1).
     """
     if k < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
-    r = rank_vector(ranks)
-    if r.shape[-1] != k:
-        raise ValidationError(f"{r.shape[-1]} average ranks for k={k} models")
+    r = rank_list(ranks)
+    if len(r) != k:
+        raise ValidationError(f"{len(r)} average ranks for k={k} models")
     if n_datasets < 2:
         raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
-    centered = r - (k + 1) / 2.0
-    # A (1 x k) @ (k x 1) product runs the same BLAS dot as np.dot on each
-    # vector, so a stack gives the single-vector bits whatever its shape.
-    bracket = (centered[..., None, :] @ centered[..., :, None])[..., 0, 0]
-    chi2 = (12.0 * n_datasets * bracket) / (k * (k + 1.0))
-    return float(chi2) if chi2.ndim == 0 else chi2
+    two_n = 2 * n_datasets
+    s2 = [round(two_n * v) for v in r]
+    if sum(s2) != n_datasets * k * (k + 1) or any(
+        not two_n <= s <= two_n * k or s / two_n != v for s, v in zip(s2, r)
+    ):
+        raise ValidationError(f"average ranks are not mid-rank sums over N={n_datasets} datasets")
+    return sum((s - n_datasets * (k + 1)) ** 2 for s in s2)
+
+
+def friedman_statistic(ranks, n_datasets: int, k: int) -> float:
+    """The rank-based omnibus statistic 12N/(k(k+1)) * sum_j (R_j - (k+1)/2)^2.
+
+    With the integers T_j = 2N R_j - N(k+1) this is 3 sum_j T_j^2 / (N k(k+1)),
+    computed as one correctly rounded division of two ints.  Zero exactly
+    when all average ranks are equal.  ``ranks`` is AverageRanks or any
+    sequence of k average ranks over ``n_datasets`` datasets.
+    """
+    return 3 * _sum_t2(ranks, n_datasets, k) / (n_datasets * k * (k + 1))
 
 
 def friedman_test(
@@ -119,13 +124,14 @@ def friedman_test(
     The ``friedman`` variant compares the statistic to chi-square with k - 1
     degrees of freedom.  The ``iman_davenport`` variant rescales it to
     F_F = (N-1) * chi2 / (N(k-1) - chi2) with (k-1, (k-1)(N-1)) degrees of
-    freedom, which is less conservative.
+    freedom, which is less conservative.  It is computed exactly, as
+    (N-1) 3 sum T^2 / (N^2 k(k^2-1) - 3 sum T^2) in :func:`friedman_statistic`'s ints.
 
     Raises
     ------
     DegenerateStatisticError
         Under ``iman_davenport`` when rankings are perfectly consistent
-        (chi2 = N(k-1)), where the F statistic is undefined.
+        (the integer denominator is 0), where the F statistic is undefined.
     """
     check_alpha(alpha)
     variant = Variant.parse(variant)
@@ -137,19 +143,19 @@ def friedman_test(
             SmallSampleWarning,
             stacklevel=2,
         )
-    chi2 = friedman_statistic(average_ranks(m), n, k)
+    three_t2 = 3 * _sum_t2(average_ranks(m), n, k)
 
     if variant is Variant.FRIEDMAN:
-        statistic, df, df2 = chi2, k - 1, None
-        p = chi_square_sf(chi2, df)
+        statistic, df, df2 = three_t2 / (n * k * (k + 1)), k - 1, None
+        p = chi_square_sf(statistic, df)
     else:
-        denom = n * (k - 1) - chi2
-        if denom <= 1e-9:
+        denom = n * n * k * (k * k - 1) - three_t2
+        if denom == 0:
             raise DegenerateStatisticError(
                 "rankings are perfectly consistent across datasets: the F-form "
                 "statistic divides by N(k-1) - chi2 = 0"
             )
-        statistic = (n - 1) * chi2 / denom
+        statistic = (n - 1) * three_t2 / denom
         df, df2 = k - 1, (k - 1) * (n - 1)
         p = f_sf(statistic, df, df2)
 
@@ -164,20 +170,17 @@ def friedman_test(
     )
 
 
-def pairwise_significance(ranks, cd: float) -> np.ndarray:
-    """Boolean k x k matrix: True where |R_a - R_b| >= cd.
+def pairwise_significance(ranks, cd: float) -> tuple:
+    """k x k tuple of tuples of bools: True where |R_a - R_b| >= cd.
 
     A gap exactly equal to the CD counts as significant, making this the
     exact complement of membership in a common indistinguishable group.
-    ``ranks`` may be AverageRanks, any finite rank vector, or an array of
-    rank vectors along its last axis, which gives one k x k matrix per vector.
-    The diagonal is False because a zero gap never reaches a positive CD.
+    ``ranks`` may be AverageRanks or any finite rank vector.  The diagonal
+    is False because a zero gap never reaches a positive CD.
     """
     check_positive(cd, "cd")
-    r = rank_vector(ranks)
-    sig = np.abs(r[..., :, None] - r[..., None, :]) >= cd
-    sig.setflags(write=False)
-    return sig
+    r = rank_list(ranks)
+    return tuple(tuple(abs(a - b) >= cd for b in r) for a in r)
 
 
 def nemenyi_test(ranks, n_datasets: int, alpha: float = 0.05) -> NemenyiResult:

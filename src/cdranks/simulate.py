@@ -6,15 +6,21 @@ estimates the Type-I error; nonzero effects estimate power.  Every trial
 draws from its own generator stream keyed by (seed, trial index), so results
 are bitwise identical for any degree of parallelism.
 
-Trials run as a chunked array kernel rather than one object pipeline per
-trial.  Each chunk of up to ``CHUNK_TRIALS`` trials fills one
-(chunk, N, k) block, trial by trial, from the same streams that
-:func:`generate_matrix` uses; the whole block is then ranked, averaged,
-tested and compared in bulk, with every invariant of the per-trial types
-checked once per chunk.  Each trial's statistic and pairwise calls equal
-those of the public per-trial functions exactly.  Memory is bounded by the
-chunk, not the trial count: the block and the ranking temporaries peak at
-about ten arrays of CHUNK_TRIALS * N * k floats, 4.6 MB at N=31, k=8.
+Trials run as a chunked numpy kernel rather than one object pipeline per
+trial; this is the only module that needs numpy.  Each chunk of up to
+``CHUNK_TRIALS`` trials fills one (chunk, N, k) block, trial by trial, from
+the same streams that :func:`generate_matrix` uses; the whole block is then
+ranked, averaged and compared in bulk, with every invariant of the
+per-trial types checked once per chunk.  Memory is bounded by the chunk,
+not the trial count: the block and the ranking temporaries peak at about
+ten arrays of CHUNK_TRIALS * N * k floats, 4.6 MB at N=31, k=8.
+
+The omnibus decision is an integer comparison.  The kernel recovers each
+trial's T_j = 2N R_j - N(k+1) from its average ranks, as
+``procedure.friedman_statistic`` does, and sums T_j^2 in int64 (``SimConfig``
+keeps N^2 k(k^2-1) below 2^63).  The p-value falls as that sum grows, so
+:func:`_reject_threshold` finds once, by binary search through the public
+scalar ``chi_square_sf``, the least sum that the public pipeline rejects.
 """
 
 from __future__ import annotations
@@ -25,11 +31,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .distributions import chi_square_sf
 from .cd import nemenyi_cd
-from .errors import ValidationError, check_alpha, check_int, check_positive
-from .procedure import friedman_statistic, pairwise_significance
-from .ranks import Direction, ModelId, PerformanceMatrix, stacked_average_ranks
+from .distributions import chi_square_sf
+from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_int, check_positive
+from .ranks import Direction, ModelId, PerformanceMatrix
 
 # 97.5% normal quantile, for the 95% Wilson interval.
 _Z95 = 1.959963984540054
@@ -54,6 +59,11 @@ class SimConfig:
     def __post_init__(self):
         for name, lo in (("n_datasets", 2), ("n_models", 3), ("trials", 1)):
             check_int(getattr(self, name), name, lo)
+        n, k = self.n_datasets, self.n_models
+        if n * n * k * (k * k - 1) >= 2**63:
+            raise UnsupportedDesignError(
+                f"N={n}, k={k} unsupported: the kernel needs N^2 k(k^2-1) < 2^63"
+            )
         check_int(self.seed, "seed", 0, 2**64)
         effect = tuple(float(e) for e in self.effect)
         if len(effect) != self.n_models:
@@ -80,6 +90,92 @@ class SimConfig:
             "seed": self.seed,
             "alpha": self.alpha,
         }
+
+
+def midranks(a) -> np.ndarray:
+    """Rank along the last axis: 1 = smallest, tied values share their mean position.
+
+    Sort-based, O(k log k) per row, for an array of any shape with at least
+    one axis.  For finite input the result equals SciPy's
+    ``rankdata(a, method="average", axis=-1)`` exactly: mid-ranks are
+    integers or halves, so no rounding enters.  ``ranks.doubled_ranks`` is
+    the pure-Python form for one row.
+    """
+    a = np.asarray(a, dtype=float)
+    k = a.shape[-1]
+    order = np.argsort(a, axis=-1)
+    ordered = np.take_along_axis(a, order, axis=-1)
+    pos = np.arange(k)
+    # A tie run starts where the sorted value changes and ends before the next start.
+    starts = np.ones(a.shape, dtype=bool)
+    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
+    del ordered  # the kernel's peak memory is a handful of blocks like this one
+    ends = np.ones(a.shape, dtype=bool)
+    ends[..., :-1] = starts[..., 1:]
+    bounds = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)  # first + last, in place
+    bounds += np.minimum.accumulate(np.where(ends, pos, k - 1)[..., ::-1], axis=-1)[..., ::-1]
+    out = np.empty(a.shape)
+    np.put_along_axis(out, order, bounds / 2.0 + 1.0, axis=-1)
+    return out
+
+
+def _check_rank_vectors(r: np.ndarray, name: str) -> None:
+    """Every vector along the last axis is finite, lies in [1, k] and sums to k(k+1)/2.
+
+    The sum test is ``math.isclose(total, k(k+1)/2, rel_tol=1e-9, abs_tol=1e-9)``.
+    ``name`` ("rank" or "average rank") words the error messages;
+    ``cd.check_average_ranks`` is the pure-Python form for one vector.
+    """
+    k = r.shape[-1]
+    if np.any(~np.isfinite(r)):
+        raise ValidationError(f"{name}s must be finite")
+    if np.any(r < 1) or np.any(r > k):
+        raise ValidationError(f"{name}s must lie in [1, {k}]")
+    target = k * (k + 1) / 2
+    totals = r.sum(axis=-1).ravel()
+    tol = np.maximum(1e-9 * np.maximum(np.abs(totals), target), 1e-9)
+    bad = np.flatnonzero(np.abs(totals - target) > tol)
+    if bad.size:
+        i = bad[0]
+        raise ValidationError(f"row {i} {name} sum {totals[i]} != k(k+1)/2 = {target}")
+
+
+def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
+    """Average ranks of a stack of performance blocks: shape (..., N, k) -> (..., k).
+
+    The bulk form of ``ranks.average_ranks``, with the same bits: the mean
+    of N half-integers is their exact sum over N, correctly rounded.  It
+    enforces, once per stack, the invariants that the PerformanceMatrix and
+    AverageRanks constructors enforce per matrix: finite values, ranks in
+    [1, k], rank rows and average-rank vectors summing to k(k+1)/2.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2 or values.shape[-1] < 2:
+        raise ValidationError(f"need blocks of at least two models, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValidationError("performance values must be finite")
+    signed = -values if Direction.parse(direction) is Direction.MAXIMIZE else values
+    ranks = midranks(signed)
+    _check_rank_vectors(ranks, "rank")
+    avg = ranks.mean(axis=-2)
+    _check_rank_vectors(avg, "average rank")
+    return avg
+
+
+def _reject_threshold(n: int, k: int, alpha: float) -> int:
+    """The least sum T^2 whose p-value chi_square_sf(3 sum T^2 / (N k(k+1)), k-1) is below alpha.
+
+    Binary search over 0 .. N^2 k(k^2-1)/3, the largest sum T^2 (every dataset
+    ranks the models alike); one past it when no sum rejects.
+    """
+    lo, hi = 0, n * n * k * (k * k - 1) // 3 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if chi_square_sf(3 * mid / (n * k * (k + 1)), k - 1) < alpha:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _draw(cfg: SimConfig, first_trial: int, out: np.ndarray) -> None:
@@ -124,6 +220,7 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
     """
     n, k = cfg.n_datasets, cfg.n_models
     cd = None if cfg.is_null else nemenyi_cd(k, n, cfg.alpha)
+    threshold = _reject_threshold(n, k, cfg.alpha)
     rejections = 0
     pair_hits = np.zeros((k, k), dtype=np.int64)
     block = np.empty((min(CHUNK_TRIALS, stop - start), n, k))
@@ -131,10 +228,10 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
         values = block[: min(CHUNK_TRIALS, stop - lo)]
         _draw(cfg, lo, values)
         avg = stacked_average_ranks(values, Direction.MAXIMIZE)
-        stat = friedman_statistic(avg, n, k)
-        rejections += int(np.count_nonzero(chi_square_sf(stat, k - 1) < cfg.alpha))
+        t = np.rint(avg * (2 * n)).astype(np.int64) - n * (k + 1)
+        rejections += int(np.count_nonzero((t * t).sum(axis=-1) >= threshold))
         if cd is not None:
-            pair_hits += pairwise_significance(avg, cd).sum(axis=0)
+            pair_hits += (np.abs(avg[:, :, None] - avg[:, None, :]) >= cd).sum(axis=0)
     return rejections, pair_hits
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from cdranks import cli, nemenyi_cd, parse_wide_csv
-from cdranks.ranks import midranks
+from cdranks.simulate import midranks
 
 HERE = Path(__file__).parent
 SEED = 20260815
@@ -78,7 +78,7 @@ def build_csv() -> str:
 
 def check_planted_structure(csv_text: str) -> None:
     matrix = parse_wide_csv(csv_text)
-    ranks = midranks(-matrix.values)
+    ranks = midranks(-np.array(matrix.values))
     avg = ranks.mean(axis=0)
     cd = nemenyi_cd(len(MODELS), N_DATASETS, 0.05)
     click, rest = avg[:2], avg[2:]

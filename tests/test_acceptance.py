@@ -115,7 +115,7 @@ def test_criterion_04_rank_invariances_on_random_matrices():
         k = int(rng.integers(3, 9))
         values = np.round(rng.standard_normal((n, k)) * rng.uniform(0.5, 3.0), 6)
         m = matrix(values)
-        base = average_ranks(m).r
+        base = np.array(average_ranks(m).r)
 
         # strictly increasing transforms leave every rank untouched
         for transformed in (np.exp(values / 50.0), 2.0 * values + 1.0):
@@ -131,7 +131,7 @@ def test_criterion_04_rank_invariances_on_random_matrices():
         cd = float(rng.uniform(0.1, k))
         sig = pairwise_significance(base, cd)
         assert np.array_equal(
-            pairwise_significance(base[perm], cd), sig[np.ix_(perm, perm)]
+            pairwise_significance(base[perm], cd), np.array(sig)[np.ix_(perm, perm)]
         )
 
         # the rank total is pinned regardless of ties

@@ -391,6 +391,14 @@ class TestAnalyze:
         assert (proc.returncode, proc.stdout) == (2, b"")
         assert proc.stderr.startswith(b"error: '-' is not valid UTF-8 (byte ")
 
+    def test_stdin_given_twice_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", stdin_of(Path(MANIFEST).read_bytes()))
+        code, out, err = run(capsys, "analyze", "-", "--manifest", "-")
+        message = "error: stdin ('-') can be given only once: as the input or as --manifest\n"
+        assert (code, out, err) == (2, "", message)
+        # nothing was read, so stdin is still whole
+        assert sys.stdin.buffer.read() == Path(MANIFEST).read_bytes()
+
     def test_stdin_input(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr("sys.stdin", stdin_of(Path(RESULTS).read_bytes()))
         code, out, _ = run(capsys, "analyze", "-", "--manifest", MANIFEST)
@@ -682,13 +690,34 @@ class TestSimulate:
         banned = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
         # the critical-difference rule and the layout need no numpy
         diagram_bans = ("numpy", "concurrent.futures", "cdranks.ingest", "cdranks.simulate")
+        # ranking, the statistic and both survival functions need no numpy either
+        analyze_bans = banned + ("numpy", "concurrent.futures", "cdranks.simulate",
+                                 "cdranks.diagram", "statistics", "fractions", "decimal")
+        long_input = [str(FIXTURES / "results_long.csv"), "--manifest",
+                      str(FIXTURES / "manifest_long.json"), "--drop-incomplete"]
         steps = {
             "import": ([], "cdranks", banned + ("numpy", "cdranks.cli")),
             "analyze": (
                 ["analyze", RESULTS, "--manifest", MANIFEST, "--out", str(tmp_path / "r.json")],
                 "cdranks.ingest",
-                banned + ("concurrent.futures", "cdranks.simulate", "cdranks.diagram",
-                          "statistics", "fractions", "decimal"),
+                analyze_bans,
+            ),
+            "analyze long": (
+                ["analyze", *long_input, "--out", str(tmp_path / "r.json")],
+                "cdranks.ingest",
+                analyze_bans,
+            ),
+            "analyze --summarize-tag": (
+                ["analyze", *long_input, "--summarize-tag", "feature_set",
+                 "--out", str(tmp_path / "r.json")],
+                "cdranks.ingest",
+                analyze_bans,
+            ),
+            "analyze --variant iman-davenport": (
+                ["analyze", RESULTS, "--manifest", MANIFEST, "--variant", "iman-davenport",
+                 "--summarize-tag", "feature_set", "--out", str(tmp_path / "r.json")],
+                "cdranks.ingest",
+                analyze_bans,
             ),
             "diagram": (
                 ["diagram", REPORT, "--out", str(tmp_path / "cd.svg")],

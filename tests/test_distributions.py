@@ -17,6 +17,7 @@ from cdranks import (
 )
 from cdranks.cd import _Q_TABLES
 from cdranks.distributions import _log_gamma_ratio
+from cdranks.simulate import _reject_threshold
 from studentized_range import studentized_range_cdf, studentized_range_quantile
 
 # 0.05 critical value of chi-square with 7 df (high-precision root of the sf).
@@ -42,8 +43,8 @@ class TestChiSquareSf:
 
     def test_never_above_one(self):
         # unclipped, the sum reads 1.0000000000000002 at x = 0.00065, df = 9
-        xs = np.linspace(0.0, 2.0, 4001)
-        assert all(chi_square_sf(xs, df).max() <= 1.0 for df in range(1, 61))
+        xs = np.linspace(0.0, 2.0, 4001).tolist()
+        assert all(chi_square_sf(x, df) <= 1.0 for df in range(1, 61) for x in xs)
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):
@@ -61,7 +62,7 @@ class TestChiSquareSfAccuracy:
     @pytest.mark.parametrize("df", range(1, 61))
     def test_matches_scipy_gammaincc(self, df):
         ref = gammaincc(df / 2.0, self.XS / 2.0)
-        got = chi_square_sf(self.XS, df)
+        got = np.array([chi_square_sf(x, df) for x in self.XS.tolist()])
         seen = ref > 1e-290
         assert np.all(np.abs(got[seen] - ref[seen]) <= 1e-12 * ref[seen])
         assert np.all(got[~seen] <= 1e-290)
@@ -72,10 +73,19 @@ class TestChiSquareSfAccuracy:
 
     @pytest.mark.parametrize("df", [1, 2, 7, 8, 59, 60])
     def test_stacked_equals_scalar(self, df):
-        xs = self.XS[::7].reshape(-1, 1, 1) * np.ones((1, 2, 3))
-        got = chi_square_sf(xs, df)
-        assert got.shape == xs.shape
-        assert got.tolist() == np.vectorize(lambda x: chi_square_sf(float(x), df))(xs).tolist()
+        # The simulate kernel's stacked form of the test: an integer sum of
+        # T^2 rejects iff it reaches one threshold, as the scalar sf decides.
+        n, k, alpha = 31, df + 1, 0.05
+        threshold = _reject_threshold(n, k, alpha)
+        largest = n * n * k * (k * k - 1) // 3
+        near = threshold + np.arange(-60, 60)
+        spread = np.linspace(0, largest, 120).round().astype(np.int64)
+        ss = np.clip(np.concatenate([near, spread]), 0, largest).reshape(-1, 2, 3)
+        scalar = np.vectorize(
+            lambda s: chi_square_sf(3 * int(s) / (n * k * (k + 1)), df) < alpha
+        )
+        assert 0 < threshold <= largest
+        assert (ss >= threshold).tolist() == scalar(ss).tolist()
 
 
 def _f_sf_oracle(x: float, d1: int, d2: int) -> float:

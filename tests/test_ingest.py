@@ -199,7 +199,7 @@ def _outcome(parse, text, slice_chars=None):
             return type(exc), str(exc)
     if isinstance(result, dict):
         return [(key, list(folds.items())) for key, folds in result.items()]
-    return result.datasets, result.labels, result.values.tolist()
+    return result.datasets, result.labels, [list(row) for row in result.values]
 
 
 class TestLongCsvDifferential:
@@ -324,7 +324,7 @@ class TestParseWideCsv:
         m = parse_wide_csv("dataset,a,b,c\nd2,0.3,0.2,0.1\nd1,0.6,0.5,0.4\n")
         assert m.labels == ("a", "b", "c")
         assert m.datasets == ("d1", "d2")
-        assert m.values[0].tolist() == [0.6, 0.5, 0.4]
+        assert list(m.values[0]) == [0.6, 0.5, 0.4]
         assert m.direction is Direction.MAXIMIZE
 
     def test_direction_parameter(self):
@@ -366,7 +366,7 @@ class TestRoundTrips:
     def test_wide(self):
         m = parse_wide_csv("dataset,a,b,c\nd1,0.9,0.1234567890123,3e-9\n")
         rows = [",".join(["dataset", *m.labels])]
-        rows += [",".join([d, *map(repr, row.tolist())]) for d, row in zip(m.datasets, m.values)]
+        rows += [",".join([d, *map(repr, row)]) for d, row in zip(m.datasets, m.values)]
         again = parse_wide_csv("\n".join(rows) + "\n")
         assert again.labels == m.labels
         assert np.array_equal(again.values, m.values)
@@ -454,8 +454,8 @@ class TestAggregateFolds:
             ("d1", "c"): {"0": 0.4},
         }
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
-        assert m.values[0, 0] == pytest.approx(0.85)
-        assert m.values[0, 1] == 0.5
+        assert m.values[0][0] == pytest.approx(0.85)
+        assert m.values[0][1] == 0.5
         assert m.datasets == ("d1",)
 
     def test_mean_stays_within_fold_range(self):
@@ -464,7 +464,7 @@ class TestAggregateFolds:
         cells = {("d1", "a"): {str(f): float(v) for f, v in enumerate(scores)}}
         cells.update({("d1", l): {"0": 0.5} for l in ("b", "c")})
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
-        assert scores.min() <= m.values[0, 0] <= scores.max()
+        assert scores.min() <= m.values[0][0] <= scores.max()
 
     def test_record_order_is_irrelevant(self):
         rows = [
@@ -483,7 +483,7 @@ class TestAggregateFolds:
         cells = {("d1", l): {"0": v} for l, v in [("b", 0.2), ("c", 0.3), ("a", 0.1)]}
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert m.labels == ("a", "b", "c")
-        assert m.values[0].tolist() == [0.1, 0.2, 0.3]
+        assert list(m.values[0]) == [0.1, 0.2, 0.3]
 
     def test_unknown_label(self):
         # the error names the first row whose model the manifest lacks
@@ -523,7 +523,7 @@ class TestAggregateFolds:
         with pytest.warns(DroppedDatasetsWarning, match="dropped 1 incomplete dataset\\(s\\): d2"):
             m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
         assert m.datasets == ("d1",)
-        assert m.values[0].tolist() == [0.1, 0.2, 0.3]
+        assert list(m.values[0]) == [0.1, 0.2, 0.3]
 
     def test_drop_everything_fails(self):
         cells = {("d1", "a"): {"0": 0.1}}
@@ -544,7 +544,7 @@ class TestAggregateFolds:
         m = parse_wide_csv((FIXTURES / "results_31x8.csv").read_text())
         man = parse_manifest((FIXTURES / "manifest_31x8.json").read_text())
         cells = {
-            (d, l): {"0": float(m.values[i, j])}
+            (d, l): {"0": m.values[i][j]}
             for i, d in enumerate(m.datasets)
             for j, l in enumerate(m.labels)
         }
@@ -561,7 +561,7 @@ class TestApplyManifest:
         man = manifest_of("a", "b", "c", tags={"a": {"kind": "x"}})
         out = apply_manifest(m, man)
         assert out.labels == ("a", "b", "c")
-        assert out.values[0].tolist() == [0.1, 0.2, 0.3]
+        assert list(out.values[0]) == [0.1, 0.2, 0.3]
         assert out.models[0].tags == {"kind": "x"}
 
     def test_direction_taken_from_manifest(self):

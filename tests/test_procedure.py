@@ -1,10 +1,11 @@
 """Omnibus test, critical difference, pairwise calls, and grouping."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare
+from scipy.stats import friedmanchisquare, rankdata
 
 from cdranks import (
     AverageRanks,
@@ -59,25 +60,31 @@ class TestFriedmanStatistic:
     @pytest.mark.parametrize("n,k", [(3, 3), (10, 5), (31, 8)])
     def test_consistent_rankings_hit_maximum(self, n, k):
         r = average_ranks(consistent_matrix(n, k))
-        assert friedman_statistic(r, n, k) == pytest.approx(n * (k - 1), rel=1e-12)
+        assert friedman_statistic(r, n, k) == n * (k - 1)
 
+    @pytest.mark.filterwarnings("ignore::cdranks.errors.SmallSampleWarning")
     @pytest.mark.parametrize("k", [3, 8, 17])
-    def test_stack_matches_dot_product_bits(self, k):
-        n = 31
+    def test_exact_rational_correctly_rounded(self, k):
+        # The statistic is 3 sum T^2 / (N k(k+1)) rounded once, T_j = 2 S_j - N(k+1),
+        # with the rank sums S_j taken from SciPy's mid-ranks; tied and untied rows.
         rng = np.random.default_rng(k)
-        values = rng.standard_normal((40, n, k))
-        stack = np.stack([average_ranks(matrix(v)).r for v in values])
-        expected = [
-            12.0 * n * float(np.dot(r - (k + 1) / 2.0, r - (k + 1) / 2.0)) / (k * (k + 1.0))
-            for r in stack
-        ]
-        assert [friedman_statistic(AverageRanks(r), n, k) for r in stack] == expected
-        assert friedman_statistic(stack, n, k).tolist() == expected
-        assert friedman_statistic(stack.reshape(4, 10, k), n, k).ravel().tolist() == expected
+        for n in (5, 31, 1000):
+            for values in (rng.standard_normal((n, k)), rng.integers(0, 3, (n, k)).astype(float)):
+                s2 = (2 * rankdata(-values, axis=1)).sum(axis=0).astype(np.int64)
+                sum_t2 = sum((int(s) - n * (k + 1)) ** 2 for s in s2)
+                exact = float(Fraction(3 * sum_t2, n * k * (k + 1)))
+                assert friedman_statistic(average_ranks(matrix(values)), n, k) == exact
+                assert friedman_test(matrix(values)).statistic == exact
+
+    def test_ranks_that_are_not_rank_sums_rejected(self):
+        # 1.1 is no multiple of 1/(2N) for N = 4, and [1, 1, 4] has no ranking with ranks >= 1
+        for ranks, n in (([1.1, 2.0, 2.9], 4), ([1.0, 1.0, 4.0], 5)):
+            with pytest.raises(ValidationError, match="not mid-rank sums over N="):
+                friedman_statistic(ranks, n, 3)
 
     def test_nonfinite_ranks_rejected(self):
-        with pytest.raises(ValidationError):
-            friedman_statistic(np.array([[1.0, 2.0, 3.0], [np.nan, 2.0, 4.0]]), 5, 3)
+        with pytest.raises(ValidationError, match="finite"):
+            friedman_statistic(np.array([1.0, np.nan, 5.0]), 5, 3)
 
     def test_domain_errors(self):
         with pytest.raises(UnsupportedDesignError):
@@ -167,6 +174,22 @@ class TestImanDavenport:
         assert isinstance(err.value, UnsupportedDesignError)
         assert err.value.exit_code == 3
 
+    @pytest.mark.parametrize("n,k", [(15, 3), (31, 8), (400, 20)])
+    def test_degenerate_exactly_at_zero_denominator(self, n, k):
+        # Consistent rankings make the integer denominator N^2 k(k^2-1) - 3 sum T^2
+        # zero and raise.  One adjacent swap in one dataset leaves the least
+        # positive denominator, 24(N-1); F is then the exact ratio rounded once.
+        with pytest.raises(DegenerateStatisticError):
+            friedman_test(consistent_matrix(n, k), variant="iman_davenport")
+        values = [[float(k - j) for j in range(k)] for _ in range(n)]
+        values[0][:2] = values[0][1::-1]
+        t = [2 * n + 2 - n * (k + 1), 4 * n - 2 - n * (k + 1)]
+        t += [2 * n * j - n * (k + 1) for j in range(3, k + 1)]
+        three_t2 = 3 * sum(x * x for x in t)
+        assert n * n * k * (k * k - 1) - three_t2 == 24 * (n - 1)
+        res = friedman_test(matrix(values), variant="iman_davenport")
+        assert res.statistic == float(Fraction((n - 1) * three_t2, 24 * (n - 1)))
+
 
 class TestNemenyiCd:
     def test_headline_configuration(self):
@@ -195,26 +218,26 @@ class TestPairwiseSignificance:
     def test_worked_example(self):
         sig = pairwise_significance((1.5, 2.0, 3.9, 4.6), 1.0)
         expected = {(0, 2), (0, 3), (1, 2), (1, 3)}
-        got = {(a, b) for a in range(4) for b in range(a + 1, 4) if sig[a, b]}
+        got = {(a, b) for a in range(4) for b in range(a + 1, 4) if sig[a][b]}
         assert got == expected
 
     def test_boundary_gap_counts(self):
         sig = pairwise_significance((1.0, 2.0), 1.0)
-        assert sig[0, 1] and sig[1, 0]
+        assert sig[0][1] and sig[1][0]
 
     def test_cd_wider_than_span_gives_all_false(self):
-        assert not pairwise_significance((1.0, 2.0, 3.0), 5.0).any()
+        assert not any(map(any, pairwise_significance((1.0, 2.0, 3.0), 5.0)))
 
     def test_symmetric_false_diagonal_readonly(self):
         sig = pairwise_significance((1.0, 2.5, 3.0), 1.0)
-        assert np.array_equal(sig, sig.T)
-        assert not sig.diagonal().any()
-        with pytest.raises(ValueError):
-            sig[0, 1] = False
+        assert sig == tuple(zip(*sig))
+        assert not any(sig[j][j] for j in range(3))
+        with pytest.raises(TypeError):
+            sig[0][1] = False
 
     def test_accepts_average_ranks(self):
         r = AverageRanks(np.array([1.0, 2.0, 3.0]))
-        assert pairwise_significance(r, 1.5)[0, 2]
+        assert pairwise_significance(r, 1.5)[0][2]
 
     def test_cd_validated(self):
         with pytest.raises(ValidationError):
@@ -277,7 +300,7 @@ class TestIndistinguishableGroups:
             for g in indistinguishable_groups(r, cd):
                 for a in g:
                     for b in g:
-                        assert not sig[a, b]
+                        assert not sig[a][b]
 
 
 class TestNemenyiTest:
@@ -285,7 +308,7 @@ class TestNemenyiTest:
         r = average_ranks(consistent_matrix(31, 8))
         res = nemenyi_test(r, 31, alpha=0.05)
         assert res.cd == nemenyi_cd(8, 31, 0.05)
-        assert res.significant[0, 7]
+        assert res.significant[0][7]
         assert (0, 1) == res.groups[0]
 
     def test_significant_pairs_never_share_a_group(self):
@@ -299,7 +322,7 @@ class TestNemenyiTest:
                     member.setdefault(j, set()).add(gi)
             for a in range(6):
                 for b in range(6):
-                    if res.significant[a, b]:
+                    if res.significant[a][b]:
                         assert not (member[a] & member[b])
 
 

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdranks import (
     SimConfig,
+    UnsupportedDesignError,
     ValidationError,
     average_ranks,
     chi_square_sf,
@@ -17,7 +20,7 @@ from cdranks import (
     nemenyi_cd,
     pairwise_significance,
 )
-from cdranks.simulate import CHUNK_TRIALS
+from cdranks.simulate import CHUNK_TRIALS, _reject_threshold
 
 
 def config(n=10, k=3, effect=None, noise_sd=1.0, trials=10, seed=7, alpha=0.05):
@@ -58,6 +61,19 @@ class TestSimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             config(**kwargs)
+
+    @pytest.mark.parametrize("k", [3, 8, 20])
+    def test_int64_bound_on_the_design(self, k):
+        # the largest N with N^2 k(k^2-1) < 2^63 is accepted, the next one is not
+        n = math.isqrt((2**63 - 1) // (k * (k * k - 1)))
+        assert n * n * k * (k * k - 1) < 2**63 <= (n + 1) ** 2 * k * (k * k - 1)
+        assert config(n=n, k=k).n_datasets == n
+        with pytest.raises(UnsupportedDesignError, match=r"2\^63"):
+            config(n=n + 1, k=k)
+        # at the bound the threshold and the largest sum T^2 still fit in int64
+        largest = n * n * k * (k * k - 1) // 3
+        assert _reject_threshold(n, k, 0.05) <= largest < 2**63
+        assert int(np.array([largest], dtype=np.int64)[0]) == largest
 
     def test_to_dict_fields(self):
         d = config(effect=(0.5, 0.0, 0.0)).to_dict()
@@ -107,7 +123,7 @@ class TestGenerateMatrix:
 
     def test_shape_and_naming(self):
         m = generate_matrix(config(n=4, k=5), 0)
-        assert m.values.shape == (4, 5)
+        assert np.shape(m.values) == (4, 5)
         assert m.datasets[0] == "dataset_001"
         assert m.labels == tuple(f"model_{j:02d}" for j in range(1, 6))
 
@@ -125,7 +141,7 @@ class TestGenerateMatrix:
         for t in range(20):
             values = generate_matrix(cfg, t).values
             for row in values:
-                assert len(set(row.tolist())) == len(row)
+                assert len(set(row)) == len(row)
 
     def test_effect_dominates_when_noise_vanishes(self):
         cfg = config(n=10, k=3, effect=(1.0, 0.0, 0.0), noise_sd=1e-12, trials=1)
@@ -298,3 +314,33 @@ class TestBatchedKernel:
         assert est.omnibus_rejections == rejections
         assert np.array_equal(est.pairwise_detection, hits / trials)
         assert 0 < hits[0, 3] < trials
+
+
+class TestRejectThreshold:
+    """The kernel's integer threshold decides every sum of T^2 as the public sf does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 5000),
+        k=st.integers(3, 20),
+        alpha=st.floats(1e-6, 0.999, exclude_min=True),
+    )
+    def test_decisions_match_near_the_threshold(self, n, k, alpha):
+        threshold = _reject_threshold(n, k, alpha)
+        largest = n * n * k * (k * k - 1) // 3
+        assert 0 <= threshold <= largest + 1
+        for s in range(max(threshold - 3, 0), min(threshold + 3, largest) + 1):
+            stat = 3 * s / (n * k * (k + 1))
+            assert (s >= threshold) == (chi_square_sf(stat, k - 1) < alpha)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        n=st.integers(2, 40),
+        k=st.integers(3, 9),
+        alpha=st.sampled_from([0.05, 0.25, 0.5]),
+    )
+    def test_kernel_counts_equal_per_trial_pipeline(self, seed, n, k, alpha):
+        cfg = config(n=n, k=k, trials=60, seed=seed, alpha=alpha)
+        rejections, _ = _per_trial_counts(cfg)
+        assert estimate_type1(cfg).rejections == rejections
