@@ -64,7 +64,7 @@ def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
 
 
 def check_average_ranks(r: list) -> None:
-    """``simulate._check_rank_vectors`` for one list of ranks: same tolerance, same messages."""
+    """At least two finite average ranks in [1, k] that sum to k(k+1)/2 within 1e-9."""
     k = len(r)
     if k < 2:
         raise ValidationError("average ranks need at least two models")

@@ -131,8 +131,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         matrix = apply_manifest(parse_wide_csv(text, manifest.direction), manifest)
 
     alpha = args.alpha if args.alpha is not None else manifest.alpha
-    omnibus = friedman_test(matrix, alpha=alpha, variant=args.variant)
     ranks = average_ranks(matrix)
+    omnibus = friedman_test(matrix, alpha=alpha, variant=args.variant, ranks=ranks)
     posthoc = nemenyi_test(ranks, matrix.n_datasets, alpha=alpha)
     report = build_report(matrix, omnibus, posthoc, ranks)
     if args.summarize_tag is not None:

@@ -118,8 +118,12 @@ def friedman_test(
     m: PerformanceMatrix,
     alpha: float = 0.05,
     variant: "str | Variant" = Variant.FRIEDMAN,
+    ranks: "AverageRanks | None" = None,
 ) -> FriedmanResult:
     """Run the omnibus test on a performance matrix.
+
+    ``ranks`` is ``average_ranks(m)`` when the caller already holds it, as
+    the CLI does for the post-hoc; by default the matrix is ranked here.
 
     The ``friedman`` variant compares the statistic to chi-square with k - 1
     degrees of freedom.  The ``iman_davenport`` variant rescales it to
@@ -143,7 +147,7 @@ def friedman_test(
             SmallSampleWarning,
             stacklevel=2,
         )
-    three_t2 = 3 * _sum_t2(average_ranks(m), n, k)
+    three_t2 = 3 * _sum_t2(average_ranks(m) if ranks is None else ranks, n, k)
 
     if variant is Variant.FRIEDMAN:
         statistic, df, df2 = three_t2 / (n * k * (k + 1)), k - 1, None

@@ -145,7 +145,7 @@ def doubled_ranks(row, direction: "str | Direction") -> list:
 
     The values in sorted positions i..j (0-based) that tie share the
     mid-rank (i + j)/2 + 1, so they get the int i + j + 2.  Equal to
-    ``2 * simulate.midranks`` of the row, negated under ``maximize``.
+    ``simulate.doubled_midranks`` of the row, negated under ``maximize``.
     """
     descending = Direction.parse(direction) is Direction.MAXIMIZE
     order = sorted(range(len(row)), key=row.__getitem__, reverse=descending)

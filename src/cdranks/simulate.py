@@ -10,17 +10,18 @@ Trials run as a chunked numpy kernel rather than one object pipeline per
 trial; this is the only module that needs numpy.  Each chunk of up to
 ``CHUNK_TRIALS`` trials fills one (chunk, N, k) block, trial by trial, from
 the same streams that :func:`generate_matrix` uses; the whole block is then
-ranked, averaged and compared in bulk, with every invariant of the
-per-trial types checked once per chunk.  Memory is bounded by the chunk,
-not the trial count: the block and the ranking temporaries peak at about
-ten arrays of CHUNK_TRIALS * N * k floats, 4.6 MB at N=31, k=8.
+ranked in doubled ints by :func:`doubled_midranks`, summed and compared in
+bulk, with every invariant of the per-trial types checked exactly once per
+chunk.  Memory is bounded by the chunk, not the trial count: the block, its
+sort order and its sorted values, three arrays of CHUNK_TRIALS * N * k
+8-byte items, set the peak, 1.6 MB traced at N=31, k=8.
 
-The omnibus decision is an integer comparison.  The kernel recovers each
-trial's T_j = 2N R_j - N(k+1) from its average ranks, as
-``procedure.friedman_statistic`` does, and sums T_j^2 in int64 (``SimConfig``
-keeps N^2 k(k^2-1) below 2^63).  The p-value falls as that sum grows, so
-:func:`_reject_threshold` finds once, by binary search through the public
-scalar ``chi_square_sf``, the least sum that the public pipeline rejects.
+The omnibus decision is an integer comparison.  Each trial's doubled rank
+sums 2 S_j give T_j = 2 S_j - N(k+1), as in ``procedure.friedman_statistic``,
+and T_j^2 is summed in int64 (``SimConfig`` keeps N^2 k(k^2-1) below 2^63).
+The p-value falls as that sum grows, so :func:`_reject_threshold` finds
+once, by binary search through the public scalar ``chi_square_sf``, the
+least sum that the public pipeline rejects.
 """
 
 from __future__ import annotations
@@ -92,74 +93,62 @@ class SimConfig:
         }
 
 
-def midranks(a) -> np.ndarray:
-    """Rank along the last axis: 1 = smallest, tied values share their mean position.
+def doubled_midranks(a: np.ndarray) -> np.ndarray:
+    """Twice the mid-ranks along the last axis, as ints (rank 1 = smallest).
 
-    Sort-based, O(k log k) per row, for an array of any shape with at least
-    one axis.  For finite input the result equals SciPy's
-    ``rankdata(a, method="average", axis=-1)`` exactly: mid-ranks are
-    integers or halves, so no rounding enters.  ``ranks.doubled_ranks`` is
-    the pure-Python form for one row.
+    The values in sorted positions i..j (0-based) that tie share the doubled
+    rank i + j + 2, the rule of ``ranks.doubled_ranks``.  The result has
+    ``a``'s shape and the smallest signed int dtype that holds 2k.  Rows are
+    sorted as an (M, k) block and scanned in its (k, M) transpose, so each of
+    the k steps that find the tie bounds is one vector op over all M rows.
     """
-    a = np.asarray(a, dtype=float)
     k = a.shape[-1]
-    order = np.argsort(a, axis=-1)
-    ordered = np.take_along_axis(a, order, axis=-1)
-    pos = np.arange(k)
-    # A tie run starts where the sorted value changes and ends before the next start.
-    starts = np.ones(a.shape, dtype=bool)
-    starts[..., 1:] = ordered[..., 1:] != ordered[..., :-1]
-    del ordered  # the kernel's peak memory is a handful of blocks like this one
-    ends = np.ones(a.shape, dtype=bool)
-    ends[..., :-1] = starts[..., 1:]
-    bounds = np.maximum.accumulate(np.where(starts, pos, 0), axis=-1)  # first + last, in place
-    bounds += np.minimum.accumulate(np.where(ends, pos, k - 1)[..., ::-1], axis=-1)[..., ::-1]
-    out = np.empty(a.shape)
-    np.put_along_axis(out, order, bounds / 2.0 + 1.0, axis=-1)
+    m = a.size // k
+    order = np.argsort(a.reshape(m, k).T, axis=0)  # (k, M): column r sorts row r
+    order += np.arange(0, m * k, k)  # -> flat index into a
+    ordered = a.ravel()[order]
+    new = ordered[1:] != ordered[:-1]  # sorted position i + 1 starts a tie run
+    del ordered  # the kernel's peak memory is the block, order and ordered
+    # a signed dtype that holds -(2k + 1) holds 2k: int8 up to k = 63
+    dtype = np.min_scalar_type(-2 * k - 1)
+    pos = np.arange(k, dtype=dtype)[:, None]
+    first = np.zeros((k, m), dtype=dtype)
+    np.multiply(new, pos[1:], out=first[1:])  # i where a run starts at i, else 0
+    last = np.full((k, m), k - 1, dtype=dtype)
+    last[:-1] -= new * (k - 1 - pos[:-1])  # i where a run ends at i, else k - 1
+    for i in range(1, k):  # first runs forward, last backward
+        np.maximum(first[i], first[i - 1], out=first[i])
+        np.minimum(last[k - 1 - i], last[k - i], out=last[k - 1 - i])
+    first += last
+    first += 2
+    out = np.empty(a.shape, dtype=dtype)
+    out.reshape(-1)[order] = first
     return out
 
 
-def _check_rank_vectors(r: np.ndarray, name: str) -> None:
-    """Every vector along the last axis is finite, lies in [1, k] and sums to k(k+1)/2.
+def midranks(a) -> np.ndarray:
+    """Rank along the last axis: 1 = smallest, tied values share their mean position.
 
-    The sum test is ``math.isclose(total, k(k+1)/2, rel_tol=1e-9, abs_tol=1e-9)``.
-    ``name`` ("rank" or "average rank") words the error messages;
-    ``cd.check_average_ranks`` is the pure-Python form for one vector.
+    For finite input of any shape with at least one axis, the float64 result
+    equals SciPy's ``rankdata(a, method="average", axis=-1)`` exactly:
+    it is :func:`doubled_midranks` halved.
     """
-    k = r.shape[-1]
-    if np.any(~np.isfinite(r)):
-        raise ValidationError(f"{name}s must be finite")
-    if np.any(r < 1) or np.any(r > k):
-        raise ValidationError(f"{name}s must lie in [1, {k}]")
-    target = k * (k + 1) / 2
-    totals = r.sum(axis=-1).ravel()
-    tol = np.maximum(1e-9 * np.maximum(np.abs(totals), target), 1e-9)
-    bad = np.flatnonzero(np.abs(totals - target) > tol)
+    return doubled_midranks(np.asarray(a, dtype=float)) / 2.0
+
+
+def _doubled_rank_sums(d: np.ndarray, k: int) -> np.ndarray:
+    """Column sums of a (trials, N, k) block of doubled ranks, after its exact checks.
+
+    Every doubled rank lies in [2, 2k] and every row sums to k(k+1): the int
+    forms of the rank-row and average-rank invariants, with no tolerance.
+    The sums of each trial then total N k(k+1) in exact int arithmetic.
+    """
+    if d.min() < 2 or d.max() > 2 * k:
+        raise ValidationError(f"doubled ranks must lie in [2, {2 * k}]")
+    bad = np.flatnonzero(d.sum(axis=-1, dtype=np.int64) != k * (k + 1))
     if bad.size:
-        i = bad[0]
-        raise ValidationError(f"row {i} {name} sum {totals[i]} != k(k+1)/2 = {target}")
-
-
-def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
-    """Average ranks of a stack of performance blocks: shape (..., N, k) -> (..., k).
-
-    The bulk form of ``ranks.average_ranks``, with the same bits: the mean
-    of N half-integers is their exact sum over N, correctly rounded.  It
-    enforces, once per stack, the invariants that the PerformanceMatrix and
-    AverageRanks constructors enforce per matrix: finite values, ranks in
-    [1, k], rank rows and average-rank vectors summing to k(k+1)/2.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim < 2 or values.shape[-1] < 2:
-        raise ValidationError(f"need blocks of at least two models, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValidationError("performance values must be finite")
-    signed = -values if Direction.parse(direction) is Direction.MAXIMIZE else values
-    ranks = midranks(signed)
-    _check_rank_vectors(ranks, "rank")
-    avg = ranks.mean(axis=-2)
-    _check_rank_vectors(avg, "average rank")
-    return avg
+        raise ValidationError(f"rank row {bad[0]} does not sum to k(k+1)/2 = {k * (k + 1) // 2}")
+    return d.sum(axis=-2, dtype=np.int64)
 
 
 def _reject_threshold(n: int, k: int, alpha: float) -> int:
@@ -227,10 +216,14 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
     for lo in range(start, stop, CHUNK_TRIALS):
         values = block[: min(CHUNK_TRIALS, stop - lo)]
         _draw(cfg, lo, values)
-        avg = stacked_average_ranks(values, Direction.MAXIMIZE)
-        t = np.rint(avg * (2 * n)).astype(np.int64) - n * (k + 1)
+        if not np.isfinite(values).all():
+            raise ValidationError("performance values must be finite")
+        np.negative(values, out=values)  # maximize: rank 1 = largest value
+        s2 = _doubled_rank_sums(doubled_midranks(values), k)
+        t = s2 - n * (k + 1)
         rejections += int(np.count_nonzero((t * t).sum(axis=-1) >= threshold))
         if cd is not None:
+            avg = s2 / (2 * n)  # the correctly rounded rational of ranks.average_ranks
             pair_hits += (np.abs(avg[:, :, None] - avg[:, None, :]) >= cd).sum(axis=0)
     return rejections, pair_hits
 

@@ -146,6 +146,21 @@ class TestAnalyze:
         assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
         assert out.read_bytes() == Path(REPORT).read_bytes()
 
+    def test_each_row_ranked_once(self, capsys, monkeypatch):
+        # the omnibus and the post-hoc share one AverageRanks
+        import cdranks.ranks
+
+        rows = []
+        rank_row = cdranks.ranks.doubled_ranks
+        monkeypatch.setattr(
+            cdranks.ranks, "doubled_ranks", lambda *args: rows.append(1) or rank_row(*args)
+        )
+        argv = ["analyze", RESULTS, "--manifest", MANIFEST, "--summarize-tag", "feature_set"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == Path(REPORT).read_text(encoding="utf-8")
+        assert len(rows) == json.loads(out)["n_datasets"] == 31
+
     @pytest.mark.parametrize("name, argv", sorted(_goldens("LONG_GOLDENS").items()))
     def test_long_golden_bytes(self, capsys, tmp_path, name, argv):
         out = tmp_path / name

@@ -76,6 +76,13 @@ class TestFriedmanStatistic:
                 assert friedman_statistic(average_ranks(matrix(values)), n, k) == exact
                 assert friedman_test(matrix(values)).statistic == exact
 
+    @pytest.mark.parametrize("variant", ["friedman", "iman_davenport"])
+    def test_given_ranks_equal_ranking_the_matrix(self, variant):
+        m = matrix(np.random.default_rng(3).integers(0, 3, (20, 5)).astype(float))
+        assert friedman_test(m, variant=variant, ranks=average_ranks(m)) == friedman_test(
+            m, variant=variant
+        )
+
     def test_ranks_that_are_not_rank_sums_rejected(self):
         # 1.1 is no multiple of 1/(2N) for N = 4, and [1, 1, 4] has no ranking with ranks >= 1
         for ranks, n in (([1.1, 2.0, 2.9], 4), ([1.0, 1.0, 4.0], 5)):

@@ -18,7 +18,8 @@ from cdranks import (
 )
 from cdranks.cd import check_average_ranks
 from cdranks.ranks import doubled_ranks
-from cdranks.simulate import _check_rank_vectors, midranks, stacked_average_ranks
+from cdranks.simulate import doubled_midranks, midranks
+from stacked_ranks import check_rank_vectors, stacked_average_ranks
 
 
 def matrix(values, direction="maximize"):
@@ -69,19 +70,22 @@ class TestRankRow:
 
 
 # Value families that exercise the tie handling: continuous draws (ties
-# rare), discrete scores in {0, 1, 2} (ties everywhere), rounded reals, and
-# constant blocks where every row is one tie.
+# rare), discrete scores in {0, 1, 2} (ties everywhere), rounded reals,
+# signed zeros (equal, though their bits differ), and constant blocks where
+# every row is one tie.
 _ELEMENTS = {
     "continuous": st.floats(-1e6, 1e6, allow_nan=False),
     "scores": st.integers(0, 2).map(float),
     "rounded": st.floats(-3.0, 3.0).map(lambda v: round(v, 1)),
+    "signed_zeros": st.sampled_from([0.0, -0.0]),
 }
 
 
 @st.composite
 def midrank_inputs(draw):
-    # (k,), (N, k) and (T, N, k) blocks
-    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=9))
+    # (k,), (N, k) and (T, N, k) blocks, k up to 20
+    lead = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=9))
+    shape = lead + (draw(st.integers(1, 20)),)
     kind = draw(st.sampled_from(sorted(_ELEMENTS) + ["all_equal"]))
     if kind == "all_equal":
         return np.full(shape, draw(_ELEMENTS["rounded"]))
@@ -96,6 +100,21 @@ class TestMidranks:
         assert got.dtype == want.dtype == np.float64
         assert got.shape == a.shape
         assert np.array_equal(got, want)
+        # the integer core under it: twice the mid-ranks, in int8 for k <= 63
+        doubled = doubled_midranks(a)
+        assert doubled.dtype == np.int8
+        assert np.array_equal(doubled, (2 * want).astype(np.int64))
+
+    @pytest.mark.parametrize("k, dtype", [(63, np.int8), (64, np.int16)])
+    def test_doubled_core_dtype_holds_2k(self, k, dtype):
+        # 2k = 126 fits int8 and 128 does not; all-tied rows hit k + 1 and
+        # untied rows reach the extremes 2 and 2k
+        rng = np.random.default_rng(k)
+        a = np.stack([rng.standard_normal(k), np.zeros(k), rng.integers(0, 3, k) * 1.0])
+        got = doubled_midranks(a)
+        assert got.dtype == dtype
+        assert np.array_equal(got, (2 * rankdata(a, axis=-1)).astype(np.int64))
+        assert got[0].min() == 2 and got[0].max() == 2 * k
 
     def test_ties_share_mean_position(self):
         assert midranks([2.0, 1.0, 2.0, 2.0, 0.0]).tolist() == [4, 2, 4, 4, 1]
@@ -236,7 +255,7 @@ class TestRankTypes:
             except ValidationError as exc:
                 return str(exc)
 
-        stacked = outcome(_check_rank_vectors, np.array(r), "average rank")
+        stacked = outcome(check_rank_vectors, np.array(r), "average rank")
         assert outcome(check_average_ranks, r) == stacked
 
     def test_average_ranks_indexing(self):

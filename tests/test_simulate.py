@@ -1,6 +1,7 @@
 """Synthetic benchmark trials: reproducibility, error rates, power."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from cdranks import (
     nemenyi_cd,
     pairwise_significance,
 )
-from cdranks.simulate import CHUNK_TRIALS, _reject_threshold
+from cdranks import simulate
+from cdranks.simulate import CHUNK_TRIALS, _reject_threshold, _run_chunk
 
 
 def config(n=10, k=3, effect=None, noise_sd=1.0, trials=10, seed=7, alpha=0.05):
@@ -314,6 +316,77 @@ class TestBatchedKernel:
         assert est.omnibus_rejections == rejections
         assert np.array_equal(est.pairwise_detection, hits / trials)
         assert 0 < hits[0, 3] < trials
+
+
+class TestIntegerKernel:
+    """The kernel's int ranks: ties end to end, working set, exact checks."""
+
+    @pytest.fixture
+    def rounded_draws(self, monkeypatch):
+        # values rounded to a few levels: ties in most rows, and -0.0 beside 0.0
+        draw = simulate._draw
+
+        def rounded(cfg, first_trial, out):
+            draw(cfg, first_trial, out)
+            np.round(out, out=out)
+
+        monkeypatch.setattr(simulate, "_draw", rounded)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5])
+    def test_tied_null_matches_per_trial_pipeline(self, rounded_draws, alpha):
+        cfg = config(n=31, k=8, trials=CHUNK_TRIALS + 3, seed=47, alpha=alpha)
+        assert len(set(generate_matrix(cfg, 0).values[0])) < 8
+        rejections, _ = _per_trial_counts(cfg)
+        assert 0 < rejections < cfg.trials
+        assert _run_chunk(cfg, 0, cfg.trials)[0] == rejections
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+    def test_tied_power_matches_per_trial_pipeline(self, rounded_draws, alpha):
+        effect = (0.9, 0.5, 0.2, 0.0, 0.0)
+        cfg = config(n=12, k=5, effect=effect, trials=CHUNK_TRIALS + 3, seed=53, alpha=alpha)
+        rejections, hits = _per_trial_counts(cfg)
+        assert 0 < hits[0, 3] < cfg.trials
+        got_rejections, got_hits = _run_chunk(cfg, 0, cfg.trials)
+        assert got_rejections == rejections
+        assert np.array_equal(got_hits, hits)
+
+    def test_chunk_working_set(self):
+        # the block, the sort order and the sorted values: three 0.5 MB arrays
+        cfg = config(n=31, k=8, effect=tuple(j / 10 for j in range(8)), trials=CHUNK_TRIALS)
+        _run_chunk(cfg, 0, CHUNK_TRIALS)
+        tracemalloc.start()
+        try:
+            _run_chunk(cfg, 0, CHUNK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda row: row.__setitem__(0, 0), r"lie in \[2, 16\]"),
+            (lambda row: row.__setitem__(slice(None), 2), "does not sum"),
+            (lambda row: row.__setitem__(0, row[0] + 2 if row[0] < 16 else 14), "does not sum"),
+        ],
+    )
+    def test_exact_checks_fire(self, monkeypatch, corrupt, message):
+        core = simulate.doubled_midranks
+
+        def corrupted(a):
+            d = core(a)
+            corrupt(d[-1, 5])
+            return d
+
+        monkeypatch.setattr(simulate, "doubled_midranks", corrupted)
+        with pytest.raises(ValidationError, match=message):
+            _run_chunk(config(n=31, k=8, trials=CHUNK_TRIALS), 0, CHUNK_TRIALS)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_draws_rejected(self):
+        cfg = config(n=31, k=8, noise_sd=1e308, trials=3)
+        with pytest.raises(ValidationError, match="finite"):
+            estimate_type1(cfg)
 
 
 class TestRejectThreshold:
