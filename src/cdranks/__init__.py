@@ -20,7 +20,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "cd": "SUPPORTED_ALPHAS SUPPORTED_K indistinguishable_groups nemenyi_cd q_alpha",
-        "diagram": "CDBracket DiagramBar DiagramEntry DiagramSpec RenderOptions layout render_svg",
+        "diagram": "DiagramBar DiagramEntry DiagramSpec RenderOptions layout render_svg",
         "distributions": "chi_square_sf f_sf",
         "errors": "CdranksError DegenerateStatisticError DroppedDatasetsWarning "
         "IncompleteDesignError SmallSampleWarning UnsupportedDesignError ValidationError",

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import UnsupportedDesignError, ValidationError, check_positive
+from .errors import UnsupportedDesignError, ValidationError, check_datasets, check_positive
 
 SUPPORTED_ALPHAS = (0.01, 0.05, 0.10)
 SUPPORTED_K = range(2, 21)
@@ -57,8 +57,7 @@ def q_alpha(k: int, alpha: float) -> float:
 
 def nemenyi_cd(k: int, n_datasets: int, alpha: float = 0.05) -> float:
     """Critical difference q_alpha * sqrt(k(k+1) / (6N)) in average-rank units."""
-    if n_datasets < 2:
-        raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
+    check_datasets(n_datasets)
     # int arithmetic: 6.0 * N would overflow for N past the float range
     return q_alpha(k, alpha) * math.sqrt(k * (k + 1) / (6 * n_datasets))
 

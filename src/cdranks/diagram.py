@@ -16,20 +16,20 @@ from .cd import indistinguishable_groups, rank_list
 from .errors import ValidationError, check_int, check_label, check_unique
 
 
+# Fixed pixel geometry and label precision of every rendered diagram.
+_ROW_HEIGHT_PX = 22
+_FONT_SIZE_PX = 12
+_RANK_DECIMALS = 3
+
+
 @dataclass(frozen=True)
 class RenderOptions:
-    """Pixel-level knobs for :func:`render_svg`."""
+    """The one pixel-level setting of :func:`render_svg`: the document width."""
 
     width_px: int = 800
-    row_height_px: int = 22
-    font_size_px: int = 12
-    decimals_for_rank: int = 3
 
     def __post_init__(self):
-        for name, lo in (
-            ("width_px", 1), ("row_height_px", 1), ("font_size_px", 1), ("decimals_for_rank", 0)
-        ):
-            check_int(getattr(self, name), name, lo)
+        check_int(self.width_px, "width_px", 1)
 
 
 @dataclass(frozen=True)
@@ -48,19 +48,11 @@ class DiagramBar:
 
 
 @dataclass(frozen=True)
-class CDBracket:
-    start: float
-    length: float
-
-
-@dataclass(frozen=True)
 class DiagramSpec:
-    """Resolved diagram geometry, all positions in rank units."""
+    """Resolved geometry in rank units: ticks at 1..k, a CD bracket from rank 1 to 1 + cd."""
 
-    axis_min: float
-    axis_max: float
-    ticks: tuple
-    cd_bracket: CDBracket
+    k: int
+    cd: float
     entries: tuple
     bars: tuple
 
@@ -120,10 +112,8 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     ]
 
     return DiagramSpec(
-        axis_min=1.0,
-        axis_max=float(k),
-        ticks=tuple(range(1, k + 1)),
-        cd_bracket=CDBracket(start=1.0, length=float(cd)),
+        k=k,
+        cd=float(cd),
         entries=tuple(entries),
         bars=tuple(_assign_bar_levels(spans)),
     )
@@ -153,13 +143,13 @@ def render_svg(
     ``annotation`` line is stamped under the diagram.
     """
     w = opts.width_px
-    fs = opts.font_size_px
+    fs = _FONT_SIZE_PX
     gutter = round(0.30 * w)
     x0, x1 = float(gutter), float(w - gutter)
-    span = spec.axis_max - spec.axis_min
+    span = spec.k - 1
 
     def x_at(rank: float) -> float:
-        return x0 + (rank - spec.axis_min) * (x1 - x0) / span
+        return x0 + (rank - 1.0) * (x1 - x0) / span
 
     pad = 8
     bar_gap = 6
@@ -171,7 +161,7 @@ def render_svg(
     n_levels = 1 + max((b.level for b in spec.bars), default=-1)
     labels_top = bars_top + n_levels * bar_gap + 10
     n_rows = 1 + max((e.row for e in spec.entries), default=-1)
-    height = labels_top + n_rows * opts.row_height_px + pad
+    height = labels_top + n_rows * _ROW_HEIGHT_PX + pad
     if annotation is not None:
         height += fs + pad
 
@@ -183,7 +173,7 @@ def render_svg(
         f'font-family="sans-serif" font-size="{fs}">'
     )
 
-    bx0, bx1 = x_at(spec.cd_bracket.start), x_at(spec.cd_bracket.start + spec.cd_bracket.length)
+    bx0, bx1 = x_at(1.0), x_at(1.0 + spec.cd)
     out.append(
         f'<path class="cd-bracket" fill="none" stroke="black" '
         f'd="M {_px(bx0)} {_px(y_bracket + 4)} L {_px(bx0)} {_px(y_bracket)} '
@@ -198,8 +188,8 @@ def render_svg(
         f'<line class="axis" stroke="black" x1="{_px(x0)}" y1="{_px(y_axis)}" '
         f'x2="{_px(x1)}" y2="{_px(y_axis)}"/>'
     )
-    for t in spec.ticks:
-        tx = x_at(float(t))
+    for t in range(1, spec.k + 1):
+        tx = x_at(t)
         out.append(
             f'<line class="tick" stroke="black" x1="{_px(tx)}" y1="{_px(y_axis)}" '
             f'x2="{_px(tx)}" y2="{_px(y_axis - 5)}"/>'
@@ -219,7 +209,7 @@ def render_svg(
 
     for e in spec.entries:
         sx = x_at(e.rank)
-        ry = labels_top + e.row * opts.row_height_px
+        ry = labels_top + e.row * _ROW_HEIGHT_PX
         if e.side == "left":
             gx, tx, anchor = x0 - 4, x0 - 8, "end"
         else:
@@ -228,7 +218,7 @@ def render_svg(
             f'<path class="stem" fill="none" stroke="black" '
             f'd="M {_px(sx)} {_px(y_axis)} L {_px(sx)} {_px(ry)} L {_px(gx)} {_px(ry)}"/>'
         )
-        text = f"{e.label} ({e.rank:.{opts.decimals_for_rank}f})"
+        text = f"{e.label} ({e.rank:.{_RANK_DECIMALS}f})"
         out.append(
             f'<text class="label" x="{_px(tx)}" y="{_px(ry + 0.35 * fs)}" '
             f'text-anchor="{anchor}">{_escape(text)}</text>'

@@ -122,14 +122,28 @@ def check_positive(value, name: str):
     return value
 
 
-def check_int(value: int, name: str, lo: int, hi: "int | None" = None) -> int:
-    """Return ``value`` if it is an int, not a bool, with lo <= value (< hi); else ValidationError."""
+def check_int(value: int, name: str, lo: "int | None" = None, hi: "int | None" = None) -> int:
+    """Return ``value`` if it is an int, not a bool, with (lo <=) value (< hi); else ValidationError."""
     if not (
         isinstance(value, int)
         and not isinstance(value, bool)
-        and lo <= value
+        and (lo is None or lo <= value)
         and (hi is None or value < hi)
     ):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi})"
-        raise ValidationError(f"{name} must be an integer {bound}, got {value!r}")
+        bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
     return value
+
+
+def check_models(k: int) -> int:
+    """Return ``k`` if the rank tests cover k models (k >= 3); else UnsupportedDesignError."""
+    if k < 3:
+        raise UnsupportedDesignError(f"k={k} models unsupported: the rank test machinery needs k >= 3")
+    return k
+
+
+def check_datasets(n_datasets: int) -> int:
+    """Return ``n_datasets`` if the rank tests cover N datasets (N >= 2); else UnsupportedDesignError."""
+    if n_datasets < 2:
+        raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
+    return n_datasets

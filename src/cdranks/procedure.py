@@ -18,10 +18,11 @@ from .distributions import chi_square_sf, f_sf
 from .errors import (
     DegenerateStatisticError,
     SmallSampleWarning,
-    UnsupportedDesignError,
     ValidationError,
     check_alpha,
     check_choice,
+    check_datasets,
+    check_models,
     check_positive,
 )
 from .ranks import AverageRanks, PerformanceMatrix, average_ranks
@@ -87,13 +88,11 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     not mid-rank sums over N datasets raise ValidationError: 2 S_j / (2N) must
     give R_j back, each 2 S_j must lie in [2N, 2Nk], and they must total N k(k+1).
     """
-    if k < 3:
-        raise UnsupportedDesignError(f"k={k} models unsupported: need k >= 3")
+    check_models(k)
     r = rank_list(ranks)
     if len(r) != k:
         raise ValidationError(f"{len(r)} average ranks for k={k} models")
-    if n_datasets < 2:
-        raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
+    check_datasets(n_datasets)
     two_n = 2 * n_datasets
     s2 = [round(two_n * v) for v in r]
     if sum(s2) != n_datasets * k * (k + 1) or any(

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Mapping
 
 from .cd import check_average_ranks
-from .errors import UnsupportedDesignError, ValidationError, check_choice, check_label, check_unique
+from .errors import ValidationError, check_choice, check_label, check_models, check_unique
 
 
 class Direction(str, Enum):
@@ -83,10 +83,7 @@ class PerformanceMatrix:
         k = len(values[0])
         if len(models) != k:
             raise ValidationError(f"{len(models)} models for {k} columns")
-        if k < 3:
-            raise UnsupportedDesignError(
-                f"k={k} models unsupported: the rank test machinery needs k >= 3"
-            )
+        check_models(k)
         check_unique(datasets, "duplicate dataset id(s)")
         labels = [m.label for m in models]
         check_unique(labels, "duplicate model label(s)")
@@ -129,12 +126,8 @@ class AverageRanks:
         check_average_ranks(list(r))
         object.__setattr__(self, "r", r)
 
-    @property
-    def k(self) -> int:
-        return len(self.r)
-
     def __len__(self) -> int:
-        return self.k
+        return len(self.r)
 
     def __getitem__(self, j: int) -> float:
         return self.r[j]

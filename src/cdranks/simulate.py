@@ -34,7 +34,8 @@ import numpy as np
 
 from .cd import nemenyi_cd
 from .distributions import chi_square_sf
-from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_int, check_positive
+from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_int
+from .errors import check_models, check_positive
 from .ranks import Direction, ModelId, PerformanceMatrix
 
 # 97.5% normal quantile, for the 95% Wilson interval.
@@ -58,19 +59,17 @@ class SimConfig:
     alpha: float = 0.05
 
     def __post_init__(self):
-        for name, lo in (("n_datasets", 2), ("n_models", 3), ("trials", 1)):
-            check_int(getattr(self, name), name, lo)
-        n, k = self.n_datasets, self.n_models
+        n = check_datasets(check_int(self.n_datasets, "n_datasets"))
+        k = check_models(check_int(self.n_models, "n_models"))
+        check_int(self.trials, "trials", 1)
         if n * n * k * (k * k - 1) >= 2**63:
             raise UnsupportedDesignError(
                 f"N={n}, k={k} unsupported: the kernel needs N^2 k(k^2-1) < 2^63"
             )
         check_int(self.seed, "seed", 0, 2**64)
         effect = tuple(float(e) for e in self.effect)
-        if len(effect) != self.n_models:
-            raise ValidationError(
-                f"effect vector has {len(effect)} entries for {self.n_models} models"
-            )
+        if len(effect) != k:
+            raise ValidationError(f"effect vector has {len(effect)} entries for {k} models")
         if not all(math.isfinite(e) for e in effect):
             raise ValidationError("effect entries must be finite")
         object.__setattr__(self, "effect", effect)
@@ -126,16 +125,6 @@ def doubled_midranks(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def midranks(a) -> np.ndarray:
-    """Rank along the last axis: 1 = smallest, tied values share their mean position.
-
-    For finite input of any shape with at least one axis, the float64 result
-    equals SciPy's ``rankdata(a, method="average", axis=-1)`` exactly:
-    it is :func:`doubled_midranks` halved.
-    """
-    return doubled_midranks(np.asarray(a, dtype=float)) / 2.0
-
-
 def _doubled_rank_sums(d: np.ndarray, k: int) -> np.ndarray:
     """Column sums of a (trials, N, k) block of doubled ranks, after its exact checks.
 
@@ -183,8 +172,9 @@ def _draw(cfg: SimConfig, first_trial: int, out: np.ndarray) -> None:
         fresh["state"]["key"][1] = first_trial + i
         bits.state = fresh
         gen.standard_normal(out=trial_values)
-    out *= cfg.noise_sd
-    out += cfg.effect
+    with np.errstate(over="ignore"):  # an overflow is non-finite; the callers reject it
+        out *= cfg.noise_sd
+        out += cfg.effect
 
 
 def generate_matrix(cfg: SimConfig, trial_index: int) -> PerformanceMatrix:
@@ -238,14 +228,8 @@ def _run_trials(cfg: SimConfig, workers: int) -> tuple:
     from concurrent.futures import ProcessPoolExecutor
     # Under fork the pool starts all max_workers processes up front.
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        results = list(
-            pool.map(_run_chunk, repeat(cfg), (a for a, _ in spans), (b for _, b in spans))
-        )
-    rejections = sum(r for r, _ in results)
-    pair_hits = np.zeros((cfg.n_models, cfg.n_models), dtype=np.int64)
-    for _, hits in results:
-        pair_hits += hits
-    return rejections, pair_hits
+        rejections, pair_hits = zip(*pool.map(_run_chunk, repeat(cfg), *zip(*spans)))
+    return sum(rejections), sum(pair_hits)
 
 
 def _wilson_ci(successes: int, trials: int) -> tuple:
@@ -288,12 +272,7 @@ class PowerEstimate:
     omnibus_rate: float
     ci_low: float
     ci_high: float
-    pairwise_detection: np.ndarray
-
-    def __post_init__(self):
-        rates = np.array(self.pairwise_detection, dtype=float)
-        rates.setflags(write=False)
-        object.__setattr__(self, "pairwise_detection", rates)
+    pairwise_detection: tuple  # k row tuples of floats
 
     def to_dict(self) -> dict:
         return {
@@ -303,7 +282,7 @@ class PowerEstimate:
             "ci_high": self.ci_high,
             "trials": self.config.trials,
             "cd": self.cd,
-            "pairwise_detection": self.pairwise_detection.tolist(),
+            "pairwise_detection": [list(row) for row in self.pairwise_detection],
         }
 
 
@@ -335,5 +314,5 @@ def estimate_power(cfg: SimConfig, workers: int = 1) -> PowerEstimate:
         omnibus_rate=rejections / cfg.trials,
         ci_low=lo,
         ci_high=hi,
-        pairwise_detection=pair_hits / cfg.trials,
+        pairwise_detection=tuple(tuple(h / cfg.trials for h in row) for row in pair_hits.tolist()),
     )

@@ -4,6 +4,10 @@ Run from the repository root::
 
     python3 tests/fixtures/make_fixtures.py
 
+``main(out_dir)`` writes the same seven files into another directory, which
+is how the test suite checks that the checked-in goldens are what this
+script makes.
+
 Two algorithms x four feature sets over 31 courses.  The clickstream models
 are planted far above the rest (their rank gap to every other model exceeds
 the critical difference at alpha = 0.05), while the remaining six stay in
@@ -28,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cdranks import cli, nemenyi_cd, parse_wide_csv
-from cdranks.simulate import midranks
+from cdranks import average_ranks, cli, nemenyi_cd, parse_wide_csv
+from cdranks.ranks import doubled_ranks
 
 HERE = Path(__file__).parent
 SEED = 20260815
@@ -78,20 +82,22 @@ def build_csv() -> str:
 
 def check_planted_structure(csv_text: str) -> None:
     matrix = parse_wide_csv(csv_text)
-    ranks = midranks(-np.array(matrix.values))
-    avg = ranks.mean(axis=0)
+    doubled = [doubled_ranks(row, "maximize") for row in matrix.values]
+    avg = average_ranks(matrix).r
     cd = nemenyi_cd(len(MODELS), N_DATASETS, 0.05)
     click, rest = avg[:2], avg[2:]
-    assert np.all(ranks[:, :2] <= 2), "clickstream models must rank top-2 in every row"
-    assert rest.min() - click.max() >= cd, "planted cross-tag gap must exceed the CD"
-    assert rest.max() - rest.min() < cd, "the six remaining models must form one band"
-    assert click.max() - click.min() < cd, "the clickstream pair must form one band"
+    # doubled ranks: rank 2 is 4
+    assert all(max(row[:2]) <= 4 for row in doubled), "clickstream models must rank top-2 everywhere"
+    assert min(rest) - max(click) >= cd, "planted cross-tag gap must exceed the CD"
+    assert max(rest) - min(rest) < cd, "the six remaining models must form one band"
+    assert max(click) - min(click) < cd, "the clickstream pair must form one band"
 
 
-def main() -> None:
+def main(out_dir: Path = HERE) -> None:
+    out_dir = Path(out_dir)
     csv_text = build_csv()
     check_planted_structure(csv_text)
-    (HERE / "results_31x8.csv").write_text(csv_text, encoding="utf-8")
+    (out_dir / "results_31x8.csv").write_text(csv_text, encoding="utf-8")
 
     manifest = {
         "metric_name": "accuracy",
@@ -102,17 +108,17 @@ def main() -> None:
             for label, algo, feats, _ in MODELS
         ],
     }
-    (HERE / "manifest_31x8.json").write_text(
+    (out_dir / "manifest_31x8.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
 
-    report_path = HERE / "report_31x8.json"
+    report_path = out_dir / "report_31x8.json"
     rc = cli.main(
         [
             "analyze",
-            str(HERE / "results_31x8.csv"),
+            str(out_dir / "results_31x8.csv"),
             "--manifest",
-            str(HERE / "manifest_31x8.json"),
+            str(out_dir / "manifest_31x8.json"),
             "--summarize-tag",
             "feature_set",
             "--out",
@@ -120,12 +126,12 @@ def main() -> None:
         ]
     )
     assert rc == 0, f"analyze failed with exit code {rc}"
-    rc = cli.main(["diagram", str(report_path), "--out", str(HERE / "golden_cd.svg")])
+    rc = cli.main(["diagram", str(report_path), "--out", str(out_dir / "golden_cd.svg")])
     assert rc == 0, f"diagram failed with exit code {rc}"
     for name, argv in {**SIMULATE_GOLDENS, **LONG_GOLDENS}.items():
-        rc = cli.main([*argv, "--out", str(HERE / name)])
+        rc = cli.main([*argv, "--out", str(out_dir / name)])
         assert rc == 0, f"{name}: {argv[0]} failed with exit code {rc}"
-    print("fixtures written to", HERE)
+    print("fixtures written to", out_dir)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
-"""Test oracle: numpy forms of ``ranks.average_ranks`` and ``cd.check_average_ranks``.
+"""Test oracle: numpy forms of ranking, ``ranks.average_ranks`` and ``cd.check_average_ranks``.
 
-``stacked_average_ranks`` averages a stack of performance blocks through the
-simulate kernel's integer core, so the tests can hold that core to the
-pure-Python per-matrix pipeline on tied blocks.  ``check_rank_vectors`` is
-the float-tolerance check that ``cd.check_average_ranks`` applies to one
-vector.  Neither is part of the package; only the test suite imports them.
+``midranks`` is the float form of the simulate kernel's integer core, the
+form that SciPy's ``rankdata`` returns.  ``stacked_average_ranks`` averages a
+stack of performance blocks through that core, so the tests can hold it to
+the pure-Python per-matrix pipeline on tied blocks.  ``check_rank_vectors``
+is the float-tolerance check that ``cd.check_average_ranks`` applies to one
+vector.  None is part of the package; only the test suite imports them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ import numpy as np
 
 from cdranks import Direction, ValidationError
 from cdranks.simulate import doubled_midranks
+
+
+def midranks(a) -> np.ndarray:
+    """Rank along the last axis: 1 = smallest, tied values share their mean position.
+
+    For finite input of any shape with at least one axis, the float64 result
+    equals SciPy's ``rankdata(a, method="average", axis=-1)`` exactly:
+    it is ``doubled_midranks`` halved.
+    """
+    return doubled_midranks(np.asarray(a, dtype=float)) / 2.0
 
 
 def check_rank_vectors(r: np.ndarray, name: str) -> None:

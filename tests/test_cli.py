@@ -771,6 +771,32 @@ class TestSimulate:
             loaded = [m for m in modules if any(m == b or m.startswith(b + ".") for b in absent)]
             assert (name, code, needed in modules, loaded) == (name, 0, True, [])
 
+    @pytest.mark.filterwarnings("ignore::cdranks.SmallSampleWarning")
+    def test_unsupported_design_exits_3_as_analyze_does(self, capsys, tmp_path):
+        csv = tmp_path / "results.csv"
+        for text, labels, message in (
+            ("dataset,a,b,c\nd0,0.1,0.2,0.3\n", "abc", "N=1 datasets unsupported: need N >= 2"),
+            ("dataset,a,b\nd0,0.1,0.2\nd1,0.2,0.1\nd2,0.3,0.4\n", "ab",
+             "k=2 models unsupported: the rank test machinery needs k >= 3"),
+        ):
+            csv.write_text(text)
+            analyzed = run(capsys, "analyze", str(csv), "--manifest",
+                           write_manifest(tmp_path, *labels))
+            assert analyzed == (3, "", f"error: {message}\n")
+            n = str(len(text.splitlines()) - 1)
+            assert run(capsys, "simulate", "--n", n, "--k", str(len(labels))) == analyzed
+
+    def test_overflowing_draws_write_only_the_error(self):
+        # a real process, so a numpy warning would reach stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        argv = [sys.executable, "-m", "cdranks.cli", "simulate", "--n", "31", "--k", "8",
+                "--trials", "3", "--noise-sd", "1e308"]
+        for effect in ([], ["--effect", "1e308,-1e308,0,0,0,0,0,0"]):
+            proc = subprocess.run([*argv, *effect], capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                2, "", "error: performance values must be finite\n"
+            )
+
     def test_zero_trials_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "10", "--k", "3", "--trials", "0"])
@@ -852,3 +878,20 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "x.csv", "--manifest", "m.json", "--alpha", "1.5"])
         assert exc.value.code == 2
+
+
+class TestMakeFixtures:
+    # every warning fails the test but the two expected categories: a mark
+    # higher up takes precedence over the marks below it
+    @pytest.mark.filterwarnings("ignore::cdranks.DroppedDatasetsWarning")
+    @pytest.mark.filterwarnings("ignore::cdranks.SmallSampleWarning")
+    @pytest.mark.filterwarnings("error")
+    def test_regenerates_every_golden_byte_for_byte(self, capsys, tmp_path):
+        _goldens("main")(tmp_path)
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted([
+            "golden_cd.svg", "manifest_31x8.json", "report_31x8.json", "report_long.json",
+            "results_31x8.csv", "simulate_null.json", "simulate_power.json",
+        ])
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

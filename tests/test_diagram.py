@@ -1,5 +1,6 @@
 """Layout geometry and SVG rendering."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdranks import AverageRanks, RenderOptions, ValidationError, layout, render_svg
+from cdranks import AverageRanks, RenderOptions, ValidationError, layout, nemenyi_cd, render_svg
 from cdranks.diagram import _escape
 
 
@@ -30,20 +31,20 @@ def parse(svg_text):
 
 class TestRenderOptions:
     def test_defaults(self):
-        opts = RenderOptions()
-        assert opts.width_px == 800
-        assert opts.decimals_for_rank == 3
+        # the width is the one setting; the rest of the geometry is fixed
+        assert [f.name for f in dataclasses.fields(RenderOptions)] == ["width_px"]
+        assert RenderOptions().width_px == 800
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"width_px": 0},
             {"width_px": -5},
-            {"row_height_px": 0},
-            {"font_size_px": 0},
-            {"decimals_for_rank": -1},
+            {"width_px": 1.0},
+            {"width_px": "800"},
+            {"width_px": None},
             {"width_px": True},
-            {"decimals_for_rank": True},
+            {"width_px": -(10**400)},
         ],
     )
     def test_rejects_nonpositive(self, kwargs):
@@ -57,7 +58,7 @@ class TestLayout:
         sides = [e.side for e in spec.entries]
         assert sides == ["left", "right"]
         assert spec.bars == ()
-        assert spec.axis_min == 1.0 and spec.axis_max == 2.0
+        assert (spec.k, spec.cd) == (2, 0.5)
 
     def test_worked_example_bars(self):
         spec = spec_for([1.5, 2.0, 3.9, 4.6], cd=1.0)
@@ -90,9 +91,10 @@ class TestLayout:
         assert rows == [0, 1, 2, 1, 0]
 
     def test_cd_bracket(self):
+        # the spec holds k and the CD; render_svg derives the axis and the bracket
         spec = spec_for([1.0, 2.0, 3.0], cd=1.25)
-        assert spec.cd_bracket.start == 1.0
-        assert spec.cd_bracket.length == 1.25
+        assert (spec.k, spec.cd) == (3, 1.25) and type(spec.cd) is float
+        assert [f.name for f in dataclasses.fields(spec)] == ["k", "cd", "entries", "bars"]
 
     def test_singleton_groups_have_no_bar(self):
         spec = spec_for([1.0, 3.0, 5.0], cd=1.0)
@@ -171,10 +173,6 @@ class TestRenderSvg:
         _, _, by_class = parse(render_svg(spec))
         texts = [el.text for el in by_class["label"]]
         assert "a (1.500)" in texts and "b (2.250)" in texts
-        _, _, by_class = parse(
-            render_svg(spec, RenderOptions(decimals_for_rank=1))
-        )
-        assert "a (1.5)" in [el.text for el in by_class["label"]]
 
     def test_label_text_is_escaped(self):
         spec = spec_for([1.0, 2.0], ["a<b>&c", "plain"])
@@ -219,6 +217,33 @@ class TestRenderSvg:
             0.8 * scale, abs=0.5
         )
         assert bar.get("stroke-width") == "4"
+
+    @pytest.mark.parametrize("width", [1, 400, 800])
+    @pytest.mark.parametrize("k", [2, 3, 8, 20])
+    def test_bracket_and_ticks_in_pixels(self, k, width):
+        # the axis runs from x0 to x1 over ranks 1..k; the bracket covers 1..1 + cd
+        cd = nemenyi_cd(k, 31, 0.05)
+        _, _, by_class = parse(
+            render_svg(spec_for(list(range(1, k + 1)), cd=cd), RenderOptions(width_px=width))
+        )
+        x0 = round(0.30 * width)
+        x1 = width - x0
+        step = (x1 - x0) / (k - 1)
+
+        def at(written, want):
+            return abs(float(written) - want) <= 0.005 + 1e-9
+
+        axis = by_class["axis"][0]
+        assert at(axis.get("x1"), x0) and at(axis.get("x2"), x1)
+        d = by_class["cd-bracket"][0].get("d").split()  # M a y L a y L b y L b y
+        assert d[::3] == ["M", "L", "L", "L"]
+        assert d[1] == d[4] and d[7] == d[10]
+        assert at(d[1], x0) and at(d[7], x0 + cd * step)
+        ticks = by_class["tick"]
+        assert [el.text for el in by_class["tick-label"]] == [str(i) for i in range(1, k + 1)]
+        for i, tick in enumerate(ticks, start=1):
+            assert tick.get("x1") == tick.get("x2")
+            assert at(tick.get("x1"), x0 + (i - 1) * step)
 
     def test_coordinates_rounded_to_hundredths(self):
         spec = spec_for([1.0, 2.0, 3.0], ["a", "b", "c"], cd=1.5)

@@ -23,7 +23,6 @@ from cdranks.errors import (
 
 EXPORTS = [
     "AverageRanks",
-    "CDBracket",
     "CdranksError",
     "DegenerateStatisticError",
     "DiagramBar",

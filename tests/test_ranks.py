@@ -18,8 +18,8 @@ from cdranks import (
 )
 from cdranks.cd import check_average_ranks
 from cdranks.ranks import doubled_ranks
-from cdranks.simulate import doubled_midranks, midranks
-from stacked_ranks import check_rank_vectors, stacked_average_ranks
+from cdranks.simulate import doubled_midranks
+from stacked_ranks import check_rank_vectors, midranks, stacked_average_ranks
 
 
 def matrix(values, direction="maximize"):

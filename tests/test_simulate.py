@@ -45,8 +45,8 @@ class TestSimConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"n": 1},
-            {"k": 2},
+            {"n": 2.0},
+            {"k": True},
             {"trials": 0},
             {"seed": -1},
             {"seed": 2**64},
@@ -63,6 +63,22 @@ class TestSimConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValidationError):
             config(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n": 1}, "N=1 datasets unsupported: need N >= 2"),
+            ({"n": 0}, "N=0 datasets unsupported: need N >= 2"),
+            ({"k": 2, "effect": (0.0, 0.0)},
+             "k=2 models unsupported: the rank test machinery needs k >= 3"),
+        ],
+        ids=["n1", "n0", "k2"],
+    )
+    def test_unsupported_design(self, kwargs, message):
+        # the same rule and wording as analyze: exit 3, not a validation error
+        with pytest.raises(UnsupportedDesignError) as exc:
+            config(**kwargs)
+        assert str(exc.value) == message and not isinstance(exc.value, ValidationError)
 
     @pytest.mark.parametrize("k", [3, 8, 20])
     def test_int64_bound_on_the_design(self, k):
@@ -209,7 +225,7 @@ class TestEstimatePower:
         )
         est = estimate_power(cfg)
         assert est.omnibus_rate == 1.0
-        det = est.pairwise_detection
+        det = np.array(est.pairwise_detection)
         # gap 2 in 'effect' is hundreds of noise sds: ranks are always
         # (1, 2, 3, 4), so detection is exactly 0 or 1 per pair
         assert det[0, 2] == det[0, 3] == det[1, 3] == 1.0
@@ -225,9 +241,9 @@ class TestEstimatePower:
         )
         est = estimate_power(cfg)
         se = math.sqrt(0.05 * 0.95 / 400)
-        assert est.pairwise_detection[0, 1] <= 0.05 + 4 * se
-        assert est.pairwise_detection[2, 3] <= 0.05 + 4 * se
-        assert est.pairwise_detection[0, 2] > 0.5
+        assert est.pairwise_detection[0][1] <= 0.05 + 4 * se
+        assert est.pairwise_detection[2][3] <= 0.05 + 4 * se
+        assert est.pairwise_detection[0][2] > 0.5
 
     def test_to_dict_keys(self):
         cfg = config(effect=(1.0, 0.0, 0.0), trials=5)
@@ -271,8 +287,13 @@ class TestEstimatePower:
 
     def test_detection_read_only(self):
         est = estimate_power(config(effect=(1.0, 0.0, 0.0), trials=2))
-        with pytest.raises(ValueError):
-            est.pairwise_detection[0, 1] = 0.5
+        det = est.pairwise_detection
+        assert type(det) is tuple and all(type(row) is tuple for row in det)
+        assert all(type(rate) is float for row in det for rate in row)
+        with pytest.raises(TypeError):
+            det[0][1] = 0.5
+        with pytest.raises(TypeError):
+            det[0] = (0.0, 0.5, 0.5)
 
 
 def _per_trial_counts(cfg):
@@ -314,7 +335,11 @@ class TestBatchedKernel:
         rejections, hits = _per_trial_counts(cfg)
         est = estimate_power(cfg, workers=workers)
         assert est.omnibus_rejections == rejections
-        assert np.array_equal(est.pairwise_detection, hits / trials)
+        # each rate is the int / int quotient, bit for bit numpy's division
+        assert est.pairwise_detection == tuple(map(tuple, (hits / trials).tolist()))
+        assert est.pairwise_detection == tuple(
+            tuple(h / trials for h in row) for row in hits.tolist()
+        )
         assert 0 < hits[0, 3] < trials
 
 
@@ -382,11 +407,16 @@ class TestIntegerKernel:
         with pytest.raises(ValidationError, match=message):
             _run_chunk(config(n=31, k=8, trials=CHUNK_TRIALS), 0, CHUNK_TRIALS)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_draws_rejected(self):
-        cfg = config(n=31, k=8, noise_sd=1e308, trials=3)
-        with pytest.raises(ValidationError, match="finite"):
-            estimate_type1(cfg)
+        # the scale and the shift overflow without a warning; the finite checks reject them
+        for effect, run in (((0.0,) * 8, estimate_type1),
+                            ((1e308, -1e308) + (0.0,) * 6, estimate_power)):
+            cfg = config(n=31, k=8, effect=effect, noise_sd=1e308, trials=3)
+            with pytest.raises(ValidationError, match="finite"):
+                run(cfg)
+            with pytest.raises(ValidationError, match="finite"):
+                generate_matrix(cfg, 0)
 
 
 class TestRejectThreshold:
