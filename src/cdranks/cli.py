@@ -331,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--noise-sd", type=_positive_real, default=1.0, help="noise standard deviation (default: 1.0)"
     )
     simulate.add_argument(
-        "--workers", type=_positive_int, default=1, help="parallel worker processes"
+        "--workers", type=_positive_int, default=1,
+        help="parallel worker processes, at most the CPU count; the output does not depend on it",
     )
     simulate.add_argument("--out", default=None, help="write JSON here instead of stdout")
     simulate.set_defaults(func=_cmd_simulate)

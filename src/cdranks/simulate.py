@@ -7,14 +7,15 @@ draws from its own generator stream keyed by (seed, trial index), so results
 are bitwise identical for any degree of parallelism.
 
 Trials run as a chunked numpy kernel rather than one object pipeline per
-trial; this is the only module that needs numpy.  Each chunk of up to
-``CHUNK_TRIALS`` trials fills one (chunk, N, k) block, trial by trial, from
-the same streams that :func:`generate_matrix` uses; the whole block is then
-ranked in doubled ints by :func:`doubled_midranks`, summed and compared in
-bulk, with every invariant of the per-trial types checked exactly once per
-chunk.  Memory is bounded by the chunk, not the trial count: the block, its
-sort order and its sorted values, three arrays of CHUNK_TRIALS * N * k
-8-byte items, set the peak, 1.6 MB traced at N=31, k=8.
+trial; this is the only module that needs numpy.  Each chunk of
+max(1, CHUNK_ELEMENTS // (max(N, k) k)) trials fills one (chunk, N, k) block,
+trial by trial, from the same streams that :func:`generate_matrix` uses; the
+whole block is then ranked in doubled ints by :func:`doubled_midranks`,
+summed and compared in bulk, with every invariant of the per-trial types
+checked exactly once per chunk.  Memory is bounded by the element budget, not
+the trial count or the design: the block, its sort order and its sorted
+values, three arrays of 8-byte items, set the peak near 3 * 8 * max(2^14, N k)
+bytes, 0.4 MB traced at N=31, k=8 (66-trial chunks) and 0.5 MB at N=1000, k=20.
 
 The omnibus decision is an integer comparison.  Each trial's doubled rank
 sums 2 S_j give T_j = 2 S_j - N(k+1), as in ``procedure.friedman_statistic``,
@@ -27,6 +28,7 @@ least sum that the public pipeline rejects.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -41,9 +43,10 @@ from .ranks import Direction, ModelId, PerformanceMatrix
 # 97.5% normal quantile, for the 95% Wilson interval.
 _Z95 = 1.959963984540054
 
-# Trials per kernel pass: large enough to amortize numpy's per-call
-# overhead, small enough that the kernel's working memory stays a few MB.
-CHUNK_TRIALS = 256
+# Values per kernel pass (whole trials, at least one): large enough to
+# amortize numpy's per-call overhead, small enough that the kernel's three
+# chunk arrays stay near 0.4 MB at every design.
+CHUNK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -161,12 +164,14 @@ def _draw(cfg: SimConfig, first_trial: int, out: np.ndarray) -> None:
 
     Trial t draws from the counter-based stream Philox(key=[seed, t]), so its
     values never depend on which other trials ran, in what order, or in
-    which process.  One generator is rewound to each trial's key, which
-    yields the same stream as a freshly built Philox at about a tenth of the
-    per-trial cost.
+    which process.  One generator is rewound to each trial's key, through a
+    state of plain ints (cheaper to set than numpy arrays), which yields the
+    same stream as a freshly built Philox at a small part of the cost.
     """
     bits = np.random.Philox(key=np.array([cfg.seed, first_trial], dtype=np.uint64))
-    fresh = bits.state
+    state = bits.state
+    fresh = {**state, "state": {name: v.tolist() for name, v in state["state"].items()},
+             "buffer": state["buffer"].tolist()}
     gen = np.random.Generator(bits)
     for i, trial_values in enumerate(out):
         fresh["state"]["key"][1] = first_trial + i
@@ -202,9 +207,11 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
     threshold = _reject_threshold(n, k, cfg.alpha)
     rejections = 0
     pair_hits = np.zeros((k, k), dtype=np.int64)
-    block = np.empty((min(CHUNK_TRIALS, stop - start), n, k))
-    for lo in range(start, stop, CHUNK_TRIALS):
-        values = block[: min(CHUNK_TRIALS, stop - lo)]
+    # trials per chunk; when N < k the (chunk, k, k) pair stage, not the block, counts
+    chunk = max(1, CHUNK_ELEMENTS // (max(n, k) * k))
+    block = np.empty((min(chunk, stop - start), n, k))
+    for lo in range(start, stop, chunk):
+        values = block[: min(chunk, stop - lo)]
         _draw(cfg, lo, values)
         if not np.isfinite(values).all():
             raise ValidationError("performance values must be finite")
@@ -220,13 +227,15 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
 
 def _run_trials(cfg: SimConfig, workers: int) -> tuple:
     check_int(workers, "workers", 1)
+    # Under fork the pool starts all its processes up front, and the results do
+    # not depend on the split: one nonempty span per process, one process per CPU.
+    workers = min(workers, cfg.trials, os.cpu_count() or 1)
     if workers == 1:
         return _run_chunk(cfg, 0, cfg.trials)
     bounds = [i * cfg.trials // workers for i in range(workers + 1)]
-    spans = [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+    spans = list(zip(bounds, bounds[1:]))
     # imported here so a 1-worker run does not pay for concurrent.futures and logging
     from concurrent.futures import ProcessPoolExecutor
-    # Under fork the pool starts all max_workers processes up front.
     with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         rejections, pair_hits = zip(*pool.map(_run_chunk, repeat(cfg), *zip(*spans)))
     return sum(rejections), sum(pair_hits)

@@ -1,5 +1,6 @@
 """Synthetic benchmark trials: reproducibility, error rates, power."""
 
+import json
 import math
 import tracemalloc
 
@@ -22,7 +23,36 @@ from cdranks import (
     pairwise_significance,
 )
 from cdranks import simulate
-from cdranks.simulate import CHUNK_TRIALS, _reject_threshold, _run_chunk
+from cdranks.simulate import CHUNK_ELEMENTS, _reject_threshold, _run_chunk
+
+import kernel_stages
+
+
+def chunk_trials(n, k):
+    """Trials per kernel chunk at design (N, k): the element budget over the larger of N k and k^2."""
+    return max(1, CHUNK_ELEMENTS // (max(n, k) * k))
+
+
+def drawn_blocks(monkeypatch, cfg, start, stop):
+    """(first trial, copy of the values) of each block that ``_run_chunk(cfg, start, stop)`` draws."""
+    blocks = []
+    draw = simulate._draw
+
+    def spy(cfg, first_trial, out):
+        draw(cfg, first_trial, out)
+        blocks.append((first_trial, out.copy()))
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_draw", spy)
+        _run_chunk(cfg, start, stop)
+    return blocks
+
+
+def assert_crosses_chunks(monkeypatch, cfg):
+    """The serial run crosses a chunk boundary and ends on a partial chunk of the design's size."""
+    chunk = chunk_trials(cfg.n_datasets, cfg.n_models)
+    sizes = [len(values) for _, values in drawn_blocks(monkeypatch, cfg, 0, cfg.trials)]
+    assert len(sizes) > 1 and set(sizes[:-1]) == {chunk} and 0 < sizes[-1] < chunk
 
 
 def config(n=10, k=3, effect=None, noise_sd=1.0, trials=10, seed=7, alpha=0.05):
@@ -138,6 +168,20 @@ class TestGenerateMatrix:
             noise = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 4))
             expected = np.asarray(cfg.effect) + cfg.noise_sd * noise
             assert np.array_equal(generate_matrix(cfg, t).values, expected)
+
+    def test_kernel_blocks_draw_the_per_trial_streams(self, monkeypatch):
+        # trials 60..139 at N=31, k=8 make a 66-trial block from a nonzero start
+        # and a partial one; each trial of a block must be the stream of a fresh
+        # Philox(key=[seed, t]), with the seed at the top of the uint64 range
+        cfg = config(n=31, k=8, effect=tuple(j / 4 for j in range(8)), noise_sd=0.5,
+                     trials=140, seed=2**64 - 1)
+        blocks = drawn_blocks(monkeypatch, cfg, 60, 140)
+        assert [(first, len(values)) for first, values in blocks] == [(60, 66), (126, 14)]
+        for first, values in blocks:
+            for t, trial_values in enumerate(values, first):
+                key = np.array([cfg.seed, t], dtype=np.uint64)
+                noise = np.random.Generator(np.random.Philox(key=key)).standard_normal((31, 8))
+                assert np.array_equal(trial_values, np.asarray(cfg.effect) + cfg.noise_sd * noise)
 
     def test_shape_and_naming(self):
         m = generate_matrix(config(n=4, k=5), 0)
@@ -282,8 +326,14 @@ class TestEstimatePower:
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         cfg = config(n=12, k=4, effect=(2.0, 1.0, 0.0, 0.0), trials=3, seed=11)
-        assert estimate_power(cfg, workers=64).to_dict() == estimate_power(cfg, workers=1).to_dict()
-        assert sizes == [3]
+        serial = estimate_power(cfg, workers=1).to_dict()
+        # 64 workers over 3 trials make 3 spans; the pool is also capped at the
+        # CPU count, and one CPU (or an unknown count) runs serially, with no pool
+        for cpus, pool_sizes in ((64, [3]), (2, [2]), (1, []), (None, [])):
+            monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+            assert estimate_power(cfg, workers=64).to_dict() == serial
+            assert sizes == pool_sizes
+            sizes.clear()
 
     def test_detection_read_only(self):
         est = estimate_power(config(effect=(1.0, 0.0, 0.0), trials=2))
@@ -314,24 +364,29 @@ def _per_trial_counts(cfg):
 class TestBatchedKernel:
     """The chunked kernel reproduces the per-trial pipeline exactly."""
 
-    # CHUNK_TRIALS + 3 crosses a chunk boundary and ends on a partial chunk;
-    # with two workers each span crosses a boundary from a nonzero start.
-    @pytest.mark.parametrize(
-        "trials, workers",
-        [(CHUNK_TRIALS + 3, 1), (CHUNK_TRIALS + 3, 3), (2 * CHUNK_TRIALS + 3, 2)],
-    )
-    def test_null_matches_per_trial_pipeline(self, trials, workers):
+    # Each run crosses a chunk boundary and ends on a partial chunk (66 trials
+    # at N=31, k=8; 273 at N=12, k=5); with two workers the second span
+    # crosses a boundary from a nonzero start.
+    @staticmethod
+    def check_chunking(monkeypatch, cfg, workers):
+        assert_crosses_chunks(monkeypatch, cfg)
+        if workers == 2:
+            half = cfg.trials // 2
+            assert half % chunk_trials(cfg.n_datasets, cfg.n_models) != 0
+            assert len(drawn_blocks(monkeypatch, cfg, half, cfg.trials)) > 1
+
+    @pytest.mark.parametrize("trials, workers", [(259, 1), (259, 3), (515, 2)])
+    def test_null_matches_per_trial_pipeline(self, monkeypatch, trials, workers):
         cfg = config(n=31, k=8, trials=trials, seed=41, alpha=0.25)
+        self.check_chunking(monkeypatch, cfg, workers)
         rejections, _ = _per_trial_counts(cfg)
         assert rejections > 0
         assert estimate_type1(cfg, workers=workers).rejections == rejections
 
-    @pytest.mark.parametrize(
-        "trials, workers",
-        [(CHUNK_TRIALS + 3, 1), (CHUNK_TRIALS + 3, 3), (2 * CHUNK_TRIALS + 3, 2)],
-    )
-    def test_power_matches_per_trial_pipeline(self, trials, workers):
+    @pytest.mark.parametrize("trials, workers", [(276, 1), (276, 3), (549, 2)])
+    def test_power_matches_per_trial_pipeline(self, monkeypatch, trials, workers):
         cfg = config(n=12, k=5, effect=(0.9, 0.5, 0.2, 0.0, 0.0), trials=trials, seed=43)
+        self.check_chunking(monkeypatch, cfg, workers)
         rejections, hits = _per_trial_counts(cfg)
         est = estimate_power(cfg, workers=workers)
         assert est.omnibus_rejections == rejections
@@ -358,34 +413,50 @@ class TestIntegerKernel:
         monkeypatch.setattr(simulate, "_draw", rounded)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5])
-    def test_tied_null_matches_per_trial_pipeline(self, rounded_draws, alpha):
-        cfg = config(n=31, k=8, trials=CHUNK_TRIALS + 3, seed=47, alpha=alpha)
+    def test_tied_null_matches_per_trial_pipeline(self, monkeypatch, rounded_draws, alpha):
+        cfg = config(n=31, k=8, trials=259, seed=47, alpha=alpha)
+        assert_crosses_chunks(monkeypatch, cfg)
         assert len(set(generate_matrix(cfg, 0).values[0])) < 8
         rejections, _ = _per_trial_counts(cfg)
         assert 0 < rejections < cfg.trials
         assert _run_chunk(cfg, 0, cfg.trials)[0] == rejections
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
-    def test_tied_power_matches_per_trial_pipeline(self, rounded_draws, alpha):
+    def test_tied_power_matches_per_trial_pipeline(self, monkeypatch, rounded_draws, alpha):
         effect = (0.9, 0.5, 0.2, 0.0, 0.0)
-        cfg = config(n=12, k=5, effect=effect, trials=CHUNK_TRIALS + 3, seed=53, alpha=alpha)
+        cfg = config(n=12, k=5, effect=effect, trials=276, seed=53, alpha=alpha)
+        assert_crosses_chunks(monkeypatch, cfg)
         rejections, hits = _per_trial_counts(cfg)
         assert 0 < hits[0, 3] < cfg.trials
         got_rejections, got_hits = _run_chunk(cfg, 0, cfg.trials)
         assert got_rejections == rejections
         assert np.array_equal(got_hits, hits)
 
-    def test_chunk_working_set(self):
-        # the block, the sort order and the sorted values: three 0.5 MB arrays
-        cfg = config(n=31, k=8, effect=tuple(j / 10 for j in range(8)), trials=CHUNK_TRIALS)
-        _run_chunk(cfg, 0, CHUNK_TRIALS)
+    @staticmethod
+    def traced_peak(n, k, trials):
+        """Peak traced bytes of one power run at (N, k), and its bound 3 * 8 * max(2^14, N k) + slack."""
+        cfg = config(n=n, k=k, effect=tuple(j / 10 for j in range(k)), trials=trials)
+        _run_chunk(cfg, 0, trials)  # lazy imports and first-call costs are not the working set
         tracemalloc.start()
         try:
-            _run_chunk(cfg, 0, CHUNK_TRIALS)
+            _run_chunk(cfg, 0, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0e6
+        return peak, 3 * 8 * max(CHUNK_ELEMENTS, n * k) + (1 << 16)
+
+    def test_chunk_working_set(self):
+        # the block, the sort order and the sorted values: three 128 KB arrays
+        peak, bound = self.traced_peak(31, 8, 256)
+        assert peak <= bound <= 0.6e6
+
+    # one trial per chunk at (1000, 20); at (2, 20) the (chunk, k, k) pair
+    # stage, not the block, would set the peak if chunks counted only N k
+    @pytest.mark.parametrize("n, k, trials", [(1000, 20, 3), (200, 10, 20), (2, 20, 100)])
+    def test_working_set_bounded_at_every_design(self, n, k, trials):
+        assert trials > chunk_trials(n, k)
+        peak, bound = self.traced_peak(n, k, trials)
+        assert peak <= bound < 1e6
 
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -405,7 +476,7 @@ class TestIntegerKernel:
 
         monkeypatch.setattr(simulate, "doubled_midranks", corrupted)
         with pytest.raises(ValidationError, match=message):
-            _run_chunk(config(n=31, k=8, trials=CHUNK_TRIALS), 0, CHUNK_TRIALS)
+            _run_chunk(config(n=31, k=8, trials=256), 0, 256)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_draws_rejected(self):
@@ -417,6 +488,19 @@ class TestIntegerKernel:
                 run(cfg)
             with pytest.raises(ValidationError, match="finite"):
                 generate_matrix(cfg, 0)
+
+
+def test_kernel_stage_timer_runs(capsys):
+    # tests/kernel_stages.py times the kernel's own functions and restores them
+    originals = [simulate._draw, simulate.doubled_midranks, simulate._doubled_rank_sums]
+    assert kernel_stages.main(["--n", "5", "--k", "3", "--trials", "40", "--repeats", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [simulate._draw, simulate.doubled_midranks, simulate._doubled_rank_sums] == originals
+    assert report["chunks"] == 1 and report["peak_traced_kb"] > 0
+    assert report["rejections"] == estimate_type1(config(n=5, k=3, trials=40, seed=0)).rejections
+    stages = ("draw_ms", "rank_ms", "int_checks_ms", "statistic_ms")
+    assert all(report[stage] >= 0 for stage in stages)
+    assert sum(report[stage] for stage in stages) <= report["total_ms"] + 0.01
 
 
 class TestRejectThreshold:
