@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in {
-        "cd": "SUPPORTED_ALPHAS SUPPORTED_K indistinguishable_groups nemenyi_cd q_alpha",
+        "cd": "indistinguishable_groups nemenyi_cd q_alpha",
         "diagram": "DiagramBar DiagramEntry DiagramSpec RenderOptions layout render_svg",
         "distributions": "chi_square_sf f_sf",
         "errors": "CdranksError DegenerateStatisticError DroppedDatasetsWarning "

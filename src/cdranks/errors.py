@@ -36,7 +36,8 @@ class IncompleteDesignError(ValidationError):
 
 
 class UnsupportedDesignError(CdranksError):
-    """The statistical machinery does not cover this design (k, N, alpha, ...)."""
+    """The procedure does not cover this design: k < 3, N < 2, a degenerate
+    statistic, or a critical value outside ``cd.q_alpha``'s accurate domain."""
 
     exit_code = 3
 

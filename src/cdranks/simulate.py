@@ -198,9 +198,8 @@ def generate_matrix(cfg: SimConfig, trial_index: int) -> PerformanceMatrix:
 def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
     """Run trials [start, stop): count omnibus rejections and pairwise hits.
 
-    Pairwise hits are only tallied for non-null configs; a Type-I study
-    reports the omnibus rate alone, which keeps its alpha free of the
-    critical-value table's tabulated levels.
+    Pairwise hits are only tallied for non-null configs: a Type-I study
+    reports the omnibus rate alone, so it needs no CD.
     """
     n, k = cfg.n_datasets, cfg.n_models
     cd = None if cfg.is_null else nemenyi_cd(k, n, cfg.alpha)

@@ -1,8 +1,9 @@
 """Test oracle: the infinite-df studentized range by quadrature and bisection.
 
-The package serves q_alpha from a hardcoded table; this independent route
-recomputes the table's quantiles so the tests can check every entry.  It is
-not part of the package and is imported only by the test suite.
+The package computes q_alpha by fixed-grid Simpson quadrature and Newton
+steps; this independent route uses scipy's adaptive quadrature and plain
+bisection instead.  It is not part of the package and is imported only by
+the test suite.
 """
 
 from __future__ import annotations

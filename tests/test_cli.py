@@ -739,8 +739,9 @@ class TestSimulate:
                 "cdranks.diagram",
                 banned + diagram_bans,
             ),
+            # 0.2 was never tabulated, so this step computes the critical value
             "diagram --alpha": (
-                ["diagram", REPORT, "--alpha", "0.1", "--out", str(tmp_path / "cd.svg")],
+                ["diagram", REPORT, "--alpha", "0.2", "--out", str(tmp_path / "cd.svg")],
                 "cdranks.diagram",
                 banned + diagram_bans,
             ),
@@ -801,6 +802,62 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "10", "--k", "3", "--trials", "0"])
         assert exc.value.code == 2
+
+
+def oracle_cd(k: int, n: int, alpha: float) -> float:
+    """The bench oracle's CD: scipy's studentized range quantile over sqrt(2), scaled."""
+    from scipy.stats import studentized_range
+
+    q = float(studentized_range.ppf(1.0 - alpha, k, float("inf"))) / 2**0.5
+    return q * (k * (k + 1) / (6 * n)) ** 0.5
+
+
+class TestAnyDesign:
+    """Designs past the old 57-entry table: k > 20 and any alpha >= 1e-5."""
+
+    def test_k24_wide_csv_reports_the_oracle_cd(self, capsys, tmp_path):
+        labels = [f"{algo}_{features}" for algo in "abcdefgh" for features in ("raw", "pca", "sel")]
+        rows = [
+            ",".join([f"d{i:02d}", *(f"{(i * 7 + j * 13) % 29 / 29 + j / 100:.4f}"
+                                     for j in range(24))])
+            for i in range(31)
+        ]
+        csv = tmp_path / "results.csv"
+        csv.write_text("\n".join(["dataset," + ",".join(labels), *rows]) + "\n")
+        code, out, err = run(capsys, "analyze", str(csv), "--manifest",
+                             write_manifest(tmp_path, *labels))
+        report = json.loads(out)
+        assert (code, err, len(report["average_ranks"])) == (0, "", 24)
+        assert report["cd"] == pytest.approx(oracle_cd(24, 31, 0.05), rel=1e-6)
+
+    def test_analyze_at_alpha_0_2(self, capsys):
+        code, out, err = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST, "--alpha", "0.2")
+        report = json.loads(out)
+        assert (code, err, report["alpha"]) == (0, "", 0.2)
+        assert report["cd"] == pytest.approx(oracle_cd(8, 31, 0.2), rel=1e-6)
+
+    def test_diagram_at_alpha_0_2(self, capsys):
+        code, out, err = run(capsys, "diagram", REPORT, "--alpha", "0.2")
+        assert (code, err) == (0, "") and out.endswith("</svg>\n")
+        # a narrower CD bracket than the golden's at the report's own alpha = 0.05
+        assert out != (FIXTURES / "golden_cd.svg").read_text(encoding="utf-8")
+
+    def test_simulate_power_at_k24(self, capsys):
+        code, out, err = run(capsys, "simulate", "--n", "10", "--k", "24", "--trials", "20",
+                             "--effect", ",".join(["1.5"] + ["0"] * 23))
+        result = json.loads(out)
+        assert (code, err, len(result["pairwise_detection"])) == (0, "", 24)
+        assert result["cd"] == pytest.approx(oracle_cd(24, 10, 0.05), rel=1e-6)
+
+    @pytest.mark.parametrize("k, alpha", [(1001, "0.05"), (8, "1e-6")])
+    def test_power_outside_the_domain_exits_3_and_null_runs(self, capsys, k, alpha):
+        argv = ["simulate", "--n", "5", "--k", str(k), "--trials", "3", "--alpha", alpha]
+        code, out, err = run(capsys, *argv, "--effect", ",".join(["1"] + ["0"] * (k - 1)))
+        assert (code, out) == (3, "")
+        assert err == (f"error: k={k}, alpha={float(alpha)!r} is outside 2 <= k <= 1000, "
+                       "alpha >= 1e-05, where the critical value is computed\n")
+        code, out, err = run(capsys, *argv)
+        assert (code, err, json.loads(out)["trials"]) == (0, "", 3)
 
 
 class TestParser:

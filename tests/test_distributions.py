@@ -1,21 +1,20 @@
-"""Reference distributions: survival functions, the q table, and the range oracle."""
+"""Reference distributions: survival functions, the computed q, and the range oracle."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy.special import betainc, betaincc, gammaincc, ndtri
+from scipy.stats import studentized_range
 
 from cdranks import (
-    SUPPORTED_ALPHAS,
-    SUPPORTED_K,
     UnsupportedDesignError,
     ValidationError,
     chi_square_sf,
     f_sf,
+    nemenyi_cd,
     q_alpha,
 )
-from cdranks.cd import _Q_TABLES
 from cdranks.distributions import _log_gamma_ratio
 from cdranks.simulate import _reject_threshold
 from studentized_range import studentized_range_cdf, studentized_range_quantile
@@ -217,32 +216,46 @@ class TestStudentizedRangeQuantile:
 
 
 class TestQTable:
+    ALPHAS = (1e-5, 1e-3, 0.01, 0.05, 0.10, 0.2, 0.5, 0.999)
+
     def test_k2_equals_two_sided_normal(self):
-        for alpha in SUPPORTED_ALPHAS:
-            assert q_alpha(2, alpha) == pytest.approx(float(ndtri(1 - alpha / 2)), abs=1e-3)
+        # the range of two normals over sqrt(2) is |Z|
+        for alpha in self.ALPHAS:
+            assert q_alpha(2, alpha) == pytest.approx(float(ndtri(1 - alpha / 2)), rel=1e-6)
 
     def test_k8_headline_value(self):
         assert q_alpha(8, 0.05) == pytest.approx(3.031, abs=1e-3)
 
     def test_monotone_in_k(self):
-        for alpha in SUPPORTED_ALPHAS:
-            for k in range(2, 20):
-                assert q_alpha(k + 1, alpha) > q_alpha(k, alpha)
+        for alpha in (1e-5, 0.05, 0.5):
+            qs = [q_alpha(k, alpha) for k in range(2, 101)]
+            assert all(a < b for a, b in zip(qs, qs[1:]))
 
     def test_ordered_across_alpha(self):
-        for k in SUPPORTED_K:
-            assert q_alpha(k, 0.01) > q_alpha(k, 0.05) > q_alpha(k, 0.10)
+        for k in (*range(2, 31), 100, 1000):
+            qs = [q_alpha(k, alpha) for alpha in self.ALPHAS]
+            assert all(a > b for a, b in zip(qs, qs[1:])), k
 
-    def test_unsupported_alpha_names_levels(self):
-        with pytest.raises(UnsupportedDesignError, match="0.01, 0.05, 0.10"):
-            q_alpha(5, 0.025)
+    def test_unsupported_alpha_names_domain(self):
+        for alpha in (9.9e-6, 1e-6, 1e-12):
+            with pytest.raises(UnsupportedDesignError, match=r"alpha >= 1e-05"):
+                q_alpha(5, alpha)
+        for alpha in (0.0, 1.0, 1):
+            with pytest.raises(ValidationError, match="alpha must lie strictly in"):
+                q_alpha(5, alpha)
 
     def test_unsupported_k_names_range(self):
-        with pytest.raises(UnsupportedDesignError, match="2..20"):
-            q_alpha(21, 0.05)
-        with pytest.raises(UnsupportedDesignError):
-            q_alpha(1, 0.05)
+        for k in (1, 0, 1001, 8.0, True, "8"):
+            with pytest.raises(UnsupportedDesignError, match=r"2 <= k <= 1000"):
+                q_alpha(k, 0.05)
 
-    def test_table_covers_all_k(self):
-        for alpha in SUPPORTED_ALPHAS:
-            assert sorted(_Q_TABLES[alpha]) == list(SUPPORTED_K)
+    @pytest.mark.parametrize("k, alpha", [(1000, 1e-5), (2, 0.999)])
+    def test_domain_corners_match_scipy(self, k, alpha):
+        expected = float(studentized_range.ppf(1 - alpha, k, np.inf)) / math.sqrt(2.0)
+        assert q_alpha(k, alpha) == pytest.approx(expected, rel=1e-6)
+        assert nemenyi_cd(k, 31, alpha) > 0.0
+
+    def test_rounds_to_seven_significant_digits(self):
+        # 6 decimals would collapse q = 0.00125331... to 0.001253
+        assert q_alpha(2, 0.999) == 0.001253314
+        assert q_alpha(2, 0.5) == 0.6744898

@@ -38,8 +38,6 @@ EXPORTS = [
     "PerformanceMatrix",
     "PowerEstimate",
     "RenderOptions",
-    "SUPPORTED_ALPHAS",
-    "SUPPORTED_K",
     "SimConfig",
     "SmallSampleWarning",
     "TagSummary",
@@ -93,7 +91,8 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="rank_row"):
             cdranks.rank_row
-        assert not hasattr(cdranks, "QTable")
+        for gone in ("QTable", "SUPPORTED_ALPHAS", "SUPPORTED_K"):
+            assert not hasattr(cdranks, gone)
 
     def test_star_import(self):
         namespace = {}

@@ -215,10 +215,15 @@ class TestNemenyiCd:
     def test_domain_errors(self):
         with pytest.raises(UnsupportedDesignError):
             nemenyi_cd(8, 1, 0.05)
-        with pytest.raises(UnsupportedDesignError):
-            nemenyi_cd(21, 31, 0.05)
-        with pytest.raises(UnsupportedDesignError):
-            nemenyi_cd(8, 31, 0.025)
+        with pytest.raises(UnsupportedDesignError, match=r"2 <= k <= 1000"):
+            nemenyi_cd(1001, 31, 0.05)
+        with pytest.raises(UnsupportedDesignError, match=r"alpha >= 1e-05"):
+            nemenyi_cd(8, 31, 9.9e-6)
+
+    def test_designs_past_the_old_table(self):
+        # k > 20 and levels other than 0.01, 0.05 and 0.10 (scipy: 3.5690400, 3.2561259)
+        assert nemenyi_cd(21, 31, 0.05) == 3.56904 * math.sqrt(21 * 22 / (6 * 31))
+        assert nemenyi_cd(8, 31, 0.025) == 3.256126 * math.sqrt(8 * 9 / (6 * 31))
 
 
 class TestPairwiseSignificance:
