@@ -105,12 +105,12 @@ def indistinguishable_groups(ranks, cd: float) -> list:
     order = sorted(range(k), key=lambda j: (r[j], j))
     sorted_r = [r[j] for j in order]
 
-    # The run end index is nondecreasing in the start index, so a run is
-    # maximal exactly when it reaches further than the previous kept run.
+    # The run end never decreases as the start advances, so each scan resumes
+    # there, and a run is maximal exactly when it reaches past the last kept run.
     groups = []
-    last_end = -1
+    last_end = end = -1
     for start in range(k):
-        end = start
+        end = max(end, start)
         while end + 1 < k and sorted_r[end + 1] - sorted_r[start] < cd:
             end += 1
         if end > last_end:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import Counter
 
 
 class CdranksError(Exception):
@@ -75,7 +76,7 @@ def check_unique(items, what: str) -> None:
     """Raise ValidationError ``"<what>: <repeated items, sorted>"`` if any item occurs twice."""
     items = list(items)
     if len(set(items)) != len(items):
-        dupes = sorted({x for x in items if items.count(x) > 1})
+        dupes = sorted(x for x, count in Counter(items).items() if count > 1)
         raise ValidationError(f"{what}: {', '.join(dupes)}")
 
 

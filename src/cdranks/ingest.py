@@ -269,8 +269,8 @@ def aggregate_folds(
     if missing:
         if not drop_incomplete:
             raise IncompleteDesignError(missing)
-        dropped = sorted({d for d, _ in missing})
-        datasets = [d for d in datasets if d not in set(dropped)]
+        dropped = {d for d, _ in missing}
+        datasets = [d for d in datasets if d not in dropped]
         if not datasets:
             raise ValidationError(
                 "every dataset is missing at least one (dataset, model) pair; "
@@ -278,7 +278,7 @@ def aggregate_folds(
             )
         warnings.warn(
             DroppedDatasetsWarning(
-                f"dropped {len(dropped)} incomplete dataset(s): {', '.join(dropped)}"
+                f"dropped {len(dropped)} incomplete dataset(s): {', '.join(sorted(dropped))}"
             ),
             stacklevel=2,
         )

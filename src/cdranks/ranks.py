@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .cd import check_average_ranks
+from .cd import check_average_ranks, rank_list
 from .errors import ValidationError, check_choice, check_label, check_models, check_unique
 
 
@@ -119,12 +119,9 @@ class AverageRanks:
     r: tuple
 
     def __post_init__(self):
-        try:
-            r = tuple(map(float, self.r))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError("average ranks must be a 1-d sequence of reals") from None
-        check_average_ranks(list(r))
-        object.__setattr__(self, "r", r)
+        r = rank_list(self.r)
+        check_average_ranks(r)
+        object.__setattr__(self, "r", tuple(r))
 
     def __len__(self) -> int:
         return len(self.r)

@@ -21,8 +21,9 @@ The omnibus decision is an integer comparison.  Each trial's doubled rank
 sums 2 S_j give T_j = 2 S_j - N(k+1), as in ``procedure.friedman_statistic``,
 and T_j^2 is summed in int64 (``SimConfig`` keeps N^2 k(k^2-1) below 2^63).
 The p-value falls as that sum grows, so :func:`_reject_threshold` finds
-once, by binary search through the public scalar ``chi_square_sf``, the
-least sum that the public pipeline rejects.
+once per study, by binary search through the public scalar ``chi_square_sf``,
+the least sum that the public pipeline rejects.  That threshold and a power
+study's CD are solved before any worker starts; the kernel compares only.
 """
 
 from __future__ import annotations
@@ -195,15 +196,11 @@ def generate_matrix(cfg: SimConfig, trial_index: int) -> PerformanceMatrix:
     )
 
 
-def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
-    """Run trials [start, stop): count omnibus rejections and pairwise hits.
-
-    Pairwise hits are only tallied for non-null configs: a Type-I study
-    reports the omnibus rate alone, so it needs no CD.
+def _run_chunk(cfg: SimConfig, start: int, stop: int, threshold: int, cd: "float | None") -> tuple:
+    """Run trials [start, stop): count sums T^2 at or above ``threshold``
+    and, unless ``cd`` is None, pairs whose average ranks differ by at least ``cd``.
     """
     n, k = cfg.n_datasets, cfg.n_models
-    cd = None if cfg.is_null else nemenyi_cd(k, n, cfg.alpha)
-    threshold = _reject_threshold(n, k, cfg.alpha)
     rejections = 0
     pair_hits = np.zeros((k, k), dtype=np.int64)
     # trials per chunk; when N < k the (chunk, k, k) pair stage, not the block, counts
@@ -224,19 +221,21 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int) -> tuple:
     return rejections, pair_hits
 
 
-def _run_trials(cfg: SimConfig, workers: int) -> tuple:
+def _run_trials(cfg: SimConfig, workers: int, cd: "float | None" = None) -> tuple:
+    """Omnibus rejections and, when ``cd`` is given, pair hits over every trial of ``cfg``."""
     check_int(workers, "workers", 1)
+    threshold = _reject_threshold(cfg.n_datasets, cfg.n_models, cfg.alpha)
     # Under fork the pool starts all its processes up front, and the results do
     # not depend on the split: one nonempty span per process, one process per CPU.
     workers = min(workers, cfg.trials, os.cpu_count() or 1)
     if workers == 1:
-        return _run_chunk(cfg, 0, cfg.trials)
+        return _run_chunk(cfg, 0, cfg.trials, threshold, cd)
     bounds = [i * cfg.trials // workers for i in range(workers + 1)]
-    spans = list(zip(bounds, bounds[1:]))
     # imported here so a 1-worker run does not pay for concurrent.futures and logging
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        rejections, pair_hits = zip(*pool.map(_run_chunk, repeat(cfg), *zip(*spans)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        rejections, pair_hits = zip(*pool.map(
+            _run_chunk, repeat(cfg), bounds, bounds[1:], repeat(threshold), repeat(cd)))
     return sum(rejections), sum(pair_hits)
 
 
@@ -313,11 +312,14 @@ def estimate_power(cfg: SimConfig, workers: int = 1) -> PowerEstimate:
     """Estimate omnibus power and per-pair detection rates under an effect."""
     if cfg.is_null:
         raise ValidationError("estimate_power requires a nonzero effect vector")
-    rejections, pair_hits = _run_trials(cfg, workers)
+    # a Type-I study reports the omnibus rate alone; a power study solves its CD
+    # here, before any trial, so a design without one fails before a pool starts
+    cd = nemenyi_cd(cfg.n_models, cfg.n_datasets, cfg.alpha)
+    rejections, pair_hits = _run_trials(cfg, workers, cd)
     lo, hi = _wilson_ci(rejections, cfg.trials)
     return PowerEstimate(
         config=cfg,
-        cd=nemenyi_cd(cfg.n_models, cfg.n_datasets, cfg.alpha),
+        cd=cd,
         omnibus_rejections=rejections,
         omnibus_rate=rejections / cfg.trials,
         ci_low=lo,

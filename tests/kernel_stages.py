@@ -6,11 +6,14 @@ Not a test module; run it from the repository root:
     PYTHONPATH=src python3 tests/kernel_stages.py --n 31 --k 8 --trials 10000 \\
         --effect 0.5,0.4,0.3,0.2,0.1,0,0,0
 
-It runs ``simulate._run_chunk`` itself, serially, with timers around the
-kernel's own stage functions: draw (``_draw``), rank (``doubled_midranks``)
-and int checks (``_doubled_rank_sums``).  The statistic stage is the rest of
-the chunk loop: the finite check, the sign flip, the sums of T^2 against the
-threshold and, under an effect, the pair hits.  Each stage is the median over
+It runs the serial study path, ``simulate._run_trials(cfg, 1, cd)`` with the
+CD from ``nemenyi_cd`` under an effect, as a 1-worker CLI run does, with
+timers around the kernel's own stage functions: draw (``_draw``), rank
+(``doubled_midranks``) and int checks (``_doubled_rank_sums``).  The
+statistic stage is the rest: the study's setup (its threshold and, under an
+effect, its CD, each solved once) and, in the chunk loop, the finite check,
+the sign flip, the sums of T^2 against the threshold and, under an effect,
+the pair hits.  Each stage is the median over
 ``--repeats`` runs.  The traced peak comes from one more, untimed run under
 tracemalloc.  Prints one JSON object.
 """
@@ -23,11 +26,17 @@ import statistics
 import time
 import tracemalloc
 
-from cdranks import simulate
-from cdranks.simulate import SimConfig, _run_chunk
+from cdranks import nemenyi_cd, simulate
+from cdranks.simulate import SimConfig, _run_trials
 
 # stage name -> the simulate function it times
 STAGES = {"draw_ms": "_draw", "rank_ms": "doubled_midranks", "int_checks_ms": "_doubled_rank_sums"}
+
+
+def _run_study(cfg: SimConfig) -> tuple:
+    """The serial study path: (rejections, pair hits), with the CD solved first under an effect."""
+    cd = None if cfg.is_null else nemenyi_cd(cfg.n_models, cfg.n_datasets, cfg.alpha)
+    return _run_trials(cfg, 1, cd)
 
 
 def _timed_run(cfg: SimConfig) -> tuple:
@@ -51,7 +60,7 @@ def _timed_run(cfg: SimConfig) -> tuple:
         setattr(simulate, name, timed(stage, originals[name]))
     try:
         start = time.perf_counter()
-        rejections, _ = _run_chunk(cfg, 0, cfg.trials)
+        rejections, _ = _run_study(cfg)
         total = time.perf_counter() - start
     finally:
         for name, fn in originals.items():
@@ -64,11 +73,11 @@ def _timed_run(cfg: SimConfig) -> tuple:
 
 def stage_report(cfg: SimConfig, repeats: int) -> dict:
     """Median stage times over ``repeats`` runs of ``cfg``, the chunk count and the traced peak."""
-    _run_chunk(cfg, 0, cfg.trials)  # warm up: lazy imports and first-call costs are not stages
+    _run_study(cfg)  # warm up: lazy imports and first-call costs are not stages
     runs = [_timed_run(cfg) for _ in range(repeats)]
     tracemalloc.start()
     try:
-        _run_chunk(cfg, 0, cfg.trials)
+        _run_study(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

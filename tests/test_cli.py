@@ -859,6 +859,16 @@ class TestAnyDesign:
         code, out, err = run(capsys, *argv)
         assert (code, err, json.loads(out)["trials"]) == (0, "", 3)
 
+    def test_power_without_a_cd_builds_no_pool(self, capsys, monkeypatch):
+        pools = []
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", lambda **kw: pools.append(kw))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code, out, err = run(capsys, "simulate", "--n", "5", "--k", "8", "--trials", "200",
+                             "--alpha", "1e-6", "--effect", "1,0,0,0,0,0,0,0", "--workers", "2")
+        assert (code, out, pools) == (3, "", [])
+        assert err == ("error: k=8, alpha=1e-06 is outside 2 <= k <= 1000, "
+                       "alpha >= 1e-05, where the critical value is computed\n")
+
 
 class TestParser:
     def test_no_subcommand(self):

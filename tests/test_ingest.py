@@ -1,6 +1,7 @@
 """CSV parsing, fold aggregation, manifest handling, tag summaries."""
 
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -426,6 +427,15 @@ class TestParseManifest:
         with pytest.raises(ValidationError, match="duplicate model label"):
             parse_manifest(json.dumps(doc))
 
+    def test_one_repeat_among_many_labels_is_named_quickly(self):
+        # the repeated labels are counted once, not once per label
+        models = [ModelId(f"m{i:05d}") for i in range(20_000)] + [ModelId("m00042")]
+        start = time.perf_counter()
+        with pytest.raises(ValidationError) as err:
+            ExperimentManifest("auc", "maximize", models)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "duplicate model label(s) in manifest: m00042"
+
     def test_alpha_read_and_validated(self):
         doc = dict(self.GOOD, alpha=0.1)
         assert parse_manifest(json.dumps(doc)).alpha == 0.1
@@ -524,6 +534,20 @@ class TestAggregateFolds:
             m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
         assert m.datasets == ("d1",)
         assert list(m.values[0]) == [0.1, 0.2, 0.3]
+
+    def test_drop_half_of_many_datasets_quickly(self):
+        # 16,000 datasets, every odd one missing model "c"; the dropped set is built once
+        names = [f"d{i:05d}" for i in range(16_000)]
+        cells = {(d, model): {"0": 0.1} for d in names for model in "ab"}
+        cells.update({(d, "c"): {"0": 0.2} for d in names[::2]})
+        start = time.perf_counter()
+        with pytest.warns(DroppedDatasetsWarning) as caught:
+            m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
+        assert time.perf_counter() - start < 1.0
+        assert m.datasets == tuple(names[::2])
+        assert str(caught[0].message) == (
+            f"dropped 8000 incomplete dataset(s): {', '.join(names[1::2])}"
+        )
 
     def test_drop_everything_fails(self):
         cells = {("d1", "a"): {"0": 0.1}}

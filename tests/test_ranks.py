@@ -258,6 +258,12 @@ class TestRankTypes:
         stacked = outcome(check_rank_vectors, np.array(r), "average rank")
         assert outcome(check_average_ranks, r) == stacked
 
+    @pytest.mark.parametrize("r", ["123", b"123"])
+    def test_average_ranks_reject_text(self, r):
+        # the coercion rule of every other rank entry point: text is not a rank vector
+        with pytest.raises(ValidationError, match="need a 1-d vector of at least two ranks"):
+            AverageRanks(r)
+
     def test_average_ranks_indexing(self):
         r = AverageRanks(np.array([1.0, 2.0, 3.0]))
         assert len(r) == 3

@@ -23,7 +23,7 @@ from cdranks import (
     pairwise_significance,
 )
 from cdranks import simulate
-from cdranks.simulate import CHUNK_ELEMENTS, _reject_threshold, _run_chunk
+from cdranks.simulate import CHUNK_ELEMENTS, _reject_threshold, _run_chunk, _run_trials
 
 import kernel_stages
 
@@ -33,8 +33,36 @@ def chunk_trials(n, k):
     return max(1, CHUNK_ELEMENTS // (max(n, k) * k))
 
 
+def study_constants(cfg):
+    """The threshold and, under an effect, the CD that a study solves once, before its trials."""
+    n, k = cfg.n_datasets, cfg.n_models
+    return _reject_threshold(n, k, cfg.alpha), None if cfg.is_null else nemenyi_cd(k, n, cfg.alpha)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each pool built while the test runs; every pool maps in this process."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 def drawn_blocks(monkeypatch, cfg, start, stop):
-    """(first trial, copy of the values) of each block that ``_run_chunk(cfg, start, stop)`` draws."""
+    """(first trial, copy of the values) of each block the kernel draws for trials [start, stop)."""
     blocks = []
     draw = simulate._draw
 
@@ -44,7 +72,7 @@ def drawn_blocks(monkeypatch, cfg, start, stop):
 
     with monkeypatch.context() as m:
         m.setattr(simulate, "_draw", spy)
-        _run_chunk(cfg, start, stop)
+        _run_chunk(cfg, start, stop, *study_constants(cfg))
     return blocks
 
 
@@ -308,32 +336,16 @@ class TestEstimatePower:
         cfg = config(n=12, k=4, effect=(1.0, 0.5, 0.0, 0.0), trials=40, seed=11)
         assert estimate_power(cfg, workers=1).to_dict() == estimate_power(cfg, workers=4).to_dict()
 
-    def test_pool_never_larger_than_span_count(self, monkeypatch):
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    def test_pool_never_larger_than_span_count(self, monkeypatch, pool_sizes):
         cfg = config(n=12, k=4, effect=(2.0, 1.0, 0.0, 0.0), trials=3, seed=11)
         serial = estimate_power(cfg, workers=1).to_dict()
         # 64 workers over 3 trials make 3 spans; the pool is also capped at the
         # CPU count, and one CPU (or an unknown count) runs serially, with no pool
-        for cpus, pool_sizes in ((64, [3]), (2, [2]), (1, []), (None, [])):
+        for cpus, sizes in ((64, [3]), (2, [2]), (1, []), (None, [])):
             monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
             assert estimate_power(cfg, workers=64).to_dict() == serial
-            assert sizes == pool_sizes
-            sizes.clear()
+            assert pool_sizes == sizes
+            pool_sizes.clear()
 
     def test_detection_read_only(self):
         est = estimate_power(config(effect=(1.0, 0.0, 0.0), trials=2))
@@ -344,6 +356,51 @@ class TestEstimatePower:
             det[0][1] = 0.5
         with pytest.raises(TypeError):
             det[0] = (0.0, 0.5, 0.5)
+
+
+class TestStudyConstants:
+    """Each study solves its threshold and CD once, before any trial or pool."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        counts = {"_reject_threshold": 0, "nemenyi_cd": 0}
+
+        def counted(name):
+            fn = getattr(simulate, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(simulate, name, counted(name))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 64)
+        return counts
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_power_solves_each_constant_once(self, solves, pool_sizes, workers):
+        cfg = config(n=12, k=4, effect=(2.0, 1.0, 0.0, 0.0), trials=30, seed=11)
+        est = estimate_power(cfg, workers=workers)
+        assert solves == {"_reject_threshold": 1, "nemenyi_cd": 1}
+        assert pool_sizes == ([] if workers == 1 else [workers])
+        assert est.cd == nemenyi_cd(4, 12, 0.05)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_null_solves_the_threshold_once_and_no_cd(self, solves, pool_sizes, workers):
+        estimate_type1(config(n=12, k=4, trials=30, seed=11), workers=workers)
+        assert solves == {"_reject_threshold": 1, "nemenyi_cd": 0}
+        assert pool_sizes == ([] if workers == 1 else [workers])
+
+    def test_undefined_cd_fails_before_any_pool(self, solves, pool_sizes, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(simulate, "_draw", lambda *args: drawn.append(args))
+        cfg = config(n=5, k=8, effect=(1.0,) + (0.0,) * 7, trials=200, alpha=1e-6)
+        with pytest.raises(UnsupportedDesignError, match="alpha >= 1e-05"):
+            estimate_power(cfg, workers=2)
+        assert (pool_sizes, drawn) == ([], [])
+        assert solves == {"_reject_threshold": 0, "nemenyi_cd": 1}
 
 
 def _per_trial_counts(cfg):
@@ -419,7 +476,7 @@ class TestIntegerKernel:
         assert len(set(generate_matrix(cfg, 0).values[0])) < 8
         rejections, _ = _per_trial_counts(cfg)
         assert 0 < rejections < cfg.trials
-        assert _run_chunk(cfg, 0, cfg.trials)[0] == rejections
+        assert _run_trials(cfg, 1)[0] == rejections
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
     def test_tied_power_matches_per_trial_pipeline(self, monkeypatch, rounded_draws, alpha):
@@ -428,7 +485,7 @@ class TestIntegerKernel:
         assert_crosses_chunks(monkeypatch, cfg)
         rejections, hits = _per_trial_counts(cfg)
         assert 0 < hits[0, 3] < cfg.trials
-        got_rejections, got_hits = _run_chunk(cfg, 0, cfg.trials)
+        got_rejections, got_hits = _run_trials(cfg, 1, nemenyi_cd(5, 12, alpha))
         assert got_rejections == rejections
         assert np.array_equal(got_hits, hits)
 
@@ -436,10 +493,12 @@ class TestIntegerKernel:
     def traced_peak(n, k, trials):
         """Peak traced bytes of one power run at (N, k), and its bound 3 * 8 * max(2^14, N k) + slack."""
         cfg = config(n=n, k=k, effect=tuple(j / 10 for j in range(k)), trials=trials)
-        _run_chunk(cfg, 0, trials)  # lazy imports and first-call costs are not the working set
+        constants = study_constants(cfg)  # solved once per study, outside the kernel
+        # lazy imports and first-call costs are not the working set
+        _run_chunk(cfg, 0, trials, *constants)
         tracemalloc.start()
         try:
-            _run_chunk(cfg, 0, trials)
+            _run_chunk(cfg, 0, trials, *constants)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,7 +535,7 @@ class TestIntegerKernel:
 
         monkeypatch.setattr(simulate, "doubled_midranks", corrupted)
         with pytest.raises(ValidationError, match=message):
-            _run_chunk(config(n=31, k=8, trials=256), 0, 256)
+            _run_trials(config(n=31, k=8, trials=256), 1)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_draws_rejected(self):
