@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .errors import CdranksError, ValidationError, check_alpha, check_int, check_number, check_positive
@@ -95,16 +94,16 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-# Every line boundary str.splitlines honours.
-_LINE_BREAK = re.compile(r"[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
-
-
 def _detect_format(text: str) -> str:
-    from .ingest import LONG_HEADER
+    import csv
 
-    end = _LINE_BREAK.search(text)
-    first = text[: end.start()] if end else text
-    return "long" if tuple(f.strip() for f in first.split(",")) == LONG_HEADER else "wide"
+    from .ingest import LONG_HEADER, _csv_reader
+
+    try:
+        header = next(_csv_reader(text), [])
+    except csv.Error:  # the wide parser reports it with its line number
+        return "wide"
+    return "long" if tuple(f.strip() for f in header) == LONG_HEADER else "wide"
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

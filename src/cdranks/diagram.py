@@ -9,6 +9,7 @@ function of its inputs, so identical calls produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,7 +141,8 @@ def render_svg(
     one ``axis`` line, one ``tick`` per rank position, one ``cd-bracket``
     path with its ``cd-label`` text, one ``stem`` path and ``label`` text
     per model, and one ``bar`` line per multi-member group.  An optional
-    ``annotation`` line is stamped under the diagram.
+    ``annotation`` line is stamped under the diagram.  A CD whose bracket
+    would end at no finite x is a ValidationError.
     """
     w = opts.width_px
     fs = _FONT_SIZE_PX
@@ -174,6 +176,8 @@ def render_svg(
     )
 
     bx0, bx1 = x_at(1.0), x_at(1.0 + spec.cd)
+    if not math.isfinite(bx1):
+        raise ValidationError(f"cd {spec.cd!r} is too large to draw: its bracket ends at x = {bx1}")
     out.append(
         f'<path class="cd-bracket" fill="none" stroke="black" '
         f'd="M {_px(bx0)} {_px(y_bracket + 4)} L {_px(bx0)} {_px(y_bracket)} '

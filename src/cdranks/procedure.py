@@ -110,7 +110,27 @@ def friedman_statistic(ranks, n_datasets: int, k: int) -> float:
     when all average ranks are equal.  ``ranks`` is AverageRanks or any
     sequence of k average ranks over ``n_datasets`` datasets.
     """
-    return 3 * _sum_t2(ranks, n_datasets, k) / (n_datasets * k * (k + 1))
+    return _omnibus(3 * _sum_t2(ranks, n_datasets, k), n_datasets, k, Variant.FRIEDMAN)[0]
+
+
+def _omnibus(three_t2: int, n: int, k: int, variant: Variant) -> tuple:
+    """(statistic, df2, p-value) of ``variant`` at the exact int 3 sum T^2, over N datasets.
+
+    chi2 = 3 sum T^2 / (N k(k+1)) and F_F = (N-1) 3 sum T^2 / (N^2 k(k^2-1) - 3 sum T^2),
+    each one correctly rounded int / int division; df2 is None for chi2.
+    """
+    if variant is Variant.FRIEDMAN:
+        statistic = three_t2 / (n * k * (k + 1))
+        return statistic, None, chi_square_sf(statistic, k - 1)
+    denom = n * n * k * (k * k - 1) - three_t2
+    if denom == 0:
+        raise DegenerateStatisticError(
+            "rankings are perfectly consistent across datasets: the F-form "
+            "statistic divides by N(k-1) - chi2 = 0"
+        )
+    df2 = (k - 1) * (n - 1)
+    statistic = (n - 1) * three_t2 / denom
+    return statistic, df2, f_sf(statistic, k - 1, df2)
 
 
 def friedman_test(
@@ -127,8 +147,7 @@ def friedman_test(
     The ``friedman`` variant compares the statistic to chi-square with k - 1
     degrees of freedom.  The ``iman_davenport`` variant rescales it to
     F_F = (N-1) * chi2 / (N(k-1) - chi2) with (k-1, (k-1)(N-1)) degrees of
-    freedom, which is less conservative.  It is computed exactly, as
-    (N-1) 3 sum T^2 / (N^2 k(k^2-1) - 3 sum T^2) in :func:`friedman_statistic`'s ints.
+    freedom, which is less conservative.  :func:`_omnibus` computes both exactly.
 
     Raises
     ------
@@ -147,24 +166,10 @@ def friedman_test(
             stacklevel=2,
         )
     three_t2 = 3 * _sum_t2(average_ranks(m) if ranks is None else ranks, n, k)
-
-    if variant is Variant.FRIEDMAN:
-        statistic, df, df2 = three_t2 / (n * k * (k + 1)), k - 1, None
-        p = chi_square_sf(statistic, df)
-    else:
-        denom = n * n * k * (k * k - 1) - three_t2
-        if denom == 0:
-            raise DegenerateStatisticError(
-                "rankings are perfectly consistent across datasets: the F-form "
-                "statistic divides by N(k-1) - chi2 = 0"
-            )
-        statistic = (n - 1) * three_t2 / denom
-        df, df2 = k - 1, (k - 1) * (n - 1)
-        p = f_sf(statistic, df, df2)
-
+    statistic, df2, p = _omnibus(three_t2, n, k, variant)
     return FriedmanResult(
         statistic=statistic,
-        df=df,
+        df=k - 1,
         p_value=p,
         alpha=alpha,
         reject_null=p < alpha,

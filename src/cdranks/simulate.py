@@ -20,14 +20,15 @@ bytes, 0.4 MB traced at N=31, k=8 (66-trial chunks) and 0.5 MB at N=1000, k=20.
 The omnibus decision is an integer comparison.  Each trial's doubled rank
 sums 2 S_j give T_j = 2 S_j - N(k+1), as in ``procedure.friedman_statistic``,
 and T_j^2 is summed in int64 (``SimConfig`` keeps N^2 k(k^2-1) below 2^63).
-The p-value falls as that sum grows, so :func:`_reject_threshold` finds
-once per study, by binary search through the public scalar ``chi_square_sf``,
-the least sum that the public pipeline rejects.  That threshold and a power
-study's CD are solved before any worker starts; the kernel compares only.
+The p-value falls as that sum grows, so :func:`_reject_threshold` finds once
+per study, by bisection through ``friedman_test``'s own omnibus function, the
+least sum that the public pipeline rejects.  That threshold and a power study's
+CD are solved before any worker starts; the kernel compares only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -36,9 +37,9 @@ from itertools import repeat
 import numpy as np
 
 from .cd import nemenyi_cd
-from .distributions import chi_square_sf
 from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_int
 from .errors import check_models, check_positive
+from .procedure import Variant, _omnibus
 from .ranks import Direction, ModelId, PerformanceMatrix
 
 # 97.5% normal quantile, for the 95% Wilson interval.
@@ -145,19 +146,13 @@ def _doubled_rank_sums(d: np.ndarray, k: int) -> np.ndarray:
 
 
 def _reject_threshold(n: int, k: int, alpha: float) -> int:
-    """The least sum T^2 whose p-value chi_square_sf(3 sum T^2 / (N k(k+1)), k-1) is below alpha.
+    """The least sum T^2 whose p-value, as ``friedman_test`` computes it, is below alpha.
 
     Binary search over 0 .. N^2 k(k^2-1)/3, the largest sum T^2 (every dataset
     ranks the models alike); one past it when no sum rejects.
     """
-    lo, hi = 0, n * n * k * (k * k - 1) // 3 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if chi_square_sf(3 * mid / (n * k * (k + 1)), k - 1) < alpha:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect.bisect_left(range(n * n * k * (k * k - 1) // 3 + 1), True,
+                              key=lambda s: _omnibus(3 * s, n, k, Variant.FRIEDMAN)[2] < alpha)
 
 
 def _draw(cfg: SimConfig, first_trial: int, out: np.ndarray) -> None:

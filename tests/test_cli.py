@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes."""
 
 import argparse
+import csv
 import importlib.util
 import io
 import json
@@ -170,12 +171,35 @@ class TestAnalyze:
         assert out.read_bytes() == (FIXTURES / name).read_bytes()
 
     def test_format_detection_honours_every_line_boundary(self):
-        # str.splitlines has no line boundary at or above U+3000
+        # the header row ends where the CSV parsers end it: at "\n" or "\r" only
         header = "dataset,model,fold,value"
         for c in map(chr, range(0x3000)):
-            text = header + c + "x,y"
-            expected = "long" if len(text.splitlines()) == 2 else "wide"
-            assert _detect_format(text) == expected, hex(ord(c))
+            expected = "long" if c in "\n\r" else "wide"
+            assert _detect_format(header + c + "x,y") == expected, hex(ord(c))
+
+    @pytest.mark.parametrize("quoting", ["header", "all"])
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_quoted_long_header_is_detected(self, capsys, tmp_path, monkeypatch, quoting, via):
+        # R's write.csv quotes the header; pandas with QUOTE_ALL quotes every field
+        plain = (FIXTURES / "results_long.csv").read_text(encoding="utf-8")
+        header, rest = plain.split("\n", 1)
+        if quoting == "all":
+            lines = io.StringIO()
+            csv.writer(lines, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+                csv.reader(io.StringIO(rest)))
+            rest = lines.getvalue()
+        text = ",".join(f'"{h}"' for h in header.split(",")) + "\n" + rest
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(text, encoding="utf-8")
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
+        argv = ["--manifest", str(FIXTURES / "manifest_long.json"), "--drop-incomplete"]
+        with pytest.warns(DroppedDatasetsWarning), pytest.warns(SmallSampleWarning):
+            expected = run(capsys, "analyze", str(FIXTURES / "results_long.csv"), *argv)
+        with pytest.warns(DroppedDatasetsWarning), pytest.warns(SmallSampleWarning):
+            got = run(capsys, "analyze", "-" if via == "stdin" else str(quoted), *argv)
+        assert expected[0] == 0
+        assert got == expected
 
     def test_format_override_rejects_wrong_layout(self, capsys, tmp_path):
         code, _, err = run(
@@ -196,12 +220,14 @@ class TestAnalyze:
             ("dataset,model,fold,value", "d1,a,0,{}", 3),
             ("dataset,a", "d1,{}", 3),
             ("dataset,model,fold,value", 'd1,a,0,"\n{}"', 5),
+            ("dataset," + "a" * 131073, "d1,{}", 1),
         ],
-        ids=["long", "wide", "long_quoted"],
+        ids=["long", "wide", "long_quoted", "header"],
     )
     def test_oversized_field_exits_2(self, capsys, tmp_path, header, row, line):
         # the csv module rejects fields over 131072 characters; a quoted
-        # field spanning lines fails on the line where it overflows
+        # field spanning lines fails on the line where it overflows, and a
+        # header the format detection cannot read is left to the wide parser
         csv = tmp_path / "huge.csv"
         csv.write_text("\n".join([header, row.format("1"), row.format("9" * 131073)]) + "\n")
         code, out, err = run(
@@ -546,6 +572,16 @@ class TestDiagram:
         code, out, err = run(capsys, "diagram", path, "--alpha", "0.1")
         assert (code, out) == (2, "")
         assert err.startswith("error: cd must be a positive real, got 0.0")
+
+    @pytest.mark.parametrize("cd", [1e308, sys.float_info.max])
+    def test_cd_past_any_finite_bracket_exits_2(self, capsys, tmp_path, cd):
+        # a positive float, but the bracket end x0 + cd * 320 / (k - 1) overflows
+        svg = tmp_path / "cd.svg"
+        code, out, err = run(
+            capsys, "diagram", self.write_report(tmp_path, cd=cd), "--out", str(svg)
+        )
+        assert (code, out, svg.exists()) == (2, "", False)
+        assert err == f"error: cd {cd!r} is too large to draw: its bracket ends at x = inf\n"
 
     @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\ud800", "\ufffe"])
     def test_label_outside_xml_char_exits_2(self, capsys, tmp_path, char):

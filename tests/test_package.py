@@ -180,3 +180,48 @@ class TestCheckLabel:
         assert found == [m.start() for m in NOT_XML_CHAR_COMPLEMENT.finditer(text)]
         # 29 C0 controls besides tab, LF and CR; 2048 surrogates; U+FFFE and U+FFFF
         assert len(found) == 29 + 2048 + 2
+
+
+def _unused_imports(source: str) -> list:
+    """Sorted names that ``source`` imports and never reads.
+
+    A read is any Name node, so an attribute base (``np`` in ``np.sum``) and
+    an unquoted annotation count; a quoted annotation is parsed for its names.
+    ``from __future__ import ...`` binds nothing and is exempt.
+    """
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        for field in ("annotation", "returns"):
+            annotation = getattr(node, field, None)
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    quoted = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return sorted(imported - used)
+
+
+class TestImports:
+    def test_no_module_imports_a_name_it_never_uses(self):
+        modules = sorted(Path(cdranks.__file__).parent.glob("*.py"))
+        assert modules
+        unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+        assert {name: names for name, names in unused.items() if names} == {}
+
+    def test_scan_finds_a_leftover_import(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "import numpy as np\n"
+            "from .distributions import chi_square_sf, f_sf\n"
+            "from .ranks import AverageRanks, PerformanceMatrix\n"
+            "def g(m: PerformanceMatrix, r: 'AverageRanks | None' = None) -> float:\n"
+            "    return np.sum(f_sf(1.0, 2, 3))\n"
+        )
+        assert _unused_imports(source) == ["chi_square_sf", "os"]

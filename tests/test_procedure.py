@@ -68,14 +68,17 @@ class TestFriedmanStatistic:
     def test_exact_rational_correctly_rounded(self, k):
         # The statistic is 3 sum T^2 / (N k(k+1)) rounded once, T_j = 2 S_j - N(k+1),
         # with the rank sums S_j taken from SciPy's mid-ranks; tied and untied rows.
+        # The F form is (N-1) 3 sum T^2 / (N^2 k(k^2-1) - 3 sum T^2), also rounded once.
         rng = np.random.default_rng(k)
         for n in (5, 31, 1000):
             for values in (rng.standard_normal((n, k)), rng.integers(0, 3, (n, k)).astype(float)):
                 s2 = (2 * rankdata(-values, axis=1)).sum(axis=0).astype(np.int64)
-                sum_t2 = sum((int(s) - n * (k + 1)) ** 2 for s in s2)
-                exact = float(Fraction(3 * sum_t2, n * k * (k + 1)))
+                three_t2 = 3 * sum((int(s) - n * (k + 1)) ** 2 for s in s2)
+                exact = float(Fraction(three_t2, n * k * (k + 1)))
                 assert friedman_statistic(average_ranks(matrix(values)), n, k) == exact
                 assert friedman_test(matrix(values)).statistic == exact
+                exact_f = float(Fraction((n - 1) * three_t2, n * n * k * (k * k - 1) - three_t2))
+                assert friedman_test(matrix(values), variant="iman_davenport").statistic == exact_f
 
     @pytest.mark.parametrize("variant", ["friedman", "iman_davenport"])
     def test_given_ranks_equal_ranking_the_matrix(self, variant):
