@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_positive
+from .errors import check_reals
 
 # q_alpha's fixed Simpson grid holds q to 4e-9 relative inside this domain;
 # past it the error grows, to 2e-6 at k = 5000 and to the 4th decimal at
@@ -75,14 +76,12 @@ def check_average_ranks(r: list) -> None:
         raise ValidationError(f"row 0 average rank sum {total} != k(k+1)/2 = {target}")
 
 
-def rank_list(ranks) -> list:
-    """AverageRanks, a sequence or a 1-d array of at least two finite ranks, as a list of floats."""
-    try:
-        r = [] if isinstance(ranks, (str, bytes)) else list(map(float, ranks))
-    except (TypeError, ValueError, OverflowError):
-        r = []
+def rank_list(ranks) -> tuple:
+    """AverageRanks, a sequence or a 1-d array of at least two finite ranks, as a tuple of floats."""
+    message = "need a 1-d vector of at least two ranks"
+    r = check_reals(ranks, message)
     if len(r) < 2:
-        raise ValidationError("need a 1-d vector of at least two ranks")
+        raise ValidationError(message)
     if not all(map(math.isfinite, r)):
         raise ValidationError("ranks must be finite")
     return r

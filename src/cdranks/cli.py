@@ -13,6 +13,7 @@ import json
 import sys
 
 from .errors import CdranksError, ValidationError, check_alpha, check_int, check_number, check_positive
+from .errors import load_json_object
 
 _FORMATS_HELP = """\
 input formats:
@@ -151,17 +152,11 @@ def _require(report: dict, key: str, kinds: tuple) -> object:
     return value
 
 
-def _load_report(text: str, need_n_datasets: bool = False) -> dict:
-    """Parse and check a report; ``n_datasets`` is checked if present or needed."""
+def _load_report(text: str) -> dict:
+    """Parse and check a report; ``n_datasets`` is checked if present."""
     from .cd import check_average_ranks
 
-    try:
-        report = json.loads(text)
-    # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"report is not valid JSON: {exc}") from None
-    if not isinstance(report, dict):
-        raise ValidationError("report must be a JSON object")
+    report = load_json_object(text, "report")
     entries = _require(report, "average_ranks", (list,))
     if not entries:
         raise ValidationError("report lists no models")
@@ -187,8 +182,8 @@ def _load_report(text: str, need_n_datasets: bool = False) -> dict:
             f"report posthoc_licensed {licensed} disagrees with p_value {p_value!r} "
             f"and alpha {alpha!r}"
         )
-    if need_n_datasets or "n_datasets" in report:
-        check_int(report.get("n_datasets"), "report n_datasets", 2)
+    if "n_datasets" in report:
+        check_int(report["n_datasets"], "report n_datasets", 2)
     return report
 
 
@@ -196,20 +191,20 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     from .cd import nemenyi_cd
     from .diagram import RenderOptions, layout, render_svg
 
-    report = _load_report(_read(args.report), need_n_datasets=args.alpha is not None)
+    report = _load_report(_read(args.report))
     entries = report["average_ranks"]
     labels = [e["label"] for e in entries]
-    ranks = [float(e["rank"]) for e in entries]
+    ranks = [e["rank"] for e in entries]
 
-    cd = float(report["cd"])
-    alpha = report["alpha"]
-    licensed = report["posthoc_licensed"]
+    cd, alpha = report["cd"], report["alpha"]
     if args.alpha is not None:
         alpha = args.alpha
-        cd = nemenyi_cd(len(ranks), report["n_datasets"], alpha)
-        licensed = report["p_value"] < alpha
+        n_datasets = check_int(report.get("n_datasets"), "report n_datasets", 2)
+        cd = nemenyi_cd(len(ranks), n_datasets, alpha)
 
     spec = layout(ranks, labels, cd)
+    # the licence at any alpha; the reader holds posthoc_licensed to it at the report's own
+    licensed = report["p_value"] < alpha
     annotation = None if licensed else f"no significant differences at alpha = {alpha:g}"
     svg = render_svg(spec, RenderOptions(width_px=args.width), annotation=annotation)
     _emit(svg, args.out)

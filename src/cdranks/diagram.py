@@ -141,9 +141,11 @@ def render_svg(
     one ``axis`` line, one ``tick`` per rank position, one ``cd-bracket``
     path with its ``cd-label`` text, one ``stem`` path and ``label`` text
     per model, and one ``bar`` line per multi-member group.  An optional
-    ``annotation`` line is stamped under the diagram.  A CD whose bracket
-    would end at no finite x is a ValidationError.
+    ``annotation`` line is stamped under the diagram.  Fewer than two ranks,
+    a CD whose bracket would end at no finite x, and a CD past 4 (k - 1),
+    which no critical difference of k models reaches, are ValidationErrors.
     """
+    check_int(spec.k, "k", 2)
     w = opts.width_px
     fs = _FONT_SIZE_PX
     gutter = round(0.30 * w)
@@ -178,6 +180,11 @@ def render_svg(
     bx0, bx1 = x_at(1.0), x_at(1.0 + spec.cd)
     if not math.isfinite(bx1):
         raise ValidationError(f"cd {spec.cd!r} is too large to draw: its bracket ends at x = {bx1}")
+    # nemenyi_cd(k, 2, 1e-5), the largest CD analyze can report, is at most 3.12 (k - 1)
+    if spec.cd > 4 * span:
+        raise ValidationError(
+            f"cd {spec.cd!r} is too large to draw: no CD of k={spec.k} models exceeds 4 (k - 1)"
+        )
     out.append(
         f'<path class="cd-bracket" fill="none" stroke="black" '
         f'd="M {_px(bx0)} {_px(y_bracket + 4)} L {_px(bx0)} {_px(y_bracket)} '

@@ -10,7 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_reals
+
+
+def _check_x(x) -> float:
+    """``x`` as a float if it is a real (see check_reals), finite and nonnegative; else ValidationError."""
+    message = f"x must be a finite nonnegative real, got {x!r}"
+    (x,) = check_reals((x,), message)
+    if not math.isfinite(x) or x < 0:
+        raise ValidationError(message)
+    return x
 
 
 def chi_square_sf(x: float, df: int) -> float:
@@ -25,8 +34,7 @@ def chi_square_sf(x: float, df: int) -> float:
     exp(-y) alone is subnormal or zero keeps its full precision.
     """
     check_int(df, "df", 1)
-    if not math.isfinite(x) or x < 0:
-        raise ValidationError(f"x must be a finite nonnegative real, got {x!r}")
+    x = _check_x(x)
     y = x / 2.0
     if y == 0.0:
         return 1.0
@@ -117,8 +125,7 @@ def f_sf(x: float, d1: int, d2: int) -> float:
     """Survival function P(F_{d1,d2} >= x) = I_w(d2/2, d1/2) at w = d2 / (d2 + d1 x)."""
     check_int(d1, "d1", 1)
     check_int(d2, "d2", 1)
-    if not math.isfinite(x) or x < 0:
-        raise ValidationError(f"x must be a finite nonnegative real, got {x!r}")
+    x = _check_x(x)
     r = d1 * x / d2
     if r == 0.0:
         return 1.0

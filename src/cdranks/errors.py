@@ -6,6 +6,7 @@ bad input (2) from an unsupported statistical design (3).
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -111,16 +112,38 @@ def check_number(text: str) -> float:
     raise ValidationError(f"non-numeric value {text!r}")
 
 
-def check_positive(value, name: str):
-    """Return ``value`` if it is a non-bool int or float in (0, max float]; else ValidationError.
-
-    The bounds are compared without float(), so an int past the float range
-    fails here instead of overflowing later.
+def check_reals(values, message: str) -> tuple:
+    """The one rule for a vector of reals: neither it nor an entry is text, no entry is a bool,
+    and ``float()`` takes every entry.  Returns the floats; else ValidationError(message).
     """
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
-    ):
-        raise ValidationError(f"{name} must be a positive real, got {value!r}")
+    try:
+        # Text is one text entry, which the entry rule refuses.  A list, not a tuple: CPython
+        # keeps up to 2000 freed tuples of each length <= 20, so tuple copies would hold memory.
+        entries = [values] if isinstance(values, (str, bytes)) else list(values)
+        if not any(issubclass(t, (str, bytes, bool)) for t in set(map(type, entries))):
+            return tuple(map(float, entries))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(message)
+
+
+def load_json_object(text: str, what: str) -> dict:
+    """Parse ``text`` as a JSON object; else ValidationError naming the document ``what``."""
+    try:
+        data = json.loads(text)
+    # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    return data
+
+
+def check_positive(value, name: str):
+    """Return ``value`` if it is a real (see check_reals) in (0, max float]; else ValidationError."""
+    message = f"{name} must be a positive real, got {value!r}"
+    if not 0.0 < check_reals((value,), message)[0] <= sys.float_info.max:
+        raise ValidationError(message)
     return value
 
 
@@ -138,14 +161,14 @@ def check_int(value: int, name: str, lo: "int | None" = None, hi: "int | None" =
 
 
 def check_models(k: int) -> int:
-    """Return ``k`` if the rank tests cover k models (k >= 3); else UnsupportedDesignError."""
-    if k < 3:
+    """Return the int ``k`` if the rank tests cover k >= 3 models; else UnsupportedDesignError."""
+    if check_int(k, "n_models") < 3:
         raise UnsupportedDesignError(f"k={k} models unsupported: the rank test machinery needs k >= 3")
     return k
 
 
 def check_datasets(n_datasets: int) -> int:
-    """Return ``n_datasets`` if the rank tests cover N datasets (N >= 2); else UnsupportedDesignError."""
-    if n_datasets < 2:
+    """Return the int ``n_datasets`` if the tests cover N >= 2 datasets; else UnsupportedDesignError."""
+    if check_int(n_datasets, "n_datasets") < 2:
         raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
     return n_datasets

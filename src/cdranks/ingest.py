@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .errors import (
     check_alpha,
     check_number,
     check_unique,
+    load_json_object,
 )
 from .procedure import NemenyiResult
 from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
@@ -96,13 +96,7 @@ def parse_manifest(text: str) -> ExperimentManifest:
 
     ``alpha`` defaults to 0.05 and ``tags`` to an empty mapping.
     """
-    try:
-        data = json.loads(text)
-    # JSONDecodeError, an int past the digit limit, or nesting past the recursion limit
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"manifest is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValidationError("manifest must be a JSON object")
+    data = load_json_object(text, "manifest")
     for key in ("metric_name", "direction", "models"):
         if key not in data:
             raise ValidationError(f"manifest is missing required key {key!r}")
@@ -113,14 +107,7 @@ def parse_manifest(text: str) -> ExperimentManifest:
     for i, entry in enumerate(raw_models):
         if not isinstance(entry, dict) or "label" not in entry:
             raise ValidationError(f"manifest model #{i} must be an object with a 'label'")
-        tags = entry.get("tags", {})
-        if not isinstance(tags, dict) or not all(
-            isinstance(k, str) and isinstance(v, str) for k, v in tags.items()
-        ):
-            raise ValidationError(
-                f"manifest model {entry['label']!r}: tags must map strings to strings"
-            )
-        models.append(ModelId(label=entry["label"], tags=tags))
+        models.append(ModelId(label=entry["label"], tags=entry.get("tags", {})))
     return ExperimentManifest(
         metric_name=data["metric_name"],
         direction=data["direction"],

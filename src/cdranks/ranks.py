@@ -12,12 +12,12 @@ The module needs only the standard library.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
 
 from .cd import check_average_ranks, rank_list
-from .errors import ValidationError, check_choice, check_label, check_models, check_unique
+from .errors import ValidationError, check_choice, check_label, check_models, check_reals, check_unique
 
 
 class Direction(str, Enum):
@@ -37,7 +37,7 @@ class ModelId:
 
     Tags encode the dimensions varied across models, e.g.
     ``{"feature_set": "clickstream", "algorithm": "adaboost"}``, so that
-    results can later be summarized per tag value.
+    results can later be summarized per tag value.  Tags map strings to strings.
     """
 
     label: str
@@ -45,6 +45,10 @@ class ModelId:
 
     def __post_init__(self):
         check_label(self.label)
+        if not isinstance(self.tags, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in self.tags.items()
+        ):
+            raise ValidationError(f"model {self.label!r}: tags must map strings to strings")
         object.__setattr__(self, "tags", dict(self.tags))
 
 
@@ -67,12 +71,13 @@ class PerformanceMatrix:
     def __post_init__(self):
         datasets = tuple(self.datasets)
         models = tuple(self.models)
+        message = "values must be a 2-dimensional block of reals"
         try:
-            values = tuple(tuple(map(float, row)) for row in self.values)
-        except (TypeError, ValueError, OverflowError):
+            values = tuple(check_reals(row, message) for row in self.values)
+        except TypeError:  # values is not iterable
             values = None
         if values is None or len(set(map(len, values))) > 1:
-            raise ValidationError("values must be a 2-dimensional block of reals")
+            raise ValidationError(message)
         direction = Direction.parse(self.direction)
 
         n = len(values)
@@ -121,7 +126,7 @@ class AverageRanks:
     def __post_init__(self):
         r = rank_list(self.r)
         check_average_ranks(r)
-        object.__setattr__(self, "r", tuple(r))
+        object.__setattr__(self, "r", r)
 
     def __len__(self) -> int:
         return len(self.r)

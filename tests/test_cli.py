@@ -583,6 +583,15 @@ class TestDiagram:
         assert (code, out, svg.exists()) == (2, "", False)
         assert err == f"error: cd {cd!r} is too large to draw: its bracket ends at x = inf\n"
 
+    def test_cd_past_any_critical_difference_exits_2(self, capsys, tmp_path):
+        # a finite bracket, but no CD of 3 models reaches 4 (k - 1) = 8 rank units
+        svg = tmp_path / "cd.svg"
+        code, out, err = run(
+            capsys, "diagram", self.write_report(tmp_path, cd=1e300), "--out", str(svg)
+        )
+        assert (code, out, svg.exists()) == (2, "", False)
+        assert err == "error: cd 1e+300 is too large to draw: no CD of k=3 models exceeds 4 (k - 1)\n"
+
     @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\ud800", "\ufffe"])
     def test_label_outside_xml_char_exits_2(self, capsys, tmp_path, char):
         ranks = [{"label": f"cart{char}click", "rank": 1.4}, {"label": "b", "rank": 2.2},
@@ -672,7 +681,7 @@ class TestReportRoundTrip:
                 s.to_dict() for s in summarize_by_tag(ranks, posthoc, manifest, "group")
             ]
 
-        loaded = _load_report(json.dumps(report), need_n_datasets=True)
+        loaded = _load_report(json.dumps(report))
         assert loaded == report
         entries = loaded["average_ranks"]
         spec = layout([e["rank"] for e in entries], [e["label"] for e in entries], loaded["cd"])

@@ -1,6 +1,7 @@
 """Layout geometry and SVG rendering."""
 
 import dataclasses
+import math
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cdranks import AverageRanks, RenderOptions, ValidationError, layout, nemenyi_cd, render_svg
+from cdranks import (AverageRanks, DiagramSpec, RenderOptions, ValidationError, layout, nemenyi_cd,
+                     render_svg)
 from cdranks.diagram import _escape
 
 
@@ -185,12 +187,37 @@ class TestRenderSvg:
         assert _escape(text) == escape(text)
 
     def test_annotation_rendering(self):
-        spec = spec_for([1.0, 2.0], cd=5.0)
+        spec = spec_for([1.0, 2.0], cd=3.0)
         _, _, by_class = parse(render_svg(spec, annotation="nothing to see"))
         notes = by_class["annotation"]
         assert len(notes) == 1 and notes[0].text == "nothing to see"
         _, _, by_class = parse(render_svg(spec))
         assert "annotation" not in by_class
+
+    # the largest CD that analyze or diagram --alpha computes, at N = 2 and alpha = 1e-5:
+    # 3.12 (k - 1) at k = 2, 2.32 (k - 1) at k = 3, below 2 (k - 1) from k = 4 on
+    @pytest.mark.parametrize("k", [2, 3, 8, 24, 1000])
+    def test_every_computed_cd_draws(self, k):
+        cd = nemenyi_cd(k, 2, 1e-5)
+        spec = spec_for([float(j) for j in range(1, k + 1)], cd=cd)
+        _, _, by_class = parse(render_svg(spec))
+        assert len(by_class["cd-bracket"]) == 1 and len(by_class["label"]) == k
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_cd_past_4_k_minus_1_rejected(self, k):
+        ranks = [float(j) for j in range(1, k + 1)]
+        render_svg(spec_for(ranks, cd=4.0 * (k - 1)))
+        with pytest.raises(ValidationError, match=f"^cd 1e[+]300 is too large to draw: no CD of k={k} "):
+            render_svg(spec_for(ranks, cd=1e300))
+        with pytest.raises(ValidationError, match="no CD of"):
+            render_svg(spec_for(ranks, cd=math.nextafter(4.0 * (k - 1), math.inf)))
+
+    @pytest.mark.parametrize("k", [1, 0, -1, 2.0, True])
+    def test_spec_below_two_ranks_rejected(self, k):
+        # no coordinate is computed: x = x0 + (rank - 1) (x1 - x0) / (k - 1) needs k >= 2
+        spec = DiagramSpec(k=k, cd=1.0, entries=(), bars=())
+        with pytest.raises(ValidationError, match="^k must be an integer >= 2, got "):
+            render_svg(spec)
 
     def test_axis_direction_best_rank_leftmost(self):
         spec = spec_for([1.0, 2.0, 3.0], cd=0.5)

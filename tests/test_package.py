@@ -8,6 +8,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from long_csv_oracle import _parse_value as oracle_parse_value
 
@@ -121,6 +122,56 @@ class TestCheckInt:
         with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
             check_int(value, "n", 1)
 
+
+
+def _matrix(values):
+    """A 3-model PerformanceMatrix over one dataset per row of ``values``."""
+    datasets = tuple(f"d{i}" for i in range(len(values)))
+    return cdranks.PerformanceMatrix(datasets, tuple(map(cdranks.ModelId, "abc")), values)
+
+
+def _sim_config(effect):
+    return cdranks.SimConfig(n_datasets=10, n_models=3, effect=effect, noise_sd=1.0, trials=10, seed=0)
+
+
+class TestLibraryInputs:
+    """Each kind of input value has one check, and a bad value is a ValidationError.
+
+    Every case below was read silently, or failed with an untyped TypeError,
+    ValueError or OverflowError, before each kind had its one check.
+    """
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: _matrix(["123", "456"]), "^values must be a 2-dimensional block of reals$"),
+            (lambda: _matrix([["1_0", "\u0663", "\uff11"]]), "^values must be a 2-dimensional"),
+            (lambda: cdranks.AverageRanks(["1", "2", "3"]), "^need a 1-d vector of at least two"),
+            (lambda: _sim_config((10**400, 0, 0)), "^effect must be a vector of reals$"),
+            (lambda: _sim_config(("a", 0, 0)), "^effect must be a vector of reals$"),
+            (lambda: _sim_config(None), "^effect must be a vector of reals$"),
+            (lambda: _sim_config(("1", 0, 0)), "^effect must be a vector of reals$"),
+            (lambda: _sim_config((True, 0, 0)), "^effect must be a vector of reals$"),
+            (lambda: cdranks.nemenyi_cd(8, "31"), "^n_datasets must be an integer, got '31'$"),
+            (lambda: cdranks.nemenyi_cd(8, 31.5), "^n_datasets must be an integer, got 31.5$"),
+            (lambda: cdranks.nemenyi_cd(8, np.int64(31)), "^n_datasets must be an integer, got "),
+            (lambda: cdranks.friedman_statistic((1.0, 2.0, 3.0), "4", 3), "^n_datasets must be"),
+            (lambda: cdranks.friedman_statistic((1.0, 2.0, 3.0), np.int64(4), 3), "^n_datasets"),
+            (lambda: cdranks.ModelId("a", {"fs": 1}), "^model 'a': tags must map strings to strings$"),
+            (lambda: cdranks.ModelId("a", {"fs": ["x"]}), "^model 'a': tags must map strings"),
+            (lambda: cdranks.ModelId("a", [("fs", "x")]), "^model 'a': tags must map strings"),
+            (lambda: cdranks.chi_square_sf("1", 3), "^x must be a finite nonnegative real, got '1'$"),
+            (lambda: cdranks.f_sf(None, 2, 3), "^x must be a finite nonnegative real, got None$"),
+            (lambda: cdranks.chi_square_sf(True, 3), "^x must be a finite nonnegative real, got True$"),
+        ],
+        ids=["matrix_text_rows", "matrix_text_cells", "ranks_text", "effect_overflow",
+             "effect_word", "effect_none", "effect_text", "effect_bool", "cd_text_count",
+             "cd_float_count", "cd_numpy_count", "statistic_text_count", "statistic_numpy_count",
+             "tag_int", "tag_list", "tags_not_a_mapping", "chi2_text", "f_none", "chi2_bool"],
+    )
+    def test_bad_value_is_a_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 def _number_outcome(parse, text: str):

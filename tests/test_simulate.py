@@ -489,6 +489,31 @@ class TestIntegerKernel:
         assert got_rejections == rejections
         assert np.array_equal(got_hits, hits)
 
+    # k = 64 is the least k whose doubled ranks need int16; 4 trials per chunk
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_int16_null_matches_per_trial_pipeline(self, monkeypatch, request, tied):
+        if tied:
+            request.getfixturevalue("rounded_draws")
+        cfg = config(n=10, k=64, trials=30, seed=59, alpha=0.5)
+        assert_crosses_chunks(monkeypatch, cfg)
+        assert (len(set(generate_matrix(cfg, 0).values[0])) < 64) == tied
+        assert simulate.doubled_midranks(np.zeros((1, 64))).dtype == np.int16
+        rejections, _ = _per_trial_counts(cfg)
+        assert 0 < rejections < cfg.trials
+        assert _run_trials(cfg, 1)[0] == rejections
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_int16_power_matches_per_trial_pipeline(self, monkeypatch, request, tied):
+        if tied:
+            request.getfixturevalue("rounded_draws")
+        cfg = config(n=10, k=64, effect=tuple(j / 20 for j in range(64)), trials=30, seed=61)
+        assert_crosses_chunks(monkeypatch, cfg)
+        rejections, hits = _per_trial_counts(cfg)
+        assert 0 < rejections and ((0 < hits) & (hits < cfg.trials)).any()
+        got_rejections, got_hits = _run_trials(cfg, 1, nemenyi_cd(64, 10, 0.05))
+        assert got_rejections == rejections
+        assert np.array_equal(got_hits, hits)
+
     @staticmethod
     def traced_peak(n, k, trials):
         """Peak traced bytes of one power run at (N, k), and its bound 3 * 8 * max(2^14, N k) + slack."""
