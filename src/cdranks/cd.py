@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_positive
-from .errors import check_reals
+from .errors import check_reals, shown
 
 # q_alpha's fixed Simpson grid holds q to 4e-9 relative inside this domain;
 # past it the error grows, to 2e-6 at k = 5000 and to the 4th decimal at
@@ -26,7 +26,7 @@ def q_alpha(k: int, alpha: float) -> float:
     check_alpha(alpha)
     if isinstance(k, bool) or not isinstance(k, int) or not 2 <= k <= _MAX_K or alpha < _MIN_ALPHA:
         raise UnsupportedDesignError(
-            f"k={k!r}, alpha={alpha!r} is outside 2 <= k <= {_MAX_K}, alpha >= {_MIN_ALPHA:g}, "
+            f"k={shown(k)}, alpha={alpha!r} is outside 2 <= k <= {_MAX_K}, alpha >= {_MIN_ALPHA:g}, "
             "where the critical value is computed"
         )
     # Composite Simpson, 240 panels on [-8, 8] (phi(z) < 1e-14 beyond): each

@@ -126,6 +126,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     fmt = args.format if args.format != "auto" else _detect_format(text)
     if fmt == "long":
         cells = parse_long_csv(text)
+        del text  # aggregation runs without the document in memory
         matrix = aggregate_folds(cells, manifest, drop_incomplete=args.drop_incomplete)
     else:
         matrix = apply_manifest(parse_wide_csv(text, manifest.direction), manifest)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, check_int, check_reals
+from .errors import ValidationError, check_int, check_reals, shown
 
 
 def _check_x(x) -> float:
     """``x`` as a float if it is a real (see check_reals), finite and nonnegative; else ValidationError."""
-    message = f"x must be a finite nonnegative real, got {x!r}"
+    message = f"x must be a finite nonnegative real, got {shown(x)}"
     (x,) = check_reals((x,), message)
     if not math.isfinite(x) or x < 0:
         raise ValidationError(message)

@@ -64,6 +64,16 @@ class DroppedDatasetsWarning(UserWarning):
 _NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an int too long for ``repr`` shows its bit length."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits(), perhaps as an entry of value
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to print>"
+
+
 def check_label(label) -> str:
     """Return ``label`` if it is a non-empty string that XML 1.0 can hold; else ValidationError."""
     if not isinstance(label, str) or not label:
@@ -89,13 +99,13 @@ def check_choice(enum_cls, value, name: str):
         return enum_cls(value)
     except ValueError:
         choices = " or ".join(repr(m.value) for m in enum_cls)
-        raise ValidationError(f"{name} must be {choices}, got {value!r}") from None
+        raise ValidationError(f"{name} must be {choices}, got {shown(value)}") from None
 
 
 def check_alpha(alpha: float) -> float:
     """Return ``alpha`` if it is a float strictly inside (0, 1); else ValidationError."""
     if not (isinstance(alpha, float) and 0.0 < alpha < 1.0):
-        raise ValidationError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+        raise ValidationError(f"alpha must lie strictly in (0, 1), got {shown(alpha)}")
     return alpha
 
 
@@ -113,14 +123,18 @@ def check_number(text: str) -> float:
 
 
 def check_reals(values, message: str) -> tuple:
-    """The one rule for a vector of reals: neither it nor an entry is text, no entry is a bool,
-    and ``float()`` takes every entry.  Returns the floats; else ValidationError(message).
+    """The one rule for a vector of reals: neither it nor an entry is text, no entry is a bool
+    (numpy's too), and ``float()`` takes every entry.  Returns the floats; else ValidationError(message).
     """
     try:
         # Text is one text entry, which the entry rule refuses.  A list, not a tuple: CPython
         # keeps up to 2000 freed tuples of each length <= 20, so tuple copies would hold memory.
         entries = [values] if isinstance(values, (str, bytes)) else list(values)
-        if not any(issubclass(t, (str, bytes, bool)) for t in set(map(type, entries))):
+        # numpy's bool (bool_ before numpy 2) is no bool subclass, and analyze loads no numpy
+        if not any(
+            issubclass(t, (str, bytes, bool)) or t.__module__ == "numpy" and t.__name__ in ("bool", "bool_")
+            for t in set(map(type, entries))
+        ):
             return tuple(map(float, entries))
     except (TypeError, ValueError, OverflowError):
         pass
@@ -141,7 +155,7 @@ def load_json_object(text: str, what: str) -> dict:
 
 def check_positive(value, name: str):
     """Return ``value`` if it is a real (see check_reals) in (0, max float]; else ValidationError."""
-    message = f"{name} must be a positive real, got {value!r}"
+    message = f"{name} must be a positive real, got {shown(value)}"
     if not 0.0 < check_reals((value,), message)[0] <= sys.float_info.max:
         raise ValidationError(message)
     return value
@@ -156,19 +170,19 @@ def check_int(value: int, name: str, lo: "int | None" = None, hi: "int | None" =
         and (hi is None or value < hi)
     ):
         bound = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi})"
-        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{bound}, got {shown(value)}")
     return value
 
 
 def check_models(k: int) -> int:
     """Return the int ``k`` if the rank tests cover k >= 3 models; else UnsupportedDesignError."""
     if check_int(k, "n_models") < 3:
-        raise UnsupportedDesignError(f"k={k} models unsupported: the rank test machinery needs k >= 3")
+        raise UnsupportedDesignError(f"k={shown(k)} models unsupported: the rank test machinery needs k >= 3")
     return k
 
 
 def check_datasets(n_datasets: int) -> int:
     """Return the int ``n_datasets`` if the tests cover N >= 2 datasets; else UnsupportedDesignError."""
     if check_int(n_datasets, "n_datasets") < 2:
-        raise UnsupportedDesignError(f"N={n_datasets} datasets unsupported: need N >= 2")
+        raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: need N >= 2")
     return n_datasets

@@ -126,7 +126,7 @@ def parse_long_csv(text: str) -> dict:
     physical line.
 
     Memory beyond ``text`` is the fold table plus one slice of it (see
-    :func:`_csv_reader`); each distinct fold id is one shared string.
+    :func:`_csv_reader`); each distinct dataset, model or fold id is one shared string.
     """
     reader = _csv_reader(text)
     cells = {}
@@ -153,8 +153,8 @@ def parse_long_csv(text: str) -> dict:
                     except ValidationError as exc:
                         raise ValidationError(f"line {reader.line_num}: {exc}") from None
                     folds = get(key)
-                    if folds is None:
-                        folds = cells[key] = {}
+                    if folds is None:  # a new cell: its key holds the shared id strings
+                        folds = cells[tuple(map(share, key, key))] = {}
                     if fold in folds:
                         raise ValidationError(
                             f"line {reader.line_num}: duplicate record for {(*key, fold)!r}"

@@ -24,6 +24,7 @@ from .errors import (
     check_datasets,
     check_models,
     check_positive,
+    shown,
 )
 from .ranks import AverageRanks, PerformanceMatrix, average_ranks
 
@@ -91,7 +92,7 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     check_models(k)
     r = rank_list(ranks)
     if len(r) != k:
-        raise ValidationError(f"{len(r)} average ranks for k={k} models")
+        raise ValidationError(f"{len(r)} average ranks for k={shown(k)} models")
     check_datasets(n_datasets)
     two_n = 2 * n_datasets
     s2 = [round(two_n * v) for v in r]

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cd import nemenyi_cd
 from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_int
-from .errors import check_models, check_positive, check_reals
+from .errors import check_models, check_positive, check_reals, shown
 from .procedure import Variant, _omnibus
 from .ranks import Direction, ModelId, PerformanceMatrix
 
@@ -69,7 +69,7 @@ class SimConfig:
         check_int(self.trials, "trials", 1)
         if n * n * k * (k * k - 1) >= 2**63:
             raise UnsupportedDesignError(
-                f"N={n}, k={k} unsupported: the kernel needs N^2 k(k^2-1) < 2^63"
+                f"N={shown(n)}, k={shown(k)} unsupported: the kernel needs N^2 k(k^2-1) < 2^63"
             )
         check_int(self.seed, "seed", 0, 2**64)
         effect = check_reals(self.effect, "effect must be a vector of reals")

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -169,6 +170,42 @@ class TestAnalyze:
             code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 0
         assert out.read_bytes() == (FIXTURES / name).read_bytes()
+
+    def test_long_text_released_before_aggregation(self, capsys, tmp_path, monkeypatch):
+        # 20k rows: 100 datasets x 20 models x 10 folds
+        text = "dataset,model,fold,value\n" + "".join(
+            f"ds_{d:03d},model_{m:02d},fold_{f},{0.7 + 1e-6 * (d * 200 + m * 10 + f)!r}\n"
+            for d in range(100)
+            for m in range(20)
+            for f in range(10)
+        )
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8")
+        manifest = write_manifest(tmp_path, *(f"model_{m:02d}" for m in range(20)))
+        argv = ["analyze", str(path), "--manifest", manifest]
+        expected = run(capsys, *argv)  # also loads every module the traced run needs
+        tracemalloc.start()
+        try:
+            cells = cdranks.ingest.parse_long_csv(text)
+            table = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del cells
+        entered = []
+        aggregate = cdranks.ingest.aggregate_folds
+
+        def recording(*args, **kwargs):
+            entered.append(tracemalloc.get_traced_memory()[0])
+            return aggregate(*args, **kwargs)
+
+        monkeypatch.setattr(cdranks.ingest, "aggregate_folds", recording)
+        tracemalloc.start()
+        try:
+            got = run(capsys, *argv)
+        finally:
+            tracemalloc.stop()
+        assert got == expected and expected[0] == 0
+        assert entered[0] < table + len(text) // 2, (entered[0], table, len(text))
 
     def test_format_detection_honours_every_line_boundary(self):
         # the header row ends where the CSV parsers end it: at "\n" or "\r" only

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from long_csv_oracle import parse_long_csv as oracle_parse_long_csv
 
+import ingest_stages
+
 from cdranks import (
     AverageRanks,
     Direction,
@@ -318,6 +320,31 @@ class TestLongCsvMemory:
         folds = [f for table in cells.values() for f in table]
         assert len(folds) == 20_000
         assert len({id(f) for f in folds}) == len(set(folds)) == 10
+
+    def test_each_dataset_and_model_id_is_one_shared_string(self):
+        keys = list(parse_long_csv(self.long_text()))
+        assert len(keys) == 2000
+        assert len({id(d) for d, _ in keys}) == len({d for d, _ in keys}) == 100
+        assert len({id(m) for _, m in keys}) == len({m for _, m in keys}) == 20
+
+
+def test_ingest_stage_timer_runs(capsys):
+    # tests/ingest_stages.py times the functions analyze calls and restores them
+    def stage_functions():
+        return [getattr(module, name) for name, module in ingest_stages.STAGES.items()]
+
+    originals = stage_functions()
+    argv = ["--datasets", "20", "--models", "3", "--folds", "2", "--repeats", "2"]
+    assert ingest_stages.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert stage_functions() == originals
+    assert report["rows"] == 120 and report["csv_bytes"] > 0
+    stages = [f"{name}_ms" for name in ingest_stages.STAGES]
+    assert all(report[stage] >= 0 for stage in stages)
+    assert sum(report[stage] for stage in stages) <= report["total_ms"] + 0.01
+    assert set(report["memory"]) == set(ingest_stages.STAGES)
+    parse = report["memory"]["parse_long_csv"]
+    assert parse["entry_kb"] < parse["exit_kb"] <= parse["peak_kb"]
 
 
 class TestParseWideCsv:

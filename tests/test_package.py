@@ -15,6 +15,7 @@ from long_csv_oracle import _parse_value as oracle_parse_value
 import cdranks
 from cdranks.errors import (
     _NOT_XML_CHAR,
+    UnsupportedDesignError,
     ValidationError,
     check_int,
     check_label,
@@ -130,8 +131,9 @@ def _matrix(values):
     return cdranks.PerformanceMatrix(datasets, tuple(map(cdranks.ModelId, "abc")), values)
 
 
-def _sim_config(effect):
-    return cdranks.SimConfig(n_datasets=10, n_models=3, effect=effect, noise_sd=1.0, trials=10, seed=0)
+def _sim_config(effect, **overrides):
+    fields = dict(n_datasets=10, n_models=3, effect=effect, noise_sd=1.0, trials=10, seed=0)
+    return cdranks.SimConfig(**fields | overrides)
 
 
 class TestLibraryInputs:
@@ -163,14 +165,40 @@ class TestLibraryInputs:
             (lambda: cdranks.chi_square_sf("1", 3), "^x must be a finite nonnegative real, got '1'$"),
             (lambda: cdranks.f_sf(None, 2, 3), "^x must be a finite nonnegative real, got None$"),
             (lambda: cdranks.chi_square_sf(True, 3), "^x must be a finite nonnegative real, got True$"),
+            (lambda: cdranks.AverageRanks([np.bool_(True), 2.0, 3.0]), "^need a 1-d vector of at"),
+            (lambda: cdranks.chi_square_sf(np.bool_(True), 3), "^x must be a finite nonnegative real"),
+            (lambda: _sim_config((np.bool_(True), 0, 0)), "^effect must be a vector of reals$"),
+            (lambda: _matrix(np.array([[True, False, True]])), "^values must be a 2-dimensional"),
         ],
         ids=["matrix_text_rows", "matrix_text_cells", "ranks_text", "effect_overflow",
              "effect_word", "effect_none", "effect_text", "effect_bool", "cd_text_count",
              "cd_float_count", "cd_numpy_count", "statistic_text_count", "statistic_numpy_count",
-             "tag_int", "tag_list", "tags_not_a_mapping", "chi2_text", "f_none", "chi2_bool"],
+             "tag_int", "tag_list", "tags_not_a_mapping", "chi2_text", "f_none", "chi2_bool",
+             "ranks_numpy_bool", "chi2_numpy_bool", "effect_numpy_bool", "matrix_numpy_bools"],
     )
     def test_bad_value_is_a_validation_error(self, call, message):
         with pytest.raises(ValidationError, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: _sim_config((0, 0, 0), seed=10**5000), ValidationError,
+             r"^seed must be an integer in \[0, 18446744073709551616\), got <int of 16610 bits>$"),
+            (lambda: cdranks.chi_square_sf(10**5000, 3), ValidationError,
+             "^x must be a finite nonnegative real, got <int of 16610 bits>$"),
+            (lambda: cdranks.nemenyi_cd(8, -(10**5000)), UnsupportedDesignError,
+             "^N=<negative int of 16610 bits> datasets unsupported: need N >= 2$"),
+            (lambda: cdranks.friedman_statistic((1.0, 2.0, 3.0), 4, 10**5000), ValidationError,
+             "^3 average ranks for k=<int of 16610 bits> models$"),
+            (lambda: cdranks.Direction.parse([10**5000]), ValidationError,
+             "^direction must be .*, got <list holding an int too long to print>$"),
+        ],
+        ids=["seed", "chi2_x", "cd_n_datasets", "statistic_k", "direction_list"],
+    )
+    def test_int_past_the_digit_limit_is_shown_by_bit_length(self, call, error, message):
+        # repr() of an int past 4300 digits raises ValueError, so a message cannot show it
+        with pytest.raises(error, match=message):
             call()
 
 
