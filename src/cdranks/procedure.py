@@ -9,6 +9,7 @@ within the CD of each other are grouped as statistically indistinguishable.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -18,6 +19,7 @@ from .distributions import chi_square_sf, f_sf
 from .errors import (
     DegenerateStatisticError,
     SmallSampleWarning,
+    UnsupportedDesignError,
     ValidationError,
     check_alpha,
     check_choice,
@@ -85,9 +87,9 @@ class NemenyiResult:
 def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     """The integer sum of T_j^2, T_j = 2 S_j - N(k+1), from average ranks R_j = S_j / N.
 
-    Each doubled rank sum 2 S_j is recovered as round(2N R_j).  Ranks that are
-    not mid-rank sums over N datasets raise ValidationError: 2 S_j / (2N) must
-    give R_j back, each 2 S_j must lie in [2N, 2Nk], and they must total N k(k+1).
+    The doubled rank sums 2 S_j are ``ranks.sums`` when set, else round(2N R_j).  Ranks
+    that are not mid-rank sums over N datasets raise ValidationError: 2 S_j / (2N) must
+    give R_j back, each 2 S_j must be an int in [2N, 2Nk], and they must total N k(k+1).
     """
     check_models(k)
     r = rank_list(ranks)
@@ -95,10 +97,14 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
         raise ValidationError(f"{len(r)} average ranks for k={shown(k)} models")
     check_datasets(n_datasets)
     two_n = 2 * n_datasets
-    s2 = [round(two_n * v) for v in r]
-    if sum(s2) != n_datasets * k * (k + 1) or any(
-        not two_n <= s <= two_n * k or s / two_n != v for s, v in zip(s2, r)
-    ):
+    if two_n * k > sys.float_info.max:  # 2N R_j, and the statistic, would pass the float range
+        raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: 2Nk passes the float range")
+    s2 = ranks.sums if isinstance(ranks, AverageRanks) else None
+    if s2 is None:  # a rank vector given as floats
+        s2 = [round(two_n * v) for v in r]
+    if len(s2) != k or any(
+        not (isinstance(s, int) and two_n <= s <= two_n * k) or s / two_n != v for s, v in zip(s2, r)
+    ) or sum(s2) != n_datasets * k * (k + 1):
         raise ValidationError(f"average ranks are not mid-rank sums over N={n_datasets} datasets")
     return sum((s - n_datasets * (k + 1)) ** 2 for s in s2)
 

@@ -119,9 +119,10 @@ class PerformanceMatrix:
 
 @dataclass(frozen=True)
 class AverageRanks:
-    """Length-k tuple of average ranks; entries sum to k(k+1)/2."""
+    """Length-k tuple of average ranks, summing to k(k+1)/2; ``sums`` may hold the ints 2S_j = 2N R_j."""
 
     r: tuple
+    sums: "tuple | None" = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         r = rank_list(self.r)
@@ -157,8 +158,9 @@ def doubled_ranks(row, direction: "str | Direction") -> list:
 def average_ranks(m: PerformanceMatrix) -> AverageRanks:
     """Average the per-dataset ranks into one rank per model (lower = better).
 
-    Each average is the exact doubled rank sum over 2N, one int / int division.
+    Each average is the exact doubled rank sum over 2N, one int / int division; the sums go along.
     """
     rows = (doubled_ranks(row, m.direction) for row in m.values)
     two_n = 2 * m.n_datasets
-    return AverageRanks(tuple(sum(col) / two_n for col in zip(*rows)))
+    sums = tuple(map(sum, zip(*rows)))
+    return AverageRanks(tuple(s / two_n for s in sums), sums)

@@ -198,7 +198,7 @@ def _run_chunk(cfg: SimConfig, start: int, stop: int, threshold: int, cd: "float
     """
     n, k = cfg.n_datasets, cfg.n_models
     rejections = 0
-    pair_hits = np.zeros((k, k), dtype=np.int64)
+    pair_hits = 0  # a k x k array from a power study's first chunk on; a null study keeps 0
     # trials per chunk; when N < k the (chunk, k, k) pair stage, not the block, counts
     chunk = max(1, CHUNK_ELEMENTS // (max(n, k) * k))
     block = np.empty((min(chunk, stop - start), n, k))

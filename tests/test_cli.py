@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cdranks
+from cdranks import procedure
 from cdranks import (
     DegenerateStatisticError,
     DroppedDatasetsWarning,
@@ -88,6 +89,22 @@ def write_manifest(tmp_path, *labels, alpha=0.05):
 
 
 class TestAnalyze:
+    def test_exact_sums_need_no_recovery_from_floats(self, capsys, monkeypatch):
+        # procedure recovers 2 S_j as round(2N R_j) only for ranks given as floats
+        calls = []
+
+        def spy(x, *ndigits):
+            calls.append(x)
+            return round(x, *ndigits)
+
+        monkeypatch.setattr(procedure, "round", spy, raising=False)
+        assert run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)[0] == 0
+        with pytest.warns(DroppedDatasetsWarning), pytest.warns(SmallSampleWarning):
+            assert run(capsys, *_goldens("LONG_GOLDENS")["report_long.json"])[0] == 0
+        assert calls == []
+        assert cdranks.friedman_statistic([1.0, 2.0, 3.0], 3, 3) == 6.0
+        assert calls == [6.0, 12.0, 18.0]
+
     def test_fixture_report(self, capsys):
         code, out, err = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)
         assert code == 0 and err == ""

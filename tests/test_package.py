@@ -201,6 +201,28 @@ class TestLibraryInputs:
         with pytest.raises(error, match=message):
             call()
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["floats", "exact_sums"])
+    @pytest.mark.parametrize(
+        "n, shown_n", [(10**400, "1" + "0" * 400), (10**5000, "<int of 16610 bits>")],
+        ids=["N_1e400", "N_1e5000"],
+    )
+    def test_count_past_the_float_range_is_an_unsupported_design(self, n, shown_n, exact):
+        # once an OverflowError from 2N R_j, or from the statistic's int / int division
+        ranks = cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n) if exact else None)
+        message = f"^N={shown_n} datasets unsupported: 2Nk passes the float range$"
+        with pytest.raises(UnsupportedDesignError, match=message):
+            cdranks.friedman_statistic(ranks, n, 3)
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["floats", "exact_sums"])
+    def test_count_at_the_float_range_edge(self, exact):
+        # every dataset ranks alike, so chi2 = N(k - 1); 2Nk = 1.5 * 2^1023 fits a float, 3 * 2^1023 does not
+        def ranks(n):
+            return cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n) if exact else None)
+
+        assert cdranks.friedman_statistic(ranks(2**1021), 2**1021, 3) == 2.0**1022
+        with pytest.raises(UnsupportedDesignError, match="2Nk passes the float range$"):
+            cdranks.friedman_statistic(ranks(2**1022), 2**1022, 3)
+
 
 def _number_outcome(parse, text: str):
     try:

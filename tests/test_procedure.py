@@ -87,6 +87,28 @@ class TestFriedmanStatistic:
             m, variant=variant
         )
 
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            lambda s: s[1:] + s[:1],  # another model's sums: same total, in bounds
+            lambda s: tuple(2 * v for v in s),  # the sums of 2N datasets
+            lambda s: s[:-1],
+            lambda s: tuple(map(float, s)),
+            lambda s: tuple(np.array(s, dtype=np.int64)),
+        ],
+        ids=["rotated", "doubled", "short", "floats", "numpy_ints"],
+    )
+    def test_sums_that_disagree_with_the_ranks_rejected(self, wrong):
+        # the statistic and the report's ranks must describe the same data
+        m = matrix(np.random.default_rng(4).integers(0, 3, (20, 5)).astype(float))
+        ranks = average_ranks(m)
+        given = AverageRanks(ranks.r, wrong(ranks.sums))
+        assert given == ranks  # equality reads r alone
+        with pytest.raises(ValidationError, match="^average ranks are not mid-rank sums over N=20"):
+            friedman_test(m, ranks=given)
+        with pytest.raises(ValidationError, match="^average ranks are not mid-rank sums over N=20"):
+            friedman_statistic(given, 20, 5)
+
     def test_ranks_that_are_not_rank_sums_rejected(self):
         # 1.1 is no multiple of 1/(2N) for N = 4, and [1, 1, 4] has no ranking with ranks >= 1
         for ranks, n in (([1.1, 2.0, 2.9], 4), ([1.0, 1.0, 4.0], 5)):

@@ -270,7 +270,33 @@ class TestRankTypes:
         assert r[2] == 3.0
 
 
+@st.composite
+def performance_blocks(draw):
+    """Tied blocks from integers(0, 3) or untied standard normals, N in 1..20, k in 3..8."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(3, 8)))
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
 class TestAverageRanks:
+    @given(performance_blocks(), st.sampled_from(["maximize", "minimize"]))
+    def test_sums_are_the_exact_doubled_rank_sums(self, values, direction):
+        ranks = average_ranks(matrix(values, direction))
+        sign = -1 if direction == "maximize" else 1
+        want = (2 * rankdata(sign * values, axis=1)).sum(axis=0)
+        assert ranks.sums == tuple(want.tolist())
+        assert all(type(s) is int for s in ranks.sums)
+        assert ranks.r == tuple(s / (2 * len(values)) for s in ranks.sums)
+
+    def test_sums_left_out_of_equality_and_repr(self):
+        ranks = average_ranks(matrix([[3.0, 2.0, 1.0], [1.0, 3.0, 2.0]]))
+        assert ranks.sums == (8, 6, 10)
+        plain = AverageRanks(ranks.r)
+        assert plain.sums is None
+        assert ranks == plain and hash(ranks) == hash(plain)
+        assert repr(ranks) == repr(plain) == "AverageRanks(r=(2.0, 1.5, 2.5))"
+
     def test_identical_rows(self):
         m = matrix([[3.0, 2.0, 1.0]] * 3)
         assert average_ranks(m).r == (1, 2, 3)

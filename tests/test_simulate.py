@@ -275,6 +275,18 @@ class TestEstimateType1:
         se = math.sqrt(0.5 * 0.5 / 400)
         assert abs(est.rejection_rate - 0.5) <= 3 * se
 
+    def test_null_study_allocates_no_pair_matrix(self):
+        # a power study's k x k pair hits would take 72 MB at k = 3000
+        cfg = config(n=2, k=3000, trials=1)
+        estimate_type1(cfg)  # lazy imports and first-call costs are not the working set
+        tracemalloc.start()
+        try:
+            estimate_type1(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
+
     def test_chi_square_approximation_improves_with_n(self):
         # the omnibus null rate should sit nearer alpha at N=100 than at N=5
         def gap(n, seed):
