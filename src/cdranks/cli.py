@@ -95,20 +95,9 @@ def _emit(text: str, out: str | None) -> None:
             f.write(text)
 
 
-def _detect_format(text: str) -> str:
-    import csv
-
-    from .ingest import LONG_HEADER, _csv_reader
-
-    try:
-        header = next(_csv_reader(text), [])
-    except csv.Error:  # the wide parser reports it with its line number
-        return "wide"
-    return "long" if tuple(f.strip() for f in header) == LONG_HEADER else "wide"
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .ingest import (
+        _detect_format,
         aggregate_folds,
         apply_manifest,
         parse_long_csv,
@@ -123,8 +112,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         raise ValidationError("stdin ('-') can be given only once: as the input or as --manifest")
     manifest = parse_manifest(_read(args.manifest))
     text = _read(args.input)
-    fmt = args.format if args.format != "auto" else _detect_format(text)
-    if fmt == "long":
+    if _detect_format(text) == "long":
         cells = parse_long_csv(text)
         del text  # aggregation runs without the document in memory
         matrix = aggregate_folds(cells, manifest, drop_incomplete=args.drop_incomplete)
@@ -264,12 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="friedman",
         metavar="{friedman,iman-davenport}",
         help="omnibus statistic form (default: friedman)",
-    )
-    analyze.add_argument(
-        "--format",
-        choices=("auto", "long", "wide"),
-        default="auto",
-        help="input layout; auto detects long by its exact 4-column header",
     )
     analyze.add_argument(
         "--drop-incomplete",

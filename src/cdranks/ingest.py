@@ -56,6 +56,19 @@ def _is_blank(row: Sequence[str]) -> bool:
     return not row or all(cell.strip() == "" for cell in row)
 
 
+def _is_long_header(row: Sequence[str]) -> bool:
+    return tuple(field.strip() for field in row) == LONG_HEADER
+
+
+def _detect_format(text: str) -> str:
+    """The input layout: "long" if the first row passes parse_long_csv's header check, else "wide"."""
+    try:
+        header = next(_csv_reader(text), [])
+    except csv.Error:  # the wide parser reports it with its line number
+        return "wide"
+    return "long" if _is_long_header(header) else "wide"
+
+
 @dataclass(frozen=True)
 class ExperimentManifest:
     """Names the compared models and how to read their metric.
@@ -135,7 +148,7 @@ def parse_long_csv(text: str) -> dict:
         header = next(reader, None)
         if header is None:
             raise ValidationError("empty document: expected header 'dataset,model,fold,value'")
-        if tuple(h.strip() for h in header) != LONG_HEADER:
+        if not _is_long_header(header):
             raise ValidationError(
                 f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
             )
@@ -271,7 +284,13 @@ def aggregate_folds(
         )
 
     # fsum / n is statistics.fmean bit for bit, without importing statistics
-    mean = {key: math.fsum(folds.values()) / len(folds) for key, folds in cells.items() if folds}
+    mean = {}
+    try:
+        for key, folds in cells.items():
+            if folds:
+                mean[key] = math.fsum(folds.values()) / len(folds)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
+        raise ValidationError(f"dataset {key[0]!r}, model {key[1]!r}: fold scores have no finite mean") from None
     return PerformanceMatrix(
         datasets=tuple(datasets),
         models=manifest.models,

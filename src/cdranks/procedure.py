@@ -74,7 +74,6 @@ class NemenyiResult:
     """
 
     cd: float
-    alpha: float
     significant: tuple
     groups: tuple
 
@@ -100,11 +99,15 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     if two_n * k > sys.float_info.max:  # 2N R_j, and the statistic, would pass the float range
         raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: 2Nk passes the float range")
     s2 = ranks.sums if isinstance(ranks, AverageRanks) else None
-    if s2 is None:  # a rank vector given as floats
+    recovered = s2 is None
+    if recovered:  # a rank vector given as floats
         s2 = [round(two_n * v) for v in r]
-    if len(s2) != k or any(
+    if not isinstance(s2, (tuple, list)) or len(s2) != k or any(
         not (isinstance(s, int) and two_n <= s <= two_n * k) or s / two_n != v for s, v in zip(s2, r)
     ) or sum(s2) != n_datasets * k * (k + 1):
+        if recovered and two_n * k > 2**53:  # round(2N R_j) no longer pins each sum to one int
+            raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: float ranks cannot "
+                                         "carry exact rank sums at this N; pass average_ranks(m)")
         raise ValidationError(f"average ranks are not mid-rank sums over N={n_datasets} datasets")
     return sum((s - n_datasets * (k + 1)) ** 2 for s in s2)
 
@@ -204,7 +207,6 @@ def nemenyi_test(ranks, n_datasets: int, alpha: float = 0.05) -> NemenyiResult:
     cd = nemenyi_cd(len(rank_list(ranks)), n_datasets, alpha)
     return NemenyiResult(
         cd=cd,
-        alpha=alpha,
         significant=pairwise_significance(ranks, cd),
         groups=indistinguishable_groups(ranks, cd),
     )

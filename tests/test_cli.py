@@ -33,7 +33,8 @@ from cdranks import (
     nemenyi_test,
     summarize_by_tag,
 )
-from cdranks.cli import _build_parser, _detect_format, _load_report, main
+from cdranks.cli import _build_parser, _load_report, main
+from cdranks.ingest import _detect_format
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = str(FIXTURES / "results_31x8.csv")
@@ -255,18 +256,32 @@ class TestAnalyze:
         assert expected[0] == 0
         assert got == expected
 
-    def test_format_override_rejects_wrong_layout(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "analyze",
-            RESULTS,
-            "--manifest",
-            MANIFEST,
-            "--format",
-            "long",
-        )
-        assert code == 2
-        assert "header must be 'dataset,model,fold,value'" in err
+    def test_layout_comes_from_the_header_alone(self, capsys, tmp_path):
+        # no flag picks the layout: a wide file whose models are named model,
+        # fold and value reads as long, until a column and its label are renamed
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", RESULTS, "--manifest", MANIFEST, "--format", "long"])
+        assert exc.value.code == 2 and "unrecognized arguments: --format" in capsys.readouterr().err
+        rows = [f"d{i:02d},0.{i},0.5,0.3" for i in range(16)]
+        for models in (("model", "fold", "value"), ("model_a", "fold", "value")):
+            path = tmp_path / "wide.csv"
+            path.write_text("\n".join(["dataset," + ",".join(models), *rows]) + "\n")
+            argv = ["analyze", str(path), "--manifest", write_manifest(tmp_path, *models)]
+            if models[0] == "model":
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, "")
+                assert err == "error: record for dataset 'd00' names model '0.0', which is not in the manifest\n"
+            else:
+                assert run(capsys, *argv)[0] == 0
+
+    def test_fold_scores_whose_sum_overflows_exit_2(self, capsys, tmp_path):
+        # each 1e308 is a number, but two of them pass the float range when averaged
+        rows = [f"d{i},{m},{f},1e308" for i in range(3) for m in "abc" for f in range(2)]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["dataset,model,fold,value", *rows]) + "\n")
+        code, out, err = run(capsys, "analyze", str(path), "--manifest", write_manifest(tmp_path, *"abc"))
+        assert (code, out) == (2, "")
+        assert err == "error: dataset 'd0', model 'a': fold scores have no finite mean\n"
 
     @pytest.mark.parametrize(
         "header, row, line",
@@ -307,12 +322,10 @@ class TestAnalyze:
         assert (code, out, out_path.exists()) == (2, "", False)
         assert "XML 1.0" in err
 
-    @pytest.mark.parametrize(
-        "results, fmt",
-        [("long", "auto"), ("long", "long"), ("wide", "auto"), ("wide", "wide")],
-    )
+    # "auto": the layout is detected from the header, past the BOM
+    @pytest.mark.parametrize("results", ["long", "wide"], ids=["long-auto", "wide-auto"])
     @pytest.mark.parametrize("via", ["file", "stdin"])
-    def test_utf8_bom_is_dropped(self, capsys, tmp_path, monkeypatch, results, fmt, via):
+    def test_utf8_bom_is_dropped(self, capsys, tmp_path, monkeypatch, results, via):
         # Excel's "CSV UTF-8" starts the file with U+FEFF
         if results == "long":
             rows = ["dataset,model,fold,value"]
@@ -326,14 +339,14 @@ class TestAnalyze:
         manifest = write_manifest(tmp_path, "a", "b", "c")
         bom_manifest = tmp_path / "bom_manifest.json"
         bom_manifest.write_text(Path(manifest).read_text(), encoding="utf-8-sig")
-        argv = ["--manifest", str(bom_manifest), "--format", fmt]
+        argv = ["--manifest", str(bom_manifest)]
         if via == "stdin":
             monkeypatch.setattr("sys.stdin", stdin_of(("\ufeff" + text).encode()))
             source = "-"
         else:
             source = str(bom)
         with pytest.warns(SmallSampleWarning):
-            expected = run(capsys, "analyze", str(plain), "--manifest", manifest, "--format", fmt)
+            expected = run(capsys, "analyze", str(plain), "--manifest", manifest)
         with pytest.warns(SmallSampleWarning):
             assert run(capsys, "analyze", source, *argv) == expected
         assert expected[0] == 0

@@ -1,6 +1,7 @@
 """CSV parsing, fold aggregation, manifest handling, tag summaries."""
 
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -31,6 +32,7 @@ from cdranks import (
     parse_wide_csv,
     summarize_by_tag,
 )
+from cdranks.ingest import LONG_HEADER, _detect_format
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -229,6 +231,44 @@ class TestLongCsvDifferential:
         text = long_csv(*rows)
         assert _outcome(parse_long_csv, text) == (ValidationError, message)
         assert _outcome(oracle_parse_long_csv, text) == (ValidationError, message)
+
+
+# Header rows near the long one: its names in any order and case, fields
+# missing or added, padding that str.strip removes, quotes (a quote after a
+# space is literal), a line end inside quotes, and a data row after the header.
+_HEADER_NAMES = st.one_of(
+    st.just(LONG_HEADER),
+    st.tuples(*(st.sampled_from([name, name, name.upper(), name.title()]) for name in LONG_HEADER)),
+    st.permutations(LONG_HEADER),
+    st.lists(st.sampled_from([*LONG_HEADER, "Dataset", "VALUE", "x", ""]), max_size=6),
+)
+_HEADER_FORMS = st.sampled_from(
+    ["{}"] * 8 + [" {} ", "\u3000{}\t", "{}\x85", '"{}"', '"\r\n{} "', '" {}\n"', ' "{}"', '"{}"""']
+)
+
+
+@st.composite
+def header_texts(draw):
+    names = draw(_HEADER_NAMES)
+    forms = draw(st.lists(_HEADER_FORMS, min_size=len(names), max_size=len(names)))
+    end = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    row = draw(st.sampled_from(["", "d1,m,0,0.5" + end, "d1,0.5"]))
+    return ",".join(form.format(name) for form, name in zip(forms, names)) + end + row
+
+
+def _passes_long_header_check(text):
+    try:
+        parse_long_csv(text)
+    except ValidationError as exc:
+        return not str(exc).startswith(("empty document", "line 1: header must be"))
+    return True
+
+
+class TestFormatDetection:
+    @settings(max_examples=200, deadline=None)
+    @given(header_texts())
+    def test_detection_and_long_parser_share_one_header_rule(self, text):
+        assert (_detect_format(text) == "long") == _passes_long_header_check(text)
 
 
 class TestSlicedReader:
@@ -581,6 +621,16 @@ class TestAggregateFolds:
         with pytest.raises(ValidationError, match="nothing remains"):
             aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
 
+    @pytest.mark.parametrize(
+        "folds", [(1e308, 1e308), (math.inf, -math.inf)], ids=["sum_overflows", "inf_minus_inf"]
+    )
+    def test_fold_scores_without_a_finite_mean(self, folds):
+        cells = {(d, l): {"0": 0.5} for d in ("d1", "d2") for l in "abc"}
+        cells["d2", "b"] = dict(zip("01", folds))
+        message = "^dataset 'd2', model 'b': fold scores have no finite mean$"
+        with pytest.raises(ValidationError, match=message):
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
+
     def test_empty_records(self):
         with pytest.raises(ValidationError, match="no fold records"):
             aggregate_folds({}, manifest_of("a"))
@@ -629,10 +679,9 @@ class TestApplyManifest:
         assert "missing from data: c" in msg
 
 
-def nemenyi_result_for(ranks, cd, alpha=0.05):
+def nemenyi_result_for(ranks, cd):
     return NemenyiResult(
         cd=cd,
-        alpha=alpha,
         significant=pairwise_significance(ranks, cd),
         groups=indistinguishable_groups(ranks, cd),
     )

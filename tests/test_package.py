@@ -223,6 +223,18 @@ class TestLibraryInputs:
         with pytest.raises(UnsupportedDesignError, match="2Nk passes the float range$"):
             cdranks.friedman_statistic(ranks(2**1022), 2**1022, 3)
 
+    def test_float_ranks_that_cannot_carry_the_sums_are_an_unsupported_design(self):
+        # past 2Nk = 2^53, round(2N R_j) misses 2 S_j; the exact sums still compute chi2 = N(k - 1)
+        n = 10**307
+        message = (
+            r"^N=1(0){307} datasets unsupported: "
+            r"float ranks cannot carry exact rank sums at this N; pass average_ranks\(m\)$"
+        )
+        with pytest.raises(UnsupportedDesignError, match=message):
+            cdranks.friedman_statistic((1.0, 2.0, 3.0), n, 3)
+        exact = cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n))
+        assert cdranks.friedman_statistic(exact, n, 3) == float(2 * n)
+
 
 def _number_outcome(parse, text: str):
     try:

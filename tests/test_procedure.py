@@ -95,8 +95,9 @@ class TestFriedmanStatistic:
             lambda s: s[:-1],
             lambda s: tuple(map(float, s)),
             lambda s: tuple(np.array(s, dtype=np.int64)),
+            lambda s: sum(s),  # an int where a sequence belongs
         ],
-        ids=["rotated", "doubled", "short", "floats", "numpy_ints"],
+        ids=["rotated", "doubled", "short", "floats", "numpy_ints", "int"],
     )
     def test_sums_that_disagree_with_the_ranks_rejected(self, wrong):
         # the statistic and the report's ranks must describe the same data
