@@ -9,6 +9,8 @@ Exit codes: 0 success, 2 bad input, 3 unsupported design.
 from __future__ import annotations
 
 import argparse
+import codecs
+import contextlib
 import json
 import sys
 
@@ -76,15 +78,28 @@ def _effect(text: str) -> tuple:
         raise argparse.ArgumentTypeError(message) from None
 
 
-def _read(path: str) -> str:
-    """Read a file, or stdin for ``-``, as UTF-8 with newlines untranslated and no leading BOM."""
-    try:
-        if path == "-":
-            return sys.stdin.buffer.read().decode("utf-8").removeprefix("\ufeff")
-        with open(path, "rb") as f:
-            return f.read().decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path!r} is not valid UTF-8 (byte {exc.start})") from None
+_READ_BYTES = 1 << 16  # per read of an input file or stdin
+
+
+def _read(path: str):
+    """Yield a file, or stdin for ``-``, as UTF-8 text chunks with newlines untranslated and no leading BOM.
+
+    The bytes are decoded as they are read, so a bad byte is reported when
+    the reading reaches it, with its offset in the file.
+    """
+    decoder, size, bom = codecs.getincrementaldecoder("utf-8")(), 0, "\ufeff"
+    with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as f:
+        try:
+            while chunk := f.read(_READ_BYTES):
+                if text := decoder.decode(chunk):
+                    yield text.removeprefix(bom)
+                    bom = ""
+                size += len(chunk)
+            decoder.decode(b"", True)
+        except UnicodeDecodeError as exc:
+            # a failed call leaves the decoder's pending bytes, which exc.start counts from, in place
+            at = size - len(decoder.getstate()[0]) + exc.start
+            raise ValidationError(f"{path!r} is not valid UTF-8 (byte {at})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -110,14 +125,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.input == args.manifest == "-":
         raise ValidationError("stdin ('-') can be given only once: as the input or as --manifest")
-    manifest = parse_manifest(_read(args.manifest))
-    text = _read(args.input)
-    if _detect_format(text) == "long":
-        cells = parse_long_csv(text)
-        del text  # aggregation runs without the document in memory
-        matrix = aggregate_folds(cells, manifest, drop_incomplete=args.drop_incomplete)
-    else:
-        matrix = apply_manifest(parse_wide_csv(text, manifest.direction), manifest)
+    manifest = parse_manifest("".join(_read(args.manifest)))
+    # closing the reader closes the file, also when parsing stops at a bad row
+    with contextlib.closing(_read(args.input)) as chunks:
+        layout, chunks = _detect_format(chunks)
+        if layout == "long":
+            matrix = aggregate_folds(parse_long_csv(chunks), manifest, drop_incomplete=args.drop_incomplete)
+        else:
+            matrix = apply_manifest(parse_wide_csv(chunks, manifest.direction), manifest)
 
     alpha = args.alpha if args.alpha is not None else manifest.alpha
     ranks = average_ranks(matrix)
@@ -180,7 +195,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     from .cd import nemenyi_cd
     from .diagram import RenderOptions, layout, render_svg
 
-    report = _load_report(_read(args.report))
+    report = _load_report("".join(_read(args.report)))
     entries = report["average_ranks"]
     labels = [e["label"] for e in entries]
     ranks = [e["rank"] for e in entries]

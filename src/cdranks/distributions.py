@@ -9,8 +9,16 @@ suite checks both against an independent library.
 from __future__ import annotations
 
 import math
+import sys
 
-from .errors import ValidationError, check_int, check_reals, shown
+from .errors import UnsupportedDesignError, ValidationError, check_int, check_reals, shown
+
+
+def _check_df(df: int, name: str) -> int:
+    """``df`` if it is an int >= 1 (ValidationError) that a float can hold (UnsupportedDesignError)."""
+    if check_int(df, name, 1) > sys.float_info.max:
+        raise UnsupportedDesignError(f"{name}={shown(df)} unsupported: it passes the float range")
+    return df
 
 
 def _check_x(x) -> float:
@@ -33,7 +41,7 @@ def chi_square_sf(x: float, df: int) -> float:
     for odd df.  Each term is ``exp`` of its logarithm, so a tail whose
     exp(-y) alone is subnormal or zero keeps its full precision.
     """
-    check_int(df, "df", 1)
+    _check_df(df, "df")
     x = _check_x(x)
     y = x / 2.0
     if y == 0.0:
@@ -123,8 +131,8 @@ def _stirling_tail(x: float) -> float:
 
 def f_sf(x: float, d1: int, d2: int) -> float:
     """Survival function P(F_{d1,d2} >= x) = I_w(d2/2, d1/2) at w = d2 / (d2 + d1 x)."""
-    check_int(d1, "d1", 1)
-    check_int(d2, "d2", 1)
+    _check_df(d1, "d1")
+    _check_df(d2, "d2")
     x = _check_x(x)
     r = d1 * x / d2
     if r == 0.0:

@@ -36,20 +36,33 @@ LONG_HEADER = ("dataset", "model", "fold", "value")
 _SLICE_CHARS = 1 << 16
 
 
-def _csv_reader(text: str):
-    """A csv.reader over ``text``, fed as a chain of line-aligned StringIO slices.
+def _csv_reader(source):
+    """A csv.reader over ``source``, a str or an iterable of str chunks, fed as line-aligned StringIO slices.
 
     A StringIO holds up to 4 bytes per character, so one over the whole text
-    would hold four times its size.  Each slice ends just after a ``"\n"``,
-    which with ``newline=""`` never splits a line or a ``"\r\n"`` pair: the
-    reader sees the same lines, rows and ``line_num`` as over one StringIO.
-    Text with no later ``"\n"`` (only ``"\r"`` line ends, say) stays one slice.
+    would hold four times its size.  The chunks are regrouped into slices of
+    at least _SLICE_CHARS characters, each cut just after the first ``"\n"``
+    past that size, which with ``newline=""`` never splits a line or a
+    ``"\r\n"`` pair: the reader sees the same lines, rows and ``line_num`` as
+    over one StringIO.  Text with no later ``"\n"`` (only ``"\r"`` line ends,
+    say) stays one slice.  A str is cut into slices of itself, with no other copy.
     """
-    cuts = [0]
-    while cuts[-1] < len(text):
-        cuts.append(text.find("\n", cuts[-1] + _SLICE_CHARS - 1) + 1 or len(text))
-    slices = (io.StringIO(text[a:b], newline="") for a, b in itertools.pairwise(cuts))
-    return csv.reader(itertools.chain.from_iterable(slices))
+
+    def slices(chunks):
+        pending, size = [], 0  # the text since the last cut, and its length
+        for chunk in chunks:
+            start = 0
+            while end := chunk.find("\n", max(start, start + _SLICE_CHARS - 1 - size)) + 1:
+                pending.append(chunk[start:end])
+                yield "".join(pending)
+                pending, size, start = [], 0, end
+            pending.append(chunk[start:])
+            size += len(chunk) - start
+        if size:
+            yield "".join(pending)
+
+    chunks = (source,) if isinstance(source, str) else source
+    return csv.reader(itertools.chain.from_iterable(io.StringIO(s, newline="") for s in slices(chunks)))
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -60,13 +73,16 @@ def _is_long_header(row: Sequence[str]) -> bool:
     return tuple(field.strip() for field in row) == LONG_HEADER
 
 
-def _detect_format(text: str) -> str:
-    """The input layout: "long" if the first row passes parse_long_csv's header check, else "wide"."""
-    try:
-        header = next(_csv_reader(text), [])
+def _detect_format(source) -> tuple:
+    """The input layout, "long" if the first row passes parse_long_csv's header check, else "wide",
+    and ``source`` again as an iterator of chunks: those read for the header, then the rest."""
+    chunks, head = iter((source,) if isinstance(source, str) else source), []
+    try:  # the reader records in head each chunk it takes
+        header = next(_csv_reader(head.append(chunk) or chunk for chunk in chunks), [])
     except csv.Error:  # the wide parser reports it with its line number
-        return "wide"
-    return "long" if _is_long_header(header) else "wide"
+        header = []
+    # over iter(head), the chain lets go of the header chunks once it is past them
+    return "long" if _is_long_header(header) else "wide", itertools.chain(iter(head), chunks)
 
 
 @dataclass(frozen=True)
@@ -129,8 +145,8 @@ def parse_manifest(text: str) -> ExperimentManifest:
     )
 
 
-def parse_long_csv(text: str) -> dict:
-    """Parse long-format CSV: header ``dataset,model,fold,value``.
+def parse_long_csv(source) -> dict:
+    """Parse long-format CSV, a str or an iterable of str chunks: header ``dataset,model,fold,value``.
 
     Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
     and folds in first-seen row order.  Blank rows are skipped.  Malformed
@@ -138,10 +154,12 @@ def parse_long_csv(text: str) -> dict:
     raise :class:`ValidationError` naming the offending line, the row's last
     physical line.
 
-    Memory beyond ``text`` is the fold table plus one slice of it (see
-    :func:`_csv_reader`); each distinct dataset, model or fold id is one shared string.
+    Memory beyond a str ``source`` is the fold table plus one slice of it (see
+    :func:`_csv_reader`), and chunks are taken as the rows are parsed, so the
+    whole text of a chunked ``source`` is never held.  Each distinct dataset,
+    model or fold id is one shared string.
     """
-    reader = _csv_reader(text)
+    reader = _csv_reader(source)
     cells = {}
     get, share = cells.get, {}.setdefault
     try:
@@ -185,13 +203,13 @@ def parse_long_csv(text: str) -> dict:
     return cells
 
 
-def parse_wide_csv(text: str, direction: "str | Direction" = Direction.MAXIMIZE) -> PerformanceMatrix:
-    """Parse wide-format CSV: header ``dataset,<model labels...>``.
+def parse_wide_csv(source, direction: "str | Direction" = Direction.MAXIMIZE) -> PerformanceMatrix:
+    """Parse wide-format CSV, a str or an iterable of str chunks: header ``dataset,<model labels...>``.
 
     Every data row must carry one value per model column.  Dataset rows are
     sorted lexicographically so the matrix is independent of file row order.
     """
-    reader = _csv_reader(text)
+    reader = _csv_reader(source)
     rows = {}
     try:
         header = next(reader, None)
@@ -289,7 +307,8 @@ def aggregate_folds(
         for key, folds in cells.items():
             if folds:
                 mean[key] = math.fsum(folds.values()) / len(folds)
-    except (OverflowError, ValueError):  # a sum past the float range, or inf + -inf
+    # a sum past the float range, inf + -inf, a score that is no number, or folds that are no dict
+    except (OverflowError, ValueError, TypeError, AttributeError):
         raise ValidationError(f"dataset {key[0]!r}, model {key[1]!r}: fold scores have no finite mean") from None
     return PerformanceMatrix(
         datasets=tuple(datasets),

@@ -9,9 +9,11 @@ It writes a seeded long CSV shaped like the benchmark's (by default 1000
 datasets x 20 models x 10 folds; odd datasets hold multiples of 1/50, so
 their rows carry ties) and runs ``cdranks analyze`` on it through
 ``cli.main``, with timers around the stage functions the command calls:
-``cli._read`` (both the manifest and the CSV), ``ingest.parse_long_csv``,
-``ingest.aggregate_folds`` and ``ranks.average_ranks``.  Each stage's time
-is the median over ``--repeats`` runs.  One more, untimed run under
+``ingest._detect_format`` (opening the CSV and reading its first chunk for
+the header), ``ingest.parse_long_csv`` (reading and decoding the CSV as its
+rows are parsed), ``ingest.aggregate_folds`` and ``ranks.average_ranks``.
+Reading the manifest comes before the first stage and is not timed.  Each
+stage's time is the median over ``--repeats`` runs.  One more, untimed run under
 tracemalloc gives each stage's traced current memory on entry and on exit
 and its traced peak while it runs.  Prints one JSON object.
 """
@@ -30,7 +32,7 @@ from pathlib import Path
 from cdranks import cli, ingest, ranks
 
 # stage name -> the module whose attribute the CLI calls it through
-STAGES = {"_read": cli, "parse_long_csv": ingest, "aggregate_folds": ingest, "average_ranks": ranks}
+STAGES = {"_detect_format": ingest, "parse_long_csv": ingest, "aggregate_folds": ingest, "average_ranks": ranks}
 
 
 def write_inputs(folder: Path, n: int, k: int, folds: int, seed: int) -> list:

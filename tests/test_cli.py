@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import cdranks
-from cdranks import procedure
+from cdranks import cli, procedure
 from cdranks import (
     DegenerateStatisticError,
     DroppedDatasetsWarning,
@@ -223,14 +223,15 @@ class TestAnalyze:
         finally:
             tracemalloc.stop()
         assert got == expected and expected[0] == 0
-        assert entered[0] < table + len(text) // 2, (entered[0], table, len(text))
+        # the text is never held whole: beyond the table, at most one slice's worth
+        assert entered[0] < table + cdranks.ingest._SLICE_CHARS, (entered[0], table)
 
     def test_format_detection_honours_every_line_boundary(self):
         # the header row ends where the CSV parsers end it: at "\n" or "\r" only
         header = "dataset,model,fold,value"
         for c in map(chr, range(0x3000)):
             expected = "long" if c in "\n\r" else "wide"
-            assert _detect_format(header + c + "x,y") == expected, hex(ord(c))
+            assert _detect_format(header + c + "x,y")[0] == expected, hex(ord(c))
 
     @pytest.mark.parametrize("quoting", ["header", "all"])
     @pytest.mark.parametrize("via", ["file", "stdin"])
@@ -517,6 +518,95 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "/no/such/file.csv", "--manifest", MANIFEST)
         assert code == 2
         assert "error:" in err
+
+
+def long_results() -> str:
+    """RESULTS in the long layout, one fold per cell; analyze reports it as it reports RESULTS."""
+    rows = list(csv.reader(io.StringIO(Path(RESULTS).read_text(encoding="utf-8"))))
+    models = rows[0][1:]
+    cells = [f"{row[0]},{m},0,{v}\n" for row in rows[1:] for m, v in zip(models, row[1:])]
+    return "".join(["dataset,model,fold,value\n", *cells])
+
+
+class TestStreamedInput:
+    """analyze decodes its results input as it reads it, cli._READ_BYTES bytes at a time, and
+    parses it in line-aligned slices of at least ingest._SLICE_CHARS characters.  Small sizes
+    put those boundaries inside a BOM, a character, a quoted header and a "\r\n" pair."""
+
+    SIZES = (1, 2, 3, 5, 8, 13)
+
+    @staticmethod
+    def analyze(capsys, monkeypatch, tmp_path, data: bytes, via: str, size: "int | None"):
+        """``analyze`` of ``data`` by path or on stdin, read and sliced ``size`` at a time (None: the defaults)."""
+        if size is not None:
+            monkeypatch.setattr("cdranks.cli._READ_BYTES", size)
+            monkeypatch.setattr("cdranks.ingest._SLICE_CHARS", size)
+        source = "-"
+        if via == "stdin":
+            monkeypatch.setattr("sys.stdin", stdin_of(data))
+        else:
+            source = str(tmp_path / "results.csv")
+            Path(source).write_bytes(data)
+        return source, run(capsys, "analyze", source, "--manifest", MANIFEST)
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_bom_quoted_header_and_crlf_on_boundaries(self, capsys, monkeypatch, tmp_path, via):
+        header, rest = long_results().split("\n", 1)
+        text = "\ufeff" + ",".join(f'"{h}"' for h in header.split(",")) + "\n" + rest
+        data = text.replace("\n", "\r\n").encode()
+        expected = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)
+        assert expected[0] == 0
+        for size in (None, *self.SIZES):
+            assert self.analyze(capsys, monkeypatch, tmp_path, data, via, size)[1] == expected, size
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_character_split_across_reads(self, capsys, monkeypatch, tmp_path, via):
+        # size 1 splits the two bytes of "é" across two reads, as some other size does for any offset
+        data = long_results().replace("course_05", "coursé_05").encode()
+        _, expected = self.analyze(capsys, monkeypatch, tmp_path, data, via, None)
+        assert expected[0] == 0
+        for size in self.SIZES:
+            assert self.analyze(capsys, monkeypatch, tmp_path, data, via, size)[1] == expected, size
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_bad_byte_past_the_first_slice(self, capsys, monkeypatch, tmp_path, via):
+        # the offset counts every byte before it: the BOM, and both bytes of an earlier "é"
+        text = "\ufeff" + long_results().replace("course_05", "coursé_05")
+        data = text.encode().replace(b"\ncourse_20", b"\n\xe9course_20", 1)
+        at = data.index(b"\xe9")
+        for size in (None, *self.SIZES):
+            source, got = self.analyze(capsys, monkeypatch, tmp_path, data, via, size)
+            assert got == (2, "", f"error: {source!r} is not valid UTF-8 (byte {at})\n"), size
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_first_fault_in_file_order(self, capsys, monkeypatch, tmp_path, via):
+        # a bad byte is found when the reading reaches it, after the rows read before it
+        text = long_results()
+        line = text[: text.index("\ncourse_03,")].count("\n") + 2
+        text = text.replace("\ncourse_03,", "\ncourse_03,,", 1)
+        data = text.encode().replace(b"\ncourse_20", b"\n\xe9course_20", 1)
+        for size in self.SIZES:
+            got = self.analyze(capsys, monkeypatch, tmp_path, data, via, size)[1]
+            assert got == (2, "", f"error: line {line}: expected 4 fields, got 5\n"), size
+
+    def test_parse_failure_closes_the_file(self, capsys, monkeypatch, tmp_path):
+        # closed as the error leaves analyze, while its traceback still holds the parser
+        opened, closed = [], []
+        monkeypatch.setattr(cli, "open", lambda *args: opened.append(open(*args)) or opened[-1], raising=False)
+        analyze = cli._cmd_analyze
+
+        def checked(args):
+            try:
+                return analyze(args)
+            except cdranks.ValidationError:
+                closed.extend(f.closed for f in opened)
+                raise
+
+        monkeypatch.setattr(cli, "_cmd_analyze", checked)
+        data = long_results().replace("\ncourse_20,", "\ncourse_20,,", 1).encode()
+        code, _, err = self.analyze(capsys, monkeypatch, tmp_path, data, "file", 64)[1]
+        assert (code, err.endswith("expected 4 fields, got 5\n")) == (2, True)
+        assert len(opened) == 2 and closed == [True, True]
 
 
 class TestDiagram:

@@ -213,6 +213,25 @@ class TestLibraryInputs:
         with pytest.raises(UnsupportedDesignError, match=message):
             cdranks.friedman_statistic(ranks, n, 3)
 
+    @pytest.mark.parametrize(
+        "df, shown_df", [(10**400, "1" + "0" * 400), (10**5000, "<int of 16610 bits>")],
+        ids=["df_1e400", "df_1e5000"],
+    )
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda df: cdranks.chi_square_sf(3.0, df), "df"),
+            (lambda df: cdranks.f_sf(3.0, df, 5), "d1"),
+            (lambda df: cdranks.f_sf(3.0, 5, df), "d2"),
+        ],
+        ids=["chi2_df", "f_d1", "f_d2"],
+    )
+    def test_df_past_the_float_range_is_an_unsupported_design(self, call, name, df, shown_df):
+        # once an OverflowError from df / 2.0 or d1 * x
+        message = f"^{name}={shown_df} unsupported: it passes the float range$"
+        with pytest.raises(UnsupportedDesignError, match=message):
+            call(df)
+
     @pytest.mark.parametrize("exact", [False, True], ids=["floats", "exact_sums"])
     def test_count_at_the_float_range_edge(self, exact):
         # every dataset ranks alike, so chi2 = N(k - 1); 2Nk = 1.5 * 2^1023 fits a float, 3 * 2^1023 does not
