@@ -39,7 +39,8 @@ def chi_square_sf(x: float, df: int) -> float:
 
     over a = 0, 1, ..., df/2 - 1 for even df and a = 1/2, 3/2, ..., df/2 - 1
     for odd df.  Each term is ``exp`` of its logarithm, so a tail whose
-    exp(-y) alone is subnormal or zero keeps its full precision.
+    exp(-y) alone is subnormal or zero keeps its full precision.  Past a = y the
+    terms shrink, so the sum stops at the first one that leaves it unchanged.
     """
     _check_df(df, "df")
     x = _check_x(x)
@@ -52,7 +53,9 @@ def chi_square_sf(x: float, df: int) -> float:
     else:
         p, a = math.exp(-y), 1.0
     while a < df / 2.0:
-        p += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        p, last = p + math.exp(a * log_y - y - math.lgamma(a + 1.0)), p
+        if a > y and p == last:
+            break
         a += 1.0
     # near x = 0 the rounded terms can sum to a few ulps above 1
     return min(p, 1.0)

@@ -14,7 +14,10 @@ import csv
 import io
 import itertools
 import math
+import re
 import warnings
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +37,7 @@ LONG_HEADER = ("dataset", "model", "fold", "value")
 
 # The least number of characters _csv_reader copies into one StringIO.
 _SLICE_CHARS = 1 << 16
+_LINE_END = re.compile(r"\n|\r(?=[^\n])")
 
 
 def _csv_reader(source):
@@ -41,21 +45,21 @@ def _csv_reader(source):
 
     A StringIO holds up to 4 bytes per character, so one over the whole text
     would hold four times its size.  The chunks are regrouped into slices of
-    at least _SLICE_CHARS characters, each cut just after the first ``"\n"``
-    past that size, which with ``newline=""`` never splits a line or a
-    ``"\r\n"`` pair: the reader sees the same lines, rows and ``line_num`` as
-    over one StringIO.  Text with no later ``"\n"`` (only ``"\r"`` line ends,
-    say) stays one slice.  A str is cut into slices of itself, with no other copy.
+    at least _SLICE_CHARS characters, each cut just after the first line end
+    past that size: a ``"\n"``, or a ``"\r"`` whose next character, in the same
+    chunk, is no ``"\n"``.  With ``newline=""`` that never splits a line or a
+    ``"\r\n"`` pair, so the reader sees the same lines, rows and ``line_num`` as
+    over one StringIO.  A str is cut into slices of itself, with no other copy.
     """
 
     def slices(chunks):
         pending, size = [], 0  # the text since the last cut, and its length
         for chunk in chunks:
             start = 0
-            while end := chunk.find("\n", max(start, start + _SLICE_CHARS - 1 - size)) + 1:
-                pending.append(chunk[start:end])
+            while found := _LINE_END.search(chunk, max(start, start + _SLICE_CHARS - 1 - size)):
+                pending.append(chunk[start : found.end()])
                 yield "".join(pending)
-                pending, size, start = [], 0, end
+                pending, size, start = [], 0, found.end()
             pending.append(chunk[start:])
             size += len(chunk) - start
         if size:
@@ -63,6 +67,29 @@ def _csv_reader(source):
 
     chunks = (source,) if isinstance(source, str) else source
     return csv.reader(itertools.chain.from_iterable(io.StringIO(s, newline="") for s in slices(chunks)))
+
+
+class _Folds(Mapping):
+    """A cell's read-only ``{fold: value}``: a float array of scores, the folds a prefix of a shared index."""
+
+    __slots__ = ("_index", "_scores")
+
+    def __init__(self, index: dict):
+        self._index, self._scores = index, array("d")
+
+    def __getitem__(self, fold):
+        if (at := self._index[fold]) < len(self._scores):
+            return self._scores[at]
+        raise KeyError(fold)
+
+    def __iter__(self):
+        return itertools.islice(self._index, len(self._scores))
+
+    def __len__(self) -> int:
+        return len(self._scores)
+
+    def values(self) -> array:
+        return self._scores
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -149,10 +176,10 @@ def parse_long_csv(source) -> dict:
     """Parse long-format CSV, a str or an iterable of str chunks: header ``dataset,model,fold,value``.
 
     Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
-    and folds in first-seen row order.  Blank rows are skipped.  Malformed
-    rows, duplicate (dataset, model, fold) triples, and non-numeric values
-    raise :class:`ValidationError` naming the offending line, the row's last
-    physical line.
+    and folds in first-seen row order, each ``{fold: value}`` a read-only mapping
+    equal to that dict.  Blank rows are skipped.  Malformed rows, duplicate
+    (dataset, model, fold) triples, and non-numeric values raise
+    :class:`ValidationError` naming the offending line, the row's last physical line.
 
     Memory beyond a str ``source`` is the fold table plus one slice of it (see
     :func:`_csv_reader`), and chunks are taken as the rows are parsed, so the
@@ -161,7 +188,8 @@ def parse_long_csv(source) -> dict:
     """
     reader = _csv_reader(source)
     cells = {}
-    get, share = cells.get, {}.setdefault
+    get, share, index = cells.get, {}.setdefault, {}  # index: the last row's cell's fold index
+    held_dataset = held_model = None  # and its raw dataset and model fields
     try:
         header = next(reader, None)
         if header is None:
@@ -176,21 +204,30 @@ def parse_long_csv(source) -> dict:
             # line number.  Any other row is blank or an error.
             if len(row) == 4:
                 dataset, model, fold, raw = row
-                key = (dataset.strip(), model.strip())
+                if dataset != held_dataset or model != held_model:  # not the last row's cell
+                    ids = (dataset.strip(), model.strip())
+                    if fold := ids[0] and ids[1] and fold:  # "" if an id is empty: blank or an error
+                        key, folds = ids, get(ids)
+                        if folds is None:  # a new cell: it starts on the last row's fold index
+                            folds = cells[tuple(map(share, key, key))] = _Folds(index)
+                        index, scores, held_dataset, held_model = folds._index, folds._scores, dataset, model
                 fold = fold.strip()
-                if key[0] and key[1] and fold:
+                if fold:
                     try:
                         value = check_number(raw.strip())
                     except ValidationError as exc:
                         raise ValidationError(f"line {reader.line_num}: {exc}") from None
-                    folds = get(key)
-                    if folds is None:  # a new cell: its key holds the shared id strings
-                        folds = cells[tuple(map(share, key, key))] = {}
-                    if fold in folds:
-                        raise ValidationError(
-                            f"line {reader.line_num}: duplicate record for {(*key, fold)!r}"
-                        )
-                    folds[share(fold, fold)] = value
+                    # The cell's folds are the first n of its fold -> position index.  One below n is
+                    # a duplicate; any other goes to n, in place at the index's end, else in a copy.
+                    if index.get(fold) != (n := len(scores)):
+                        if index.get(fold, n) < n:
+                            raise ValidationError(
+                                f"line {reader.line_num}: duplicate record for {(*key, fold)!r}"
+                            )
+                        if len(index) != n:
+                            index = folds._index = dict(itertools.islice(index.items(), n))
+                        index[share(fold, fold)] = n
+                    scores.append(value)
                     continue
             if _is_blank(row):
                 continue
@@ -263,8 +300,8 @@ def aggregate_folds(
 ) -> PerformanceMatrix:
     """Average each cell's fold scores into one matrix cell.
 
-    ``cells`` is the fold table :func:`parse_long_csv` returns,
-    ``{(dataset, model): {fold: value}}``.  Datasets are ordered
+    ``cells`` is the fold table :func:`parse_long_csv` returns, or any
+    ``{(dataset, model): {fold: value}}`` dict.  Datasets are ordered
     lexicographically and models per the manifest.  By default the design
     must be complete: every pair needs at least one fold, otherwise
     :class:`IncompleteDesignError` lists every missing pair.  With
@@ -307,7 +344,7 @@ def aggregate_folds(
         for key, folds in cells.items():
             if folds:
                 mean[key] = math.fsum(folds.values()) / len(folds)
-    # a sum past the float range, inf + -inf, a score that is no number, or folds that are no dict
+    # a sum past the float range, inf + -inf, a score that is no number, or folds with no values()
     except (OverflowError, ValueError, TypeError, AttributeError):
         raise ValidationError(f"dataset {key[0]!r}, model {key[1]!r}: fold scores have no finite mean") from None
     return PerformanceMatrix(

@@ -15,7 +15,9 @@ rows are parsed), ``ingest.aggregate_folds`` and ``ranks.average_ranks``.
 Reading the manifest comes before the first stage and is not timed.  Each
 stage's time is the median over ``--repeats`` runs.  One more, untimed run under
 tracemalloc gives each stage's traced current memory on entry and on exit
-and its traced peak while it runs.  Prints one JSON object.
+and its traced peak while it runs, and from ``parse_long_csv``'s exit over its
+entry, the fold table's traced bytes per (dataset, model) cell.  Prints one JSON
+object.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def stage_report(n: int, k: int, folds: int, seed: int, repeats: int) -> dict:
     for key in runs[0]:
         report[key] = round(statistics.median(ms[key] for ms in runs), 3)
     report["memory"] = memory
+    parse = memory["parse_long_csv"]
+    report["table_bytes_per_cell"] = round((parse["exit_kb"] - parse["entry_kb"]) * 1024 / (n * k))
     return report
 
 

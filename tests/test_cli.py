@@ -232,6 +232,17 @@ class TestAnalyze:
         for c in map(chr, range(0x3000)):
             expected = "long" if c in "\n\r" else "wide"
             assert _detect_format(header + c + "x,y")[0] == expected, hex(ord(c))
+        # also read in chunks of any size and sliced at that size, as analyze reads a
+        # file: a "\r" at the end of a chunk is no cut, since a "\n" may follow
+        for end in ("\r", "\n", "\r\n"):
+            text = end.join([header, "d1,m,0,0.5", "d1,m,1,0.5", "d1,m,0,0.5", ""])
+            for size in range(1, len(text) + 2):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr("cdranks.ingest._SLICE_CHARS", size)
+                    layout, rest = _detect_format(text[i : i + size] for i in range(0, len(text), size))
+                    assert layout == "long", (end, size)
+                    with pytest.raises(cdranks.ValidationError, match=r"^line 4: duplicate record"):
+                        cdranks.parse_long_csv(rest)
 
     @pytest.mark.parametrize("quoting", ["header", "all"])
     @pytest.mark.parametrize("via", ["file", "stdin"])
@@ -554,6 +565,15 @@ class TestStreamedInput:
         header, rest = long_results().split("\n", 1)
         text = "\ufeff" + ",".join(f'"{h}"' for h in header.split(",")) + "\n" + rest
         data = text.replace("\n", "\r\n").encode()
+        expected = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)
+        assert expected[0] == 0
+        for size in (None, *self.SIZES):
+            assert self.analyze(capsys, monkeypatch, tmp_path, data, via, size)[1] == expected, size
+
+    @pytest.mark.parametrize("via", ["file", "stdin"])
+    def test_carriage_return_line_ends_on_boundaries(self, capsys, monkeypatch, tmp_path, via):
+        # only "\r" line ends, so each slice is cut after a "\r" seen with its next character
+        data = long_results().replace("\n", "\r").encode()
         expected = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)
         assert expected[0] == 0
         for size in (None, *self.SIZES):

@@ -1,6 +1,7 @@
 """Reference distributions: survival functions, the computed q, and the range oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ class TestChiSquareSf:
             chi_square_sf(float("nan"), 3)
 
 
+def _chi_square_sf_full_sum(x: float, df: int) -> float:
+    """chi_square_sf as it was before it stopped early: every term up to a = df/2, in order."""
+    y = x / 2.0
+    if y == 0.0:
+        return 1.0
+    log_y = math.log(y)
+    if df % 2:
+        p, a = math.erfc(math.sqrt(y)), 0.5
+    else:
+        p, a = math.exp(-y), 1.0
+    while a < df / 2.0:
+        p += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(p, 1.0)
+
+
 class TestChiSquareSfAccuracy:
     # 0 to 2000, plus a fine band where exp(-x/2) is subnormal but the tail is not
     XS = np.concatenate([np.linspace(0.0, 2000.0, 2001), np.linspace(1420.0, 1500.0, 321)])
@@ -69,6 +86,22 @@ class TestChiSquareSfAccuracy:
     def test_subnormal_exp_keeps_the_tail(self):
         # exp(-750) is 0.0 in double precision; the tail is about 5.3e-274
         assert chi_square_sf(1500.0, 60) == pytest.approx(gammaincc(30.0, 750.0), rel=1e-12)
+
+    @pytest.mark.parametrize("df", [10**6, 10**6 + 1, 10**7, 10**9, 10**12, 10**12 + 1])
+    def test_huge_df_at_small_x_stops_early(self, df):
+        # the sum stops near a = x/2, where every term left is below an ulp of it
+        for x in (0.0, 1e-3, 0.5, 30.0, 200.0, 1000.0):
+            start = time.perf_counter()
+            got = chi_square_sf(x, df)
+            assert time.perf_counter() - start < 0.05, x
+            assert got == pytest.approx(float(gammaincc(df / 2.0, x / 2.0)), rel=1e-12), x
+
+    def test_early_stop_is_bit_identical_to_the_full_sum(self):
+        rng = np.random.default_rng(2026)
+        for _ in range(2000):
+            df = int(rng.integers(1, 3001))
+            x = float(rng.choice([rng.uniform(0, 2 * df), rng.uniform(0, 50), 10 ** rng.uniform(-6, 4)]))
+            assert chi_square_sf(x, df).hex() == _chi_square_sf_full_sum(x, df).hex(), (x, df)
 
     @pytest.mark.parametrize("df", [1, 2, 7, 8, 59, 60])
     def test_stacked_equals_scalar(self, df):

@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from cdranks import (
     parse_wide_csv,
     summarize_by_tag,
 )
+from cdranks import ingest
 from cdranks.ingest import LONG_HEADER, _detect_format
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -65,6 +67,17 @@ class TestParseLongCsv:
     def test_blank_lines_and_crlf_tolerated(self):
         text = "dataset,model,fold,value\r\n\r\nd1,m1,0,0.5\r\n\r\n"
         assert parse_long_csv(text) == {("d1", "m1"): {"0": 0.5}}
+
+    def test_cells_are_read_only_mappings_over_their_own_folds(self):
+        # d2 starts on d1's fold index, whose second fold is not d2's
+        cells = parse_long_csv(long_csv("d1,m,0,0.5", "d1,m,1,0.25", "d2,m,0,0.75"))
+        folds = cells["d2", "m"]
+        assert isinstance(folds, Mapping) and not isinstance(folds, MutableMapping)
+        assert (list(folds), len(folds), "0" in folds, "1" in folds) == (["0"], 1, True, False)
+        with pytest.raises(KeyError):
+            folds["1"]
+        assert folds == {"0": 0.75} and list(folds.values()) == [0.75]
+        assert cells == {("d1", "m"): {"0": 0.5, "1": 0.25}, ("d2", "m"): {"0": 0.75}}
 
     def test_whitespace_stripped(self):
         cells = parse_long_csv(long_csv(" d1 , m1 , 0 , 0.5 "))
@@ -223,14 +236,108 @@ class TestLongCsvDifferential:
             (["d1,m,0,\u0663e2"], "line 2: non-numeric value '\u0663e2'"),
             (["d1,m,0,1e999"], "line 2: value '1e999' overflows to non-finite"),
             (["d1,m,0,1", "d1, m ,\u30000,2"], "line 3: duplicate record for ('d1', 'm', '0')"),
+            (["d1,m,0,1", ",,,", "d1,m,0,2"], "line 4: duplicate record for ('d1', 'm', '0')"),
             (["d1,m,0," + "9" * 131073], "line 2: field larger than field limit (131072)"),
         ],
-        ids=["field_count", "empty_key", "non_ascii", "overflow", "duplicate", "oversized"],
+        ids=["field_count", "empty_key", "non_ascii", "overflow", "duplicate", "duplicate_after_blank", "oversized"],
     )
     def test_each_message_matches_original_loop(self, rows, message):
         text = long_csv(*rows)
         assert _outcome(parse_long_csv, text) == (ValidationError, message)
         assert _outcome(oracle_parse_long_csv, text) == (ValidationError, message)
+
+
+# A few cells, each with a first-seen fold sequence: the same for every cell or
+# its own.  Padded ids name the same cell through other raw fields.
+_ROW_ORDERS = ("cell_contiguous", "fold_major", "shuffled", "own_fold_order")
+_FOLD_IDS = ("0", "1", "2", "f3", "f4", "f5")
+_FOLD_SCORES = st.one_of(st.floats(-1e300, 1e300).map(repr), st.sampled_from(["0.5", "0.25", "0.75", "1e308"]))
+
+
+def _padded(draw, text):
+    return draw(st.sampled_from(["", "", " ", "\t"])) + text + draw(st.sampled_from(["", "", " "]))
+
+
+@st.composite
+def fold_table_texts(draw):
+    """(long CSV, model labels): a row order from _ROW_ORDERS, blank rows and duplicate rows anywhere."""
+    datasets = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "x y", "\u00e9"]), min_size=1, max_size=3, unique=True))
+    models = ["m1", "m2", "m3"]  # the least k a matrix takes
+    order = draw(st.sampled_from(_ROW_ORDERS))
+    cells = draw(st.permutations([(d, m) for d in datasets for m in models]))
+    common = draw(st.permutations(_FOLD_IDS))
+    folds = {
+        cell: (draw(st.permutations(_FOLD_IDS)) if order == "own_fold_order" else common)[
+            : draw(st.integers(1, len(_FOLD_IDS)))
+        ]
+        for cell in cells
+    }
+    triples = [(*cell, fold) for cell in cells for fold in folds[cell]]
+    if order == "fold_major":
+        triples = [(*cell, folds[cell][i]) for i in range(len(_FOLD_IDS)) for cell in cells if i < len(folds[cell])]
+    elif order == "shuffled":
+        triples = draw(st.permutations(triples))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # a duplicate of some row, anywhere
+        triples.insert(draw(st.integers(0, len(triples))), draw(st.sampled_from(triples)))
+    scores = [draw(_FOLD_SCORES) for _ in triples]
+    if draw(st.sampled_from([False] * 5 + [True])):  # one non-numeric score
+        scores[draw(st.integers(0, len(scores) - 1))] = "x"
+    rows = [",".join([*(_padded(draw, field) for field in triple), score]) for triple, score in zip(triples, scores)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", ",,,", " , , , "])))
+    return long_csv(*rows), models
+
+
+def _means(cells, models):
+    """aggregate_folds' matrix of ``cells`` as exact hex strings, or its error."""
+    try:
+        matrix = aggregate_folds(cells, manifest_of(*models))
+    except ValidationError as exc:
+        return str(exc)
+    return matrix.datasets, [[value.hex() for value in row] for row in matrix.values]
+
+
+class TestFoldTable:
+    """The fold table keeps each cell's scores in one array over a fold index
+    that cells share; the oracle's plain dicts pin its contents and errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fold_table_texts())
+    def test_matches_original_loop_in_any_row_order(self, case):
+        text, models = case
+        expected = _outcome(oracle_parse_long_csv, text)
+        assert _outcome(parse_long_csv, text) == expected
+        if isinstance(expected, list):
+            cells, original = parse_long_csv(text), oracle_parse_long_csv(text)
+            assert cells == original
+            assert all(list(cells[key]) == list(folds) for key, folds in original.items())
+            assert _means(cells, models) == _means(original, models)
+
+    @pytest.mark.parametrize("pattern", ["walk_then_diverge", "diverge_from_a_long_index"])
+    def test_adversarial_row_order_stays_linear(self, pattern):
+        if pattern == "walk_then_diverge":
+            # each new cell walks the last cell's 199 folds, then adds one of its own
+            rows = [f"d{c},m,{fold},0.5" for c in range(100) for fold in [*range(199), f"own{c}"]]
+        else:
+            # 5000 cells share the first fold of one cell's 10k, then each adds one of its own
+            rows = [f"d,m,{fold},0.5" for fold in range(10_000)]
+            rows += [f"d{c},m,{fold},0.5" for fold in ("0", "own") for c in range(5000)]
+        text = long_csv(*rows)
+        plain = long_csv(*(f"d{r // 10},m,{r % 10},0.5" for r in range(len(rows))))
+
+        def fastest(text):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                parse_long_csv(text)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert parse_long_csv(text) == oracle_parse_long_csv(text)
+        elapsed, baseline = fastest(text), fastest(plain)
+        assert elapsed < 2.0, elapsed
+        # a copy that costs more than the n folds it keeps is many times slower than cell-contiguous rows
+        assert elapsed < 10 * baseline, (elapsed, baseline)
 
 
 # Header rows near the long one: its names in any order and case, fields
@@ -355,6 +462,30 @@ class TestLongCsvMemory:
         assert len(cells) == 2000
         assert peak - retained < len(text)
 
+    def test_table_holds_at_most_400_bytes_per_cell(self):
+        # a dict and 10 float objects per cell took about 600
+        text = self.long_text()
+        tracemalloc.start()
+        try:
+            cells = parse_long_csv(text)
+            table = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 2000
+        assert table <= 400 * len(cells), table / len(cells)
+
+    def test_carriage_return_line_ends_are_sliced(self):
+        # a slice costs its str and a StringIO of it: 1 + 4 bytes per ASCII character
+        text = self.long_text().replace("\n", "\r")
+        tracemalloc.start()
+        try:
+            cells = parse_long_csv(text)
+            table, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells == parse_long_csv(self.long_text())
+        assert peak - table < 2 * 5 * ingest._SLICE_CHARS, (peak, table)
+
     def test_each_fold_id_is_one_shared_string(self):
         cells = parse_long_csv(self.long_text())
         folds = [f for table in cells.values() for f in table]
@@ -391,6 +522,7 @@ def test_ingest_stage_timer_runs(capsys, monkeypatch):
     memory = report["memory"]
     parse, table = memory["parse_long_csv"], memory["aggregate_folds"]["entry_kb"]
     assert parse["exit_kb"] <= parse["peak_kb"] < table + report["csv_bytes"] / 1024, (memory, report)
+    assert 0 < report["table_bytes_per_cell"] <= 400, report
 
 
 class TestParseWideCsv:
