@@ -73,7 +73,7 @@ def check_average_ranks(r: list) -> None:
         raise ValidationError(f"average ranks must lie in [1, {k}]")
     total, target = math.fsum(r), k * (k + 1) / 2
     if abs(total - target) > max(1e-9 * max(abs(total), target), 1e-9):
-        raise ValidationError(f"row 0 average rank sum {total} != k(k+1)/2 = {target}")
+        raise ValidationError(f"average rank sum {total} != k(k+1)/2 = {target}")
 
 
 def rank_list(ranks) -> tuple:

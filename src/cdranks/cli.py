@@ -13,6 +13,7 @@ import codecs
 import contextlib
 import json
 import sys
+import warnings
 
 from .errors import CdranksError, ValidationError, check_alpha, check_int, check_number, check_positive
 from .errors import load_json_object
@@ -147,47 +148,43 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _require(report: dict, key: str, kinds: tuple) -> object:
-    if key not in report:
-        raise ValidationError(f"report is missing key {key!r}")
-    value = report[key]
-    if not isinstance(value, kinds) or isinstance(value, bool) and bool not in kinds:
-        raise ValidationError(f"report key {key!r} has unexpected type {type(value).__name__}")
-    return value
+_NUMBER = (int, float)
+# Each key build_report writes, in its order, and the JSON types of its value: a bool is no int,
+# nor an int a bool.  None marks a key a report may lack: df2 (the F form's) and tag_summaries.
+REPORT_KEYS = {
+    "statistic": _NUMBER, "df": (int,), "p_value": _NUMBER, "alpha": _NUMBER, "reject_null": (bool,),
+    "variant": (str,), "cd": _NUMBER, "average_ranks": (list,), "significant_pairs": (list,), "groups": (list,),
+    "posthoc_licensed": (bool,), "n_datasets": (int,), "df2": (int, None), "tag_summaries": (list, None),
+}
 
 
 def _load_report(text: str) -> dict:
-    """Parse and check a report; ``n_datasets`` is checked if present."""
+    """Parse a report and check it against REPORT_KEYS and the ranges ``diagram`` reads."""
     from .cd import check_average_ranks
 
     report = load_json_object(text, "report")
-    entries = _require(report, "average_ranks", (list,))
-    if not entries:
-        raise ValidationError("report lists no models")
-    for e in entries:
-        if not (
-            isinstance(e, dict)
-            and isinstance(e.get("label"), str)
-            and type(e.get("rank")) in (int, float)
-        ):
-            raise ValidationError("each average_ranks entry needs a label and a rank")
+    for key, kinds in REPORT_KEYS.items():
+        if key not in report:
+            if None not in kinds:
+                raise ValidationError(f"report is missing key {key!r}")
+        elif type(report[key]) not in kinds:
+            raise ValidationError(f"report key {key!r} has unexpected type {type(report[key]).__name__}")
+    entries = report["average_ranks"]
+    if not all(isinstance(e, dict) and isinstance(e.get("label"), str) and type(e.get("rank")) in _NUMBER
+               for e in entries):
+        raise ValidationError("each average_ranks entry needs a label and a rank")
     try:
         check_average_ranks([float(e["rank"]) for e in entries])
     except (ValidationError, OverflowError) as exc:
         raise ValidationError(f"report average_ranks: {exc}") from None
-    check_positive(_require(report, "cd", (int, float)), "report cd")
-    alpha = check_alpha(_require(report, "alpha", (int, float)))
-    p_value = _require(report, "p_value", (int, float))
+    check_positive(report["cd"], "report cd")
+    alpha, p_value = check_alpha(report["alpha"]), report["p_value"]
     if not 0.0 <= p_value <= 1.0:
         raise ValidationError(f"report p_value must lie in [0, 1], got {p_value!r}")
-    licensed = _require(report, "posthoc_licensed", (bool,))
-    if licensed != (p_value < alpha):
-        raise ValidationError(
-            f"report posthoc_licensed {licensed} disagrees with p_value {p_value!r} "
-            f"and alpha {alpha!r}"
-        )
-    if "n_datasets" in report:
-        check_int(report["n_datasets"], "report n_datasets", 2)
+    if not report["reject_null"] == report["posthoc_licensed"] == (p_value < alpha):
+        raise ValidationError(f"report reject_null and posthoc_licensed must both be p_value {p_value!r} "
+                              f"< alpha {alpha!r}")
+    check_int(report["n_datasets"], "report n_datasets", 2)
     return report
 
 
@@ -203,8 +200,7 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     cd, alpha = report["cd"], report["alpha"]
     if args.alpha is not None:
         alpha = args.alpha
-        n_datasets = check_int(report.get("n_datasets"), "report n_datasets", 2)
-        cd = nemenyi_cd(len(ranks), n_datasets, alpha)
+        cd = nemenyi_cd(len(ranks), report["n_datasets"], alpha)
 
     spec = layout(ranks, labels, cd)
     # the licence at any alpha; the reader holds posthoc_licensed to it at the report's own
@@ -334,11 +330,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: "list | None" = None) -> int:
     args = _build_parser().parse_args(argv)
+    # a warning prints as one "warning: ..." line, as an error does, while main runs
+    saved, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except (CdranksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, CdranksError) else 2
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ function of its inputs, so identical calls produce identical bytes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cd import indistinguishable_groups, rank_list
 from .errors import ValidationError, check_int, check_label, check_unique

@@ -17,9 +17,8 @@ import math
 import re
 import warnings
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import (
     DroppedDatasetsWarning,
@@ -88,8 +87,8 @@ class _Folds(Mapping):
     def __len__(self) -> int:
         return len(self._scores)
 
-    def values(self) -> array:
-        return self._scores
+    def values(self) -> list:
+        return self._scores.tolist()
 
 
 def _is_blank(row: Sequence[str]) -> bool:

@@ -33,7 +33,7 @@ from cdranks import (
     nemenyi_test,
     summarize_by_tag,
 )
-from cdranks.cli import _build_parser, _load_report, main
+from cdranks.cli import REPORT_KEYS, _build_parser, _load_report, main
 from cdranks.ingest import _detect_format
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -408,6 +408,31 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["n_datasets"] == 16
 
+    def test_warnings_print_one_line_each(self):
+        # a real process, so Python's own warning display is what reaches stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cdranks.cli", "analyze", str(FIXTURES / "results_long.csv"),
+             "--manifest", str(FIXTURES / "manifest_long.json"), "--drop-incomplete"],
+            capture_output=True, text=True, env=env,
+        )
+        assert (proc.returncode, json.loads(proc.stdout)["n_datasets"]) == (0, 7)
+        assert proc.stderr == (
+            "warning: dropped 1 incomplete dataset(s): mooc_e\n"
+            "warning: only N=7 datasets: the chi-square approximation to the rank statistic is rough below N=15\n"
+        )
+
+    def test_main_restores_the_warning_format(self, capsys, tmp_path):
+        before = warnings.formatwarning
+        csv = tmp_path / "w.csv"
+        csv.write_text("dataset,a,b,c\n" + "".join(f"d{i},{i},0.5,0.25\n" for i in range(3)))
+        with pytest.warns(SmallSampleWarning):
+            code, _, _ = run(capsys, "analyze", str(csv), "--manifest", write_manifest(tmp_path, *"abc"))
+        assert code == 0 and warnings.formatwarning is before
+        assert run(capsys, "diagram", str(tmp_path / "missing.json"))[0] == 2
+        assert warnings.formatwarning is before
+
     def test_alpha_defaults_to_manifest_and_flag_overrides(self, capsys, tmp_path):
         manifest = write_manifest(tmp_path, "a", "b", "c", alpha=0.1)
         csv = tmp_path / "w.csv"
@@ -649,16 +674,22 @@ class TestDiagram:
     @staticmethod
     def marginal_report(**overrides):
         report = {
+            "statistic": 5.32,
+            "df": 2,
             "p_value": 0.07,
             "alpha": 0.05,
+            "reject_null": False,
+            "variant": "friedman",
             "cd": 1.5,
-            "posthoc_licensed": False,
-            "n_datasets": 20,
             "average_ranks": [
                 {"label": "a", "rank": 1.4},
                 {"label": "b", "rank": 2.2},
                 {"label": "c", "rank": 2.4},
             ],
+            "significant_pairs": [],
+            "groups": [["a", "b", "c"]],
+            "posthoc_licensed": False,
+            "n_datasets": 20,
         }
         report.update(overrides)
         return report
@@ -685,12 +716,11 @@ class TestDiagram:
         report = self.marginal_report()
         del report["n_datasets"]
         path.write_text(json.dumps(report))
-        code, _, err = run(capsys, "diagram", str(path), "--alpha", "0.1")
-        assert code == 2
-        assert "n_datasets" in err
-        # without --alpha the same report renders fine
-        code, _, _ = run(capsys, "diagram", str(path))
-        assert code == 0
+        # n_datasets is required whether or not --alpha reads it
+        for flags in (("--alpha", "0.1"), ()):
+            assert run(capsys, "diagram", str(path), *flags) == (
+                2, "", "error: report is missing key 'n_datasets'\n"
+            )
 
     def test_invalid_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "r.json"
@@ -701,15 +731,53 @@ class TestDiagram:
             assert code == 2
             assert "not valid JSON" in err
 
-    @pytest.mark.parametrize("key", ["average_ranks", "cd", "alpha", "p_value", "posthoc_licensed"])
+    @pytest.mark.parametrize("key", [k for k, kinds in REPORT_KEYS.items() if None not in kinds])
     def test_missing_key_exits_2(self, capsys, tmp_path, key):
         report = self.marginal_report()
         del report[key]
         path = tmp_path / "r.json"
         path.write_text(json.dumps(report))
-        code, _, err = run(capsys, "diagram", str(path))
-        assert code == 2
-        assert key in err
+        assert run(capsys, "diagram", str(path)) == (2, "", f"error: report is missing key {key!r}\n")
+
+    def test_optional_keys_may_be_absent_or_present(self, capsys, tmp_path):
+        golden = run(capsys, "diagram", self.write_report(tmp_path))
+        assert golden[0] == 0
+        extra = {"df2": 38, "tag_summaries": [], "variant": "iman_davenport"}
+        assert run(capsys, "diagram", self.write_report(tmp_path, **extra)) == golden
+
+    # one value of each JSON type: each key refuses every type the table does not list for it
+    JSON_VALUES = (True, 2, 2.5, "friedman", [], {}, None)
+
+    @pytest.mark.parametrize("key", list(REPORT_KEYS))
+    def test_wrong_json_type_exits_2(self, capsys, tmp_path, key):
+        for value in self.JSON_VALUES:
+            if type(value) in REPORT_KEYS[key]:
+                continue
+            path = self.write_report(tmp_path, **{key: value})
+            expected = f"error: report key {key!r} has unexpected type {type(value).__name__}\n"
+            assert run(capsys, "diagram", path) == (2, "", expected), value
+
+    def test_table_types_are_json_types(self):
+        # a number is an int or a float; a bool is no int here, nor an int a bool
+        assert set(REPORT_KEYS.values()) <= {(int, float), (int,), (bool,), (str,), (list,),
+                                             (int, None), (list, None)}
+        assert [k for k, kinds in REPORT_KEYS.items() if None in kinds] == ["df2", "tag_summaries"]
+
+    @pytest.mark.parametrize("p_value", [0.01, 0.07])
+    @pytest.mark.parametrize("reject_null", [True, False])
+    @pytest.mark.parametrize("posthoc_licensed", [True, False])
+    def test_reject_null_and_posthoc_licensed_follow_p_value(
+        self, capsys, tmp_path, p_value, reject_null, posthoc_licensed
+    ):
+        path = self.write_report(
+            tmp_path, p_value=p_value, reject_null=reject_null, posthoc_licensed=posthoc_licensed
+        )
+        code, out, err = run(capsys, "diagram", path)
+        if reject_null == posthoc_licensed == (p_value < 0.05):
+            assert (code, err) == (0, "") and out.endswith("</svg>\n")
+        else:
+            assert (code, out, err) == (2, "", "error: report reject_null and posthoc_licensed must "
+                                        f"both be p_value {p_value!r} < alpha 0.05\n")
 
     @pytest.mark.parametrize(
         "overrides,flags",
@@ -858,6 +926,9 @@ class TestReportRoundTrip:
                 s.to_dict() for s in summarize_by_tag(ranks, posthoc, manifest, "group")
             ]
 
+        optional = {"df2": variant == "iman_davenport", "tag_summaries": summarize}
+        assert list(report) == [key for key in REPORT_KEYS if optional.get(key, True)]
+        assert [key for key, value in report.items() if type(value) not in REPORT_KEYS[key]] == []
         loaded = _load_report(json.dumps(report))
         assert loaded == report
         entries = loaded["average_ranks"]
@@ -925,11 +996,13 @@ class TestSimulate:
         # urllib.request, http.client and email for one escape call.  Each
         # subcommand runs in a fresh process and loads only its own modules.
         banned = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
-        # the critical-difference rule and the layout need no numpy
-        diagram_bans = ("numpy", "concurrent.futures", "cdranks.ingest", "cdranks.simulate")
-        # ranking, the statistic and both survival functions need no numpy either
+        # the critical-difference rule and the layout need no numpy, and diagram runs no statistic
+        diagram_bans = banned + ("numpy", "concurrent.futures", "cdranks.ingest", "cdranks.simulate",
+                                 "cdranks.procedure", "cdranks.ranks", "cdranks.distributions", "typing")
+        # ranking, the statistic and both survival functions need no numpy either.  typing is banned
+        # only under -S, since a site hook may import it before the script runs.
         analyze_bans = banned + ("numpy", "concurrent.futures", "cdranks.simulate",
-                                 "cdranks.diagram", "statistics", "fractions", "decimal")
+                                 "cdranks.diagram", "statistics", "fractions", "decimal", "typing")
         long_input = [str(FIXTURES / "results_long.csv"), "--manifest",
                       str(FIXTURES / "manifest_long.json"), "--drop-incomplete"]
         steps = {
@@ -959,13 +1032,13 @@ class TestSimulate:
             "diagram": (
                 ["diagram", REPORT, "--out", str(tmp_path / "cd.svg")],
                 "cdranks.diagram",
-                banned + diagram_bans,
+                diagram_bans,
             ),
             # 0.2 was never tabulated, so this step computes the critical value
             "diagram --alpha": (
                 ["diagram", REPORT, "--alpha", "0.2", "--out", str(tmp_path / "cd.svg")],
                 "cdranks.diagram",
-                banned + diagram_bans,
+                diagram_bans,
             ),
             "simulate": (
                 ["simulate", "--n", "10", "--k", "4", "--trials", "300",
@@ -986,8 +1059,10 @@ class TestSimulate:
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
         for name, (argv, needed, absent) in steps.items():
+            # analyze and diagram run without site, as the benchmark launches them; numpy lives in site
+            no_site = ["-S"] if name.startswith(("analyze", "diagram")) else []
             proc = subprocess.run(
-                [sys.executable, "-c", script, *argv],
+                [sys.executable, *no_site, "-c", script, *argv],
                 capture_output=True, text=True, env=env, check=True,
             )
             code, modules = json.loads(proc.stdout)

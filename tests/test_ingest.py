@@ -79,6 +79,19 @@ class TestParseLongCsv:
         assert folds == {"0": 0.75} and list(folds.values()) == [0.75]
         assert cells == {("d1", "m"): {"0": 0.5, "1": 0.25}, ("d2", "m"): {"0": 0.75}}
 
+    def test_values_are_a_copy(self):
+        # d1 sits on the fold index d2 extends: a change to d1's values must not give it d2's fold "1"
+        others = [f"d{i},{m},0,0.{i}" for i in (1, 2) for m in "bc"]
+        cells = parse_long_csv(long_csv("d1,a,0,0.5", "d2,a,0,0.25", "d2,a,1,0.75", *others))
+        table = {key: dict(folds) for key, folds in cells.items()}
+        before = aggregate_folds(cells, manifest_of(*"abc"))
+        values = cells["d1", "a"].values()
+        values.append(9.0)
+        values[0] = 1.0
+        assert cells == table and cells["d1", "a"] == {"0": 0.5}
+        assert cells["d1", "a"].values() == [0.5]
+        assert aggregate_folds(cells, manifest_of(*"abc")) == before
+
     def test_whitespace_stripped(self):
         cells = parse_long_csv(long_csv(" d1 , m1 , 0 , 0.5 "))
         assert cells == {("d1", "m1"): {"0": 0.5}}

@@ -11,6 +11,7 @@ from scipy.stats import friedmanchisquare, rankdata
 from cdranks import (
     AverageRanks,
     DegenerateStatisticError,
+    ExperimentManifest,
     ModelId,
     PerformanceMatrix,
     SmallSampleWarning,
@@ -25,7 +26,9 @@ from cdranks import (
     nemenyi_cd,
     nemenyi_test,
     pairwise_significance,
+    summarize_by_tag,
 )
+from cdranks.cli import REPORT_KEYS
 
 
 def matrix(values, labels=None, direction="maximize"):
@@ -374,7 +377,7 @@ class TestNemenyiTest:
 
 
 class TestBuildReport:
-    def build(self, values, labels, alpha=0.05, variant="friedman", tags=None):
+    def build(self, values, labels, alpha=0.05, variant="friedman", tags=None, summarize_tag=None):
         models = tuple(
             ModelId(l, (tags or {}).get(l, {})) for l in labels
         )
@@ -390,7 +393,11 @@ class TestBuildReport:
             fried = friedman_test(m, alpha=alpha, variant=variant)
         ranks = average_ranks(m)
         nem = nemenyi_test(ranks, m.n_datasets, alpha=alpha)
-        return build_report(m, fried, nem, ranks)
+        report = build_report(m, fried, nem, ranks)
+        if summarize_tag is not None:  # as analyze --summarize-tag adds them
+            manifest = ExperimentManifest("score", "maximize", models, alpha)
+            report["tag_summaries"] = [s.to_dict() for s in summarize_by_tag(ranks, nem, manifest, summarize_tag)]
+        return report
 
     def test_field_names_and_order(self):
         report = self.build([[0.3, 0.2, 0.1]] * 16, ["a", "b", "c"])
@@ -408,6 +415,19 @@ class TestBuildReport:
             "posthoc_licensed",
             "n_datasets",
         ]
+
+    @pytest.mark.parametrize("summarize_tag", [None, "kind"])
+    @pytest.mark.parametrize("variant", ["friedman", "iman_davenport"])
+    def test_keys_follow_the_reader_table(self, variant, summarize_tag):
+        # diagram reads what analyze writes: every key in the table's order, each of a listed JSON type
+        labels = ["a", "b", "c", "d"]
+        report = self.build(
+            np.random.default_rng(25).standard_normal((20, 4)), labels, variant=variant,
+            tags={l: {"kind": "xy"[j % 2]} for j, l in enumerate(labels)}, summarize_tag=summarize_tag,
+        )
+        optional = {"df2": variant == "iman_davenport", "tag_summaries": summarize_tag is not None}
+        assert list(report) == [key for key in REPORT_KEYS if optional.get(key, True)]
+        assert [key for key, value in report.items() if type(value) not in REPORT_KEYS[key]] == []
 
     def test_models_ordered_by_rank_then_label(self):
         # b and c tie on average rank; a is worst

@@ -256,7 +256,13 @@ class TestRankTypes:
                 return str(exc)
 
         stacked = outcome(check_rank_vectors, np.array(r), "average rank")
-        assert outcome(check_average_ranks, r) == stacked
+        # one vector: the same message, less the stacked check's row number
+        assert outcome(check_average_ranks, r) == (stacked and stacked.removeprefix("row 0 "))
+
+    def test_sum_message_names_no_row(self):
+        with pytest.raises(ValidationError) as exc:
+            AverageRanks((1.0, 1.0, 1.0))
+        assert str(exc.value) == "average rank sum 3.0 != k(k+1)/2 = 6.0"
 
     @pytest.mark.parametrize("r", ["123", b"123"])
     def test_average_ranks_reject_text(self, r):
