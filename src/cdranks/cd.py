@@ -36,7 +36,10 @@ def q_alpha(k: int, alpha: float) -> float:
         (z, w * h / 3 * math.exp(-z * z / 2) / math.sqrt(2 * math.pi), math.erfc(-z / math.sqrt(2)) / 2)
         for z, w in ((-8.0 + i * h, 4 if i % 2 else 2 if 0 < i < 240 else 1) for i in range(241))
     ]
-    lo, hi, q = 0.0, 32.0, 4.0
+    # Newton starts at the Bonferroni bound 2 Phi(-q/sqrt 2) = 2 alpha / (k(k-1)), by A&S 26.2.23 (to 4.5e-4)
+    t = math.sqrt(-2.0 * math.log(alpha / (k * (k - 1))))
+    z = t - (2.515517 + (0.802853 + 0.010328 * t) * t) / (1.0 + (1.432788 + (0.189269 + 0.001308 * t) * t) * t)
+    lo, hi, q = 0.0, 32.0, max(math.sqrt(2) * z, 1e-9)
     for _ in range(100):
         cdf = pdf = 0.0
         for z, w, upper in nodes:

@@ -15,8 +15,8 @@ import json
 import sys
 import warnings
 
-from .errors import CdranksError, ValidationError, check_alpha, check_int, check_number, check_positive
-from .errors import load_json_object
+from .errors import CdranksError, DroppedDatasetsWarning, SmallSampleWarning, ValidationError, check_alpha
+from .errors import check_int, check_number, check_positive, load_json_object, shown
 
 _FORMATS_HELP = """\
 input formats:
@@ -156,6 +156,7 @@ REPORT_KEYS = {
     "variant": (str,), "cd": _NUMBER, "average_ranks": (list,), "significant_pairs": (list,), "groups": (list,),
     "posthoc_licensed": (bool,), "n_datasets": (int,), "df2": (int, None), "tag_summaries": (list, None),
 }
+_VARIANTS = ("friedman", "iman_davenport")  # Variant's values, read without loading cdranks.procedure
 
 
 def _load_report(text: str) -> dict:
@@ -177,6 +178,16 @@ def _load_report(text: str) -> dict:
         check_average_ranks([float(e["rank"]) for e in entries])
     except (ValidationError, OverflowError) as exc:
         raise ValidationError(f"report average_ranks: {exc}") from None
+    k, labels = len(entries), {e["label"] for e in entries}
+    if (variant := report["variant"]) not in _VARIANTS:
+        raise ValidationError(f"report variant must be {' or '.join(map(repr, _VARIANTS))}, got {variant!r}")
+    if report["df"] != k - 1:
+        raise ValidationError(f"report df must be k - 1 = {k - 1}, got {shown(report['df'])}")
+    if not 0.0 <= (statistic := report["statistic"]) <= sys.float_info.max:
+        raise ValidationError(f"report statistic must be finite and nonnegative, got {shown(statistic)}")
+    for key in ("significant_pairs", "groups"):  # each a list of labels
+        if not all(isinstance(g, list) and all(type(x) is str and x in labels for x in g) for g in report[key]):
+            raise ValidationError(f"report {key} must list labels from average_ranks")
     check_positive(report["cd"], "report cd")
     alpha, p_value = check_alpha(report["alpha"]), report["p_value"]
     if not 0.0 <= p_value <= 1.0:
@@ -334,9 +345,10 @@ def main(argv: "list | None" = None) -> int:
     saved, warnings.formatwarning = warnings.formatwarning, lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except (CdranksError, OSError) as exc:
+    # the package's warnings arrive here as exceptions under -W error
+    except (CdranksError, DroppedDatasetsWarning, SmallSampleWarning, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code if isinstance(exc, CdranksError) else 2
+        return getattr(exc, "exit_code", 2)
     finally:
         warnings.formatwarning = saved
 

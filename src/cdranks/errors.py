@@ -53,11 +53,15 @@ class DegenerateStatisticError(UnsupportedDesignError):
 
 
 class SmallSampleWarning(UserWarning):
-    """The chi-square approximation is rough for small dataset counts."""
+    """The chi-square approximation is rough for small dataset counts (the exit code under -W error)."""
+
+    exit_code = 3
 
 
 class DroppedDatasetsWarning(UserWarning):
-    """Datasets were dropped because they were missing measurements."""
+    """Datasets were dropped because they were missing measurements (the exit code under -W error)."""
+
+    exit_code = 2
 
 
 # Anything outside the XML 1.0 Char production, lone surrogates included.

@@ -13,6 +13,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 
 from .cd import indistinguishable_groups, nemenyi_cd, rank_list
 from .distributions import chi_square_sf, f_sf
@@ -101,7 +102,8 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     s2 = ranks.sums if isinstance(ranks, AverageRanks) else None
     recovered = s2 is None
     if recovered:  # a rank vector given as floats
-        s2 = [round(two_n * v) for v in r]
+        # outside [1, k] 2N R_j may pass the float range, and 0 fails the check below
+        s2 = [round(two_n * v) if 1 <= v <= k else 0 for v in r]
     if not isinstance(s2, (tuple, list)) or len(s2) != k or any(
         not (isinstance(s, int) and two_n <= s <= two_n * k) or s / two_n != v for s, v in zip(s2, r)
     ) or sum(s2) != n_datasets * k * (k + 1):
@@ -225,17 +227,10 @@ def build_report(
     omnibus test actually rejected, since an accepted null leaves the
     pairwise conclusions unsupported.
     """
-    k = m.k
-    order = sorted(range(k), key=lambda j: (ranks.r[j], m.models[j].label))
-
-    pairs = []
-    for a_pos in range(k):
-        for b_pos in range(a_pos + 1, k):
-            a, b = order[a_pos], order[b_pos]
-            if nemenyi.significant[a][b]:
-                pairs.append([m.models[a].label, m.models[b].label])
-
-    groups = [[m.models[j].label for j in group] for group in nemenyi.groups]
+    labels = m.labels
+    order = sorted(range(m.k), key=lambda j: (ranks.r[j], labels[j]))
+    pairs = [[labels[a], labels[b]] for a, b in combinations(order, 2) if nemenyi.significant[a][b]]
+    groups = [[labels[j] for j in group] for group in nemenyi.groups]
 
     report = {
         "statistic": friedman.statistic,
@@ -247,7 +242,7 @@ def build_report(
         "cd": nemenyi.cd,
         "average_ranks": [
             {
-                "label": m.models[j].label,
+                "label": labels[j],
                 "tags": dict(m.models[j].tags),
                 "rank": float(ranks.r[j]),
             }

@@ -423,6 +423,26 @@ class TestAnalyze:
             "warning: only N=7 datasets: the chi-square approximation to the rank statistic is rough below N=15\n"
         )
 
+    @pytest.mark.parametrize("drop", [True, False], ids=["dropped_datasets", "small_sample"])
+    def test_warning_raised_as_error_is_one_error_line(self, tmp_path, drop):
+        # under -W error the package's warning is an exception, which main reports as an error
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        if drop:
+            args = [str(FIXTURES / "results_long.csv"), "--manifest", str(FIXTURES / "manifest_long.json"),
+                    "--drop-incomplete"]
+        else:
+            csv = tmp_path / "w.csv"
+            csv.write_text("dataset,a,b,c\n" + "".join(f"d{i},{i},0.5,0.25\n" for i in range(3)))
+            args = [str(csv), "--manifest", write_manifest(tmp_path, *"abc")]
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "cdranks.cli", "analyze", *args],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2 if drop else 3, "")
+        assert proc.stderr == (
+            "error: dropped 1 incomplete dataset(s): mooc_e\n" if drop else
+            "error: only N=3 datasets: the chi-square approximation to the rank statistic is rough below N=15\n"
+        )
+
     def test_main_restores_the_warning_format(self, capsys, tmp_path):
         before = warnings.formatwarning
         csv = tmp_path / "w.csv"
@@ -763,6 +783,33 @@ class TestDiagram:
                                              (int, None), (list, None)}
         assert [k for k, kinds in REPORT_KEYS.items() if None in kinds] == ["df2", "tag_summaries"]
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"variant": "bogus"}, "variant must be 'friedman' or 'iman_davenport', got 'bogus'"),
+            ({"df": 99}, "df must be k - 1 = 7, got 99"),
+            ({"statistic": -5.0}, "statistic must be finite and nonnegative, got -5.0"),
+            ({"statistic": float("nan")}, "statistic must be finite and nonnegative, got nan"),
+            ({"statistic": float("inf")}, "statistic must be finite and nonnegative, got inf"),
+            ({"groups": [["nope"]]}, "groups must list labels from average_ranks"),
+            ({"groups": ["cart_full"]}, "groups must list labels from average_ranks"),
+            ({"significant_pairs": [["x", "y"]]}, "significant_pairs must list labels from average_ranks"),
+            ({"significant_pairs": [[1, 2]]}, "significant_pairs must list labels from average_ranks"),
+            ({"significant_pairs": [[["cart_full"], "cart_forum"]]},
+             "significant_pairs must list labels from average_ranks"),
+        ],
+        ids=["variant", "df", "statistic_negative", "statistic_nan", "statistic_inf", "group_label",
+             "group_not_a_list", "pair_labels", "pair_ints", "pair_list_entry"],
+    )
+    def test_contradictory_report_exits_2(self, capsys, tmp_path, overrides, message):
+        # each value has the right JSON type but disagrees with the rest of the golden report
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(json.loads(Path(REPORT).read_text()) | overrides))
+        assert run(capsys, "diagram", str(path)) == (2, "", f"error: report {message}\n")
+
+    def test_reader_variants_are_the_variant_values(self):
+        assert cli._VARIANTS == tuple(v.value for v in procedure.Variant)
+
     @pytest.mark.parametrize("p_value", [0.01, 0.07])
     @pytest.mark.parametrize("reject_null", [True, False])
     @pytest.mark.parametrize("posthoc_licensed", [True, False])
@@ -842,9 +889,8 @@ class TestDiagram:
         ranks = [{"label": f"cart{char}click", "rank": 1.4}, {"label": "b", "rank": 2.2},
                  {"label": "c", "rank": 2.4}]
         svg = tmp_path / "cd.svg"
-        code, out, err = run(
-            capsys, "diagram", self.write_report(tmp_path, average_ranks=ranks), "--out", str(svg)
-        )
+        path = self.write_report(tmp_path, average_ranks=ranks, groups=[[f"cart{char}click", "b", "c"]])
+        code, out, err = run(capsys, "diagram", path, "--out", str(svg))
         assert (code, out, svg.exists()) == (2, "", False)
         assert "XML 1.0" in err
 
@@ -852,7 +898,8 @@ class TestDiagram:
         # analyze can never write this label, so diagram must not draw it
         ranks = [{"label": "", "rank": 1.4}, {"label": "b", "rank": 2.2},
                  {"label": "c", "rank": 2.4}]
-        code, out, err = run(capsys, "diagram", self.write_report(tmp_path, average_ranks=ranks))
+        path = self.write_report(tmp_path, average_ranks=ranks, groups=[["", "b", "c"]])
+        code, out, err = run(capsys, "diagram", path)
         assert (code, out) == (2, "")
         assert err == "error: model label must be a non-empty string\n"
 

@@ -16,6 +16,7 @@ from cdranks import (
     nemenyi_cd,
     q_alpha,
 )
+from cdranks import distributions
 from cdranks.distributions import _log_gamma_ratio
 from cdranks.simulate import _reject_threshold
 from studentized_range import studentized_range_cdf, studentized_range_quantile
@@ -55,22 +56,6 @@ class TestChiSquareSf:
             chi_square_sf(float("nan"), 3)
 
 
-def _chi_square_sf_full_sum(x: float, df: int) -> float:
-    """chi_square_sf as it was before it stopped early: every term up to a = df/2, in order."""
-    y = x / 2.0
-    if y == 0.0:
-        return 1.0
-    log_y = math.log(y)
-    if df % 2:
-        p, a = math.erfc(math.sqrt(y)), 0.5
-    else:
-        p, a = math.exp(-y), 1.0
-    while a < df / 2.0:
-        p += math.exp(a * log_y - y - math.lgamma(a + 1.0))
-        a += 1.0
-    return min(p, 1.0)
-
-
 class TestChiSquareSfAccuracy:
     # 0 to 2000, plus a fine band where exp(-x/2) is subnormal but the tail is not
     XS = np.concatenate([np.linspace(0.0, 2000.0, 2001), np.linspace(1420.0, 1500.0, 321)])
@@ -96,12 +81,46 @@ class TestChiSquareSfAccuracy:
             assert time.perf_counter() - start < 0.05, x
             assert got == pytest.approx(float(gammaincc(df / 2.0, x / 2.0)), rel=1e-12), x
 
-    def test_early_stop_is_bit_identical_to_the_full_sum(self):
-        rng = np.random.default_rng(2026)
-        for _ in range(2000):
-            df = int(rng.integers(1, 3001))
-            x = float(rng.choice([rng.uniform(0, 2 * df), rng.uniform(0, 50), 10 ** rng.uniform(-6, 4)]))
-            assert chi_square_sf(x, df).hex() == _chi_square_sf_full_sum(x, df).hex(), (x, df)
+    # Up to df = 10^7 and x = df + 50 sqrt(df).  scipy is the oracle at
+    # x = df + z sqrt(df) for z from -6 to 12, and for z up to 50 below df = 600.
+    # Past that it is itself off by more than 1e-12 in two bands, against
+    # 40-digit mpmath: by up to 7.6e-12 from z = 14 on at df from 800 to 14000,
+    # and by up to 2.0e-8 at z from -9 to -6.5 from df = 1.2e6 on.
+    LARGE_DFS = (61, 99, 100, 101, 150, 199, 200, 201, 500, 599, 999, 1000, 2001, 4321, 10**4,
+                 12345, 30001, 10**5, 10**5 + 1, 333333, 10**6, 10**6 + 1, 3 * 10**6, 10**7 - 1, 10**7)
+
+    @pytest.mark.parametrize("df", LARGE_DFS)
+    def test_matches_scipy_gammaincc_to_df_1e7(self, df):
+        zs = np.arange(-40.0, 50.25, 0.25) if df < 600 else np.arange(-6.0, 12.25, 0.25)
+        xs = np.concatenate([df + zs * math.sqrt(df), df + np.array([-1.0, 0.0, 1.0, 2.0, 2.5])])
+        xs = xs[xs >= 0.0]
+        ref = gammaincc(df / 2.0, xs / 2.0)
+        got = np.array([chi_square_sf(x, df) for x in xs.tolist()])
+        seen = ref > 1e-290
+        assert np.all(np.abs(got[seen] - ref[seen]) <= 1e-12 * ref[seen])
+
+    @pytest.mark.parametrize(
+        "df, x, expected",
+        [
+            # x = df + z sqrt(df) and the 40-digit mpmath value of Q(df/2, x/2); scipy's error
+            (1000, 1948.6832980505137, 1.3773287096571022e-63),  # z = 30: 5.6e-13
+            (2000, 3118.033988749895, 2.6555731960010644e-52),  # z = 25: 7.4e-13
+            (4642, 7435.421199890915, 2.702180730350625e-134),  # z = 41: 5.8e-12
+            (10000, 14400.0, 2.96429536836006e-166),  # z = 44: 6.8e-12
+            (14678, 20735.639804412276, 7.46838836698245e-217),  # z = 50: 7.6e-12
+            (100000, 115811.38830084189, 1.644740568890492e-248),  # z = 50: 1.1e-13
+            (1000000, 1050000.0, 2.185638417489726e-265),  # z = 50: 2.6e-13
+            (10000000, 10158113.883008419, 2.790693259705239e-271),  # z = 50: 6.2e-14
+            (1234322, 1227100.497074708, 0.9999979353281605),  # z = -6.5: 4.2e-13
+            (2154435, 2144160.4043875197, 0.9999996426328285),  # z = -7: 2.9e-12
+            (3162278, 3149830.043460873, 0.9999996401890334),  # z = -7: 2.9e-11
+            (10000000, 9979445.195208905, 0.9999978793962084),  # z = -6.5: 2.0e-8
+            (10000000, 9977864.05637882, 0.9999996350894711),  # z = -7: 2.5e-9
+            (10000000, 9974701.778718652, 0.9999999924964583),  # z = -8: 2.8e-11
+        ],
+    )
+    def test_matches_mpmath_where_scipy_is_off(self, df, x, expected):
+        assert chi_square_sf(x, df) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("df", [1, 2, 7, 8, 59, 60])
     def test_stacked_equals_scalar(self, df):
@@ -118,6 +137,49 @@ class TestChiSquareSfAccuracy:
         )
         assert 0 < threshold <= largest
         assert (ss >= threshold).tolist() == scalar(ss).tolist()
+
+
+class TestChiSquareSfSteps:
+    @pytest.mark.parametrize("df", [10**6, 10**7, 10**8, 10**9])
+    def test_x_at_df_is_fast(self, df):
+        # the series takes about 8.6 sqrt(df/2) steps here; the finite sum took df/2
+        start = time.perf_counter()
+        got = chi_square_sf(float(df), df)
+        assert time.perf_counter() - start < 0.1
+        assert got == pytest.approx(float(gammaincc(df / 2.0, df / 2.0)), rel=1e-11)
+
+    def test_threshold_at_k_1e5_is_fast(self):
+        start = time.perf_counter()
+        assert _reject_threshold(2, 10**5, 0.05) == 671578265710810
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: chi_square_sf(1e4, 10**4),  # the series for P
+            lambda: chi_square_sf(1.01e4, 10**4),  # the continued fraction for Q
+            lambda: f_sf(1.0, 10**4, 10**4),  # the continued fraction for I_w
+        ],
+        ids=["chi2_series", "chi2_fraction", "f_fraction"],
+    )
+    def test_step_cap_raises(self, call, monkeypatch):
+        assert 0.0 < call() < 1.0
+        monkeypatch.setattr(distributions, "_MAX_STEPS", 20)
+        message = "^the survival function does not converge within 20 steps$"
+        with pytest.raises(UnsupportedDesignError, match=message):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: chi_square_sf(1e15, 10**15), lambda: chi_square_sf(1e15 + 2.0, 10**15),
+         lambda: f_sf(1.0, 10**15, 10**15)],
+        ids=["chi2_series", "chi2_fraction", "f_fraction"],
+    )
+    def test_huge_df_near_the_mean_reaches_the_cap(self, call):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedDesignError, match="does not converge within 250000 steps$"):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def _f_sf_oracle(x: float, d1: int, d2: int) -> float:

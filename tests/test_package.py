@@ -6,10 +6,13 @@ import itertools
 import math
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from long_csv_oracle import _parse_value as oracle_parse_value
 
 import cdranks
@@ -253,6 +256,73 @@ class TestLibraryInputs:
             cdranks.friedman_statistic((1.0, 2.0, 3.0), n, 3)
         exact = cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n))
         assert cdranks.friedman_statistic(exact, n, 3) == float(2 * n)
+
+
+# Ints of every kind a caller may pass: small, past int64 and the float range, numpy and bool.
+_INTS = st.one_of(
+    st.integers(-3, 1100),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([2**53 + 1, 2**63, 10**9, 10**15, 10**308, 10**309, 10**5000, -(10**5000)]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+_REALS = st.one_of(st.floats(), st.floats(0.0, 2e3), st.floats(1e-6, 1.0), _INTS)
+_RANKS = st.one_of(
+    st.lists(_REALS, max_size=6),
+    st.integers(3, 6).flatmap(lambda k: st.permutations([float(j) for j in range(1, k + 1)])),
+)
+
+
+def _bounded(call, *args) -> None:
+    """``call(*args)`` returns, or raises a CdranksError, within one second."""
+    start = time.perf_counter()
+    try:
+        call(*args)
+    except cdranks.CdranksError:
+        pass
+    assert time.perf_counter() - start < 1.0, args
+
+
+class TestBoundedTime:
+    """Each scalar entry point returns or raises a typed error in bounded time, whatever it is given."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_REALS, df=_INTS)
+    @example(x=1e8, df=10**8)  # the finite sum of df/2 terms ran for more than 20 s
+    def test_chi_square_sf(self, x, df):
+        _bounded(cdranks.chi_square_sf, x, df)
+
+    @settings(max_examples=60, deadline=None)
+    @given(x=_REALS, d1=_INTS, d2=_INTS)
+    @example(x=1.0, d1=10**9, d2=10**9)
+    @example(x=1.0, d1=10**308, d2=10**308)  # lgamma(d/2) raised a bare OverflowError
+    def test_f_sf(self, x, d1, d2):
+        _bounded(cdranks.f_sf, x, d1, d2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ranks=_RANKS, n=_INTS, k=_INTS)
+    @example(ranks=[1.0, 2.0, 3.0], n=10**300, k=3)
+    @example(ranks=[0.0, 0.0, 0.0, 1e308], n=2, k=4)  # round(2N R_j) raised a bare OverflowError
+    def test_friedman_statistic(self, ranks, n, k):
+        _bounded(cdranks.friedman_statistic, ranks, n, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=_INTS, n=_INTS, alpha=_REALS)
+    @example(k=1000, n=2, alpha=1e-5)
+    def test_nemenyi_cd(self, k, n, alpha):
+        _bounded(cdranks.nemenyi_cd, k, n, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=_INTS, alpha=_REALS)
+    def test_q_alpha(self, k, alpha):
+        _bounded(cdranks.q_alpha, k, alpha)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=_INTS, k=_INTS, effect=st.one_of(_RANKS, _REALS, st.none()), noise_sd=_REALS, trials=_INTS,
+           seed=_INTS, alpha=_REALS)
+    def test_sim_config(self, n, k, effect, noise_sd, trials, seed, alpha):
+        _bounded(cdranks.SimConfig, n, k, effect, noise_sd, trials, seed, alpha)
 
 
 def _number_outcome(parse, text: str):
