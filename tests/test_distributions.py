@@ -1,5 +1,6 @@
 """Reference distributions: survival functions, the computed q, and the range oracle."""
 
+import json
 import math
 import time
 
@@ -17,7 +18,6 @@ from cdranks import (
     q_alpha,
 )
 from cdranks import distributions
-from cdranks.distributions import _log_gamma_ratio
 from cdranks.simulate import _reject_threshold
 from studentized_range import studentized_range_cdf, studentized_range_quantile
 
@@ -201,8 +201,8 @@ class TestFSfAccuracy:
     @pytest.mark.parametrize(
         "d2s, rtol",
         [
-            ((1, 2, 3, 5, 8, 13, 30, 60, 210, 999, 4321, 30000, 99991, 100000), 1e-9),
-            ((250001, 1000000, 1999999, 2000000), 1e-8),
+            ((1, 2, 3, 5, 8, 13, 30, 60, 210, 999, 4321, 30000, 99991, 100000), 1e-11),
+            ((250001, 1000000, 1999999, 2000000), 1e-11),
         ],
         ids=["d2_to_1e5", "d2_to_2e6"],
     )
@@ -221,16 +221,59 @@ class TestFSfAccuracy:
             ref = float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
             assert f_sf(x, d1, d2) == pytest.approx(ref, rel=1e-9)
 
-    @pytest.mark.parametrize("a", [3.5, 99.5, 100.0, 12345.25, 1e6, 1e8])
-    def test_log_gamma_ratio_at_integer_steps(self, a):
-        # Gamma(a + 1) / Gamma(a) = a; at a = 10^6 a plain lgamma difference is off by ~1e-9
-        assert _log_gamma_ratio(a, 1.0) == pytest.approx(math.log(a), rel=1e-14, abs=1e-14)
-        assert _log_gamma_ratio(a, 2.0) == pytest.approx(
-            math.log(a) + math.log(a + 1.0), rel=1e-14, abs=1e-14
-        )
+    @pytest.mark.parametrize("d2", [10**20, 10**50, 10**100, 10**150], ids=["1e20", "1e50", "1e100", "1e150"])
+    def test_meets_the_chi_square_limit(self, d2):
+        # d1 F_{d1,d2} tends to chi2_d1 as d2 grows; by d2 = 10^20 they differ by below 1e-14 here
+        for d1 in (1, 2, 3, 7, 19, 39):
+            for x in (0.001, 0.5, 1.0, 2.0, 5.0, 30.0):
+                ref = chi_square_sf(d1 * x, d1)
+                if ref > 1e-290:
+                    assert f_sf(x, d1, d2) == pytest.approx(ref, rel=1e-12), (d1, x)
+
+    @pytest.mark.parametrize(
+        "x, d1, d2, expected",
+        [
+            # the 40-digit mpmath value of I_w(d2/2, d1/2) at w = d2 / (d2 + d1 x)
+            (3.0, 5, 10**7, 0.01036237637141683),
+            (1.0, 1, 10**7, 0.31731053205998594),
+            (30.0, 7, 10**7, 8.735684262941512e-42),
+            (2.0, 19, 10**7, 0.005934778372393363),
+            (3.0, 5, 10**9, 0.010362338300342442),
+            (1.0, 1, 10**9, 0.3173105081048848),
+            (30.0, 7, 10**9, 8.726600849589085e-42),
+            (2.0, 19, 10**9, 0.005934709700851081),
+            (3.0, 5, 10**12, 0.010362337916170992),
+            (1.0, 1, 10**12, 0.31731050786315607),
+            (30.0, 7, 10**12, 8.726509236544832e-42),
+            (2.0, 19, 10**12, 0.005934709007894776),
+            (3.0, 5, 10**15, 0.01036233791578682),
+            (1.0, 1, 10**15, 0.31731050786291437),
+            (30.0, 7, 10**15, 8.726509144932255e-42),
+            (2.0, 19, 10**15, 0.00593470900720182),
+            (3.0, 5, 10**18, 0.010362337915786437),
+            (1.0, 1, 10**18, 0.3173105078629141),
+            (30.0, 7, 10**18, 8.726509144840644e-42),
+            (2.0, 19, 10**18, 0.005934709007201127),
+        ],
+    )
+    def test_matches_mpmath_at_huge_d2(self, x, d1, d2, expected):
+        assert f_sf(x, d1, d2) == pytest.approx(expected, rel=1e-12)
 
     def test_underflowing_ratio_is_one(self):
         assert f_sf(5e-324, 1, 2000000) == 1.0
+
+
+def test_tail_accuracy_script_maps_both_tails(capsys):
+    pytest.importorskip("mpmath")
+    import tail_accuracy
+
+    argv = ["--per-decade", "1", "--z-step", "45", "--max-df", "1000", "--d1", "1,19", "--x", "0.5,5"]
+    assert tail_accuracy.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["chi_square_sf", "f_sf", "f_sf_limit"]
+    for grid in report.values():
+        assert grid["points"] > 0 and grid["raised"] == 0
+        assert grid["worst_rel_err"] < 1e-12
 
 
 class TestFSf:
@@ -249,6 +292,15 @@ class TestFSf:
         xs = np.linspace(0.0, 10.0, 51)
         vals = [f_sf(float(x), 4, 30) for x in xs]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_unsupported_designs_raise(self):
+        # the tail is 7.1e-155, but w = 1 / (1 + d1 x / d2) would be 1 / inf = 0
+        with pytest.raises(UnsupportedDesignError, match=r"^x=1e\+308 unsupported: d1 x / d2 passes the float range$"):
+            f_sf(1e308, 2, 1)
+        with pytest.raises(UnsupportedDesignError, match=r"unsupported: both pass 2\^53$"):
+            f_sf(2.0, 2**53 + 1, 2**53 + 1)
+        # at 2^53 the fraction still runs away from the mean: 3 standard deviations out, near 1 - Phi(3)
+        assert f_sf(1.0 + 3.0 * math.sqrt(4.0 / 2**53), 2**53, 2**53) == pytest.approx(0.00134989803163, rel=1e-5)
 
     def test_domain_errors(self):
         with pytest.raises(ValidationError):

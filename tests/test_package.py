@@ -274,14 +274,15 @@ _RANKS = st.one_of(
 )
 
 
-def _bounded(call, *args) -> None:
-    """``call(*args)`` returns, or raises a CdranksError, within one second."""
+def _bounded(call, *args):
+    """``call(*args)`` returns, or raises a CdranksError, within one second; its value, or None if it raised."""
     start = time.perf_counter()
     try:
-        call(*args)
+        value = call(*args)
     except cdranks.CdranksError:
-        pass
+        value = None
     assert time.perf_counter() - start < 1.0, args
+    return value
 
 
 class TestBoundedTime:
@@ -291,14 +292,21 @@ class TestBoundedTime:
     @given(x=_REALS, df=_INTS)
     @example(x=1e8, df=10**8)  # the finite sum of df/2 terms ran for more than 20 s
     def test_chi_square_sf(self, x, df):
-        _bounded(cdranks.chi_square_sf, x, df)
+        p = _bounded(cdranks.chi_square_sf, x, df)
+        assert p is None or 0.0 <= p <= 1.0, (x, df, p)
 
     @settings(max_examples=60, deadline=None)
     @given(x=_REALS, d1=_INTS, d2=_INTS)
     @example(x=1.0, d1=10**9, d2=10**9)
     @example(x=1.0, d1=10**308, d2=10**308)  # lgamma(d/2) raised a bare OverflowError
+    @example(x=3.0, d1=5, d2=10**20)  # -0.304: the fraction cancelled at d2 >> d1
+    @example(x=0.001, d1=2, d2=10**30)  # 2.0e267
+    @example(x=3.8e-05, d1=6, d2=10**64)  # 1.5e224: the flip test rounded both sides to 1
+    @example(x=5e-324, d1=1, d2=1)  # a subnormal ratio d1 x / d2
+    @example(x=1e-310, d1=3, d2=7)
     def test_f_sf(self, x, d1, d2):
-        _bounded(cdranks.f_sf, x, d1, d2)
+        p = _bounded(cdranks.f_sf, x, d1, d2)
+        assert p is None or 0.0 <= p <= 1.0, (x, d1, d2, p)
 
     @settings(max_examples=60, deadline=None)
     @given(ranks=_RANKS, n=_INTS, k=_INTS)
