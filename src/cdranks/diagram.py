@@ -92,9 +92,9 @@ def layout(ranks, labels: Sequence[str], cd: float) -> DiagramSpec:
     k = len(r)
     if len(labels) != k:
         raise ValidationError(f"{len(labels)} labels for {k} ranks")
-    check_unique(labels, "duplicate label(s)")
     for label in labels:
         check_label(label)
+    check_unique(labels, "duplicate label(s)")
 
     order = sorted(range(k), key=lambda j: (r[j], labels[j]))
     left_count = (k + 1) // 2

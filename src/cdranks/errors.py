@@ -88,10 +88,12 @@ def check_label(label) -> str:
 
 
 def check_unique(items, what: str) -> None:
-    """Raise ValidationError ``"<what>: <repeated items, sorted>"`` if any item occurs twice."""
-    items = list(items)
-    if len(set(items)) != len(items):
-        dupes = sorted(x for x, count in Counter(items).items() if count > 1)
+    """Raise ValidationError ``"<what>: <repeats as str, sorted>"`` if an item occurs twice or is unhashable."""
+    try:
+        dupes = sorted(str(x) for x, count in Counter(items).items() if count > 1)
+    except TypeError:  # an unhashable item
+        raise ValidationError(f"{what} cannot be checked: an item is unhashable") from None
+    if dupes:
         raise ValidationError(f"{what}: {', '.join(dupes)}")
 
 

@@ -85,11 +85,10 @@ class NemenyiResult:
 
 
 def _sum_t2(ranks, n_datasets: int, k: int) -> int:
-    """The integer sum of T_j^2, T_j = 2 S_j - N(k+1), from average ranks R_j = S_j / N.
+    """The integer sum of T_j^2, T_j = 2 S_j - N(k+1), over the doubled rank sums 2 S_j in ``ranks.sums``.
 
-    The doubled rank sums 2 S_j are ``ranks.sums`` when set, else round(2N R_j).  Ranks
-    that are not mid-rank sums over N datasets raise ValidationError: 2 S_j / (2N) must
-    give R_j back, each 2 S_j must be an int in [2N, 2Nk], and they must total N k(k+1).
+    Ranks without sums, or whose sums are not mid-rank sums over N datasets, raise ValidationError:
+    2 S_j / (2N) must give R_j back, each 2 S_j must be an int in [2N, 2Nk], and they must total N k(k+1).
     """
     check_models(k)
     r = rank_list(ranks)
@@ -100,16 +99,11 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     if two_n * k > sys.float_info.max:  # 2N R_j, and the statistic, would pass the float range
         raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: 2Nk passes the float range")
     s2 = ranks.sums if isinstance(ranks, AverageRanks) else None
-    recovered = s2 is None
-    if recovered:  # a rank vector given as floats
-        # outside [1, k] 2N R_j may pass the float range, and 0 fails the check below
-        s2 = [round(two_n * v) if 1 <= v <= k else 0 for v in r]
+    if s2 is None:  # a bare rank vector: floats alone do not pin the int sums at every N
+        raise ValidationError("average ranks carry no exact rank sums: pass average_ranks(m)")
     if not isinstance(s2, (tuple, list)) or len(s2) != k or any(
         not (isinstance(s, int) and two_n <= s <= two_n * k) or s / two_n != v for s, v in zip(s2, r)
     ) or sum(s2) != n_datasets * k * (k + 1):
-        if recovered and two_n * k > 2**53:  # round(2N R_j) no longer pins each sum to one int
-            raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: float ranks cannot "
-                                         "carry exact rank sums at this N; pass average_ranks(m)")
         raise ValidationError(f"average ranks are not mid-rank sums over N={n_datasets} datasets")
     return sum((s - n_datasets * (k + 1)) ** 2 for s in s2)
 
@@ -117,10 +111,9 @@ def _sum_t2(ranks, n_datasets: int, k: int) -> int:
 def friedman_statistic(ranks, n_datasets: int, k: int) -> float:
     """The rank-based omnibus statistic 12N/(k(k+1)) * sum_j (R_j - (k+1)/2)^2.
 
-    With the integers T_j = 2N R_j - N(k+1) this is 3 sum_j T_j^2 / (N k(k+1)),
-    computed as one correctly rounded division of two ints.  Zero exactly
-    when all average ranks are equal.  ``ranks`` is AverageRanks or any
-    sequence of k average ranks over ``n_datasets`` datasets.
+    ``ranks`` is ``average_ranks(m)``, or AverageRanks(r, sums) with the int sums 2 S_j over
+    ``n_datasets`` datasets; :func:`_omnibus` divides 3 sum_j T_j^2 by N k(k+1) once, so the
+    statistic is correctly rounded, and zero exactly when all average ranks are equal.
     """
     return _omnibus(3 * _sum_t2(ranks, n_datasets, k), n_datasets, k, Variant.FRIEDMAN)[0]
 

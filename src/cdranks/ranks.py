@@ -119,7 +119,10 @@ class PerformanceMatrix:
 
 @dataclass(frozen=True)
 class AverageRanks:
-    """Length-k tuple of average ranks, summing to k(k+1)/2; ``sums`` may hold the ints 2S_j = 2N R_j."""
+    """Length-k tuple of average ranks, summing to k(k+1)/2.
+
+    ``sums``, the ints 2S_j = 2N R_j that ``average_ranks`` counts, is what the Friedman statistic reads.
+    """
 
     r: tuple
     sums: "tuple | None" = field(default=None, compare=False, repr=False)

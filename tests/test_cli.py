@@ -90,22 +90,6 @@ def write_manifest(tmp_path, *labels, alpha=0.05):
 
 
 class TestAnalyze:
-    def test_exact_sums_need_no_recovery_from_floats(self, capsys, monkeypatch):
-        # procedure recovers 2 S_j as round(2N R_j) only for ranks given as floats
-        calls = []
-
-        def spy(x, *ndigits):
-            calls.append(x)
-            return round(x, *ndigits)
-
-        monkeypatch.setattr(procedure, "round", spy, raising=False)
-        assert run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)[0] == 0
-        with pytest.warns(DroppedDatasetsWarning), pytest.warns(SmallSampleWarning):
-            assert run(capsys, *_goldens("LONG_GOLDENS")["report_long.json"])[0] == 0
-        assert calls == []
-        assert cdranks.friedman_statistic([1.0, 2.0, 3.0], 3, 3) == 6.0
-        assert calls == [6.0, 12.0, 18.0]
-
     def test_fixture_report(self, capsys):
         code, out, err = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST)
         assert code == 0 and err == ""
@@ -825,6 +809,23 @@ class TestDiagram:
         else:
             assert (code, out, err) == (2, "", "error: report reject_null and posthoc_licensed must "
                                         f"both be p_value {p_value!r} < alpha 0.05\n")
+
+    @pytest.mark.parametrize("variant", ["friedman", "iman-davenport"])
+    def test_p_value_exactly_alpha_is_not_licensed(self, capsys, tmp_path, monkeypatch, variant):
+        # p == alpha accepts the null: analyze writes it so, and diagram loads and annotates it
+        monkeypatch.setattr(procedure, "chi_square_sf", lambda *args: 0.05)
+        monkeypatch.setattr(procedure, "f_sf", lambda *args: 0.05)
+        path = tmp_path / "report.json"
+        argv = ("analyze", RESULTS, "--manifest", MANIFEST, "--variant", variant, "--out", str(path))
+        assert run(capsys, *argv) == (0, "", "")
+        report = json.loads(path.read_text())
+        assert (report["p_value"], report["alpha"]) == (0.05, 0.05)
+        assert (report["reject_null"], report["posthoc_licensed"]) == (False, False)
+        code, out, err = run(capsys, "diagram", str(path))
+        assert (code, err) == (0, "") and "no significant differences at alpha = 0.05" in out
+        path.write_text(json.dumps(report | {"reject_null": True, "posthoc_licensed": True}))
+        assert run(capsys, "diagram", str(path)) == (2, "", "error: report reject_null and posthoc_licensed "
+                                                     "must both be p_value 0.05 < alpha 0.05\n")
 
     @pytest.mark.parametrize(
         "overrides,flags",

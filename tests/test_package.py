@@ -134,6 +134,12 @@ def _matrix(values):
     return cdranks.PerformanceMatrix(datasets, tuple(map(cdranks.ModelId, "abc")), values)
 
 
+def _ids(datasets):
+    """A 3-model PerformanceMatrix with the dataset ids ``datasets``."""
+    values = [[1.0, 2.0, 3.0]] * len(datasets)
+    return cdranks.PerformanceMatrix(datasets, tuple(map(cdranks.ModelId, "abc")), values)
+
+
 def _sim_config(effect, **overrides):
     fields = dict(n_datasets=10, n_models=3, effect=effect, noise_sd=1.0, trials=10, seed=0)
     return cdranks.SimConfig(**fields | overrides)
@@ -172,12 +178,19 @@ class TestLibraryInputs:
             (lambda: cdranks.chi_square_sf(np.bool_(True), 3), "^x must be a finite nonnegative real"),
             (lambda: _sim_config((np.bool_(True), 0, 0)), "^effect must be a vector of reals$"),
             (lambda: _matrix(np.array([[True, False, True]])), "^values must be a 2-dimensional"),
+            # ids that reached the uniqueness check unchecked, where they raised a bare TypeError
+            (lambda: _ids((1, 1)), r"^duplicate dataset id\(s\): 1$"),
+            (lambda: _ids((1, 1, "1", "1")), r"^duplicate dataset id\(s\): 1, 1$"),
+            (lambda: _ids(([1], [2])), r"^duplicate dataset id\(s\) cannot be checked: an item is unhashable"),
+            (lambda: cdranks.layout([1.0, 2.0, 3.0], [1, 1, "a"], 1.0), "^model label must be a non-empty"),
+            (lambda: cdranks.layout([1.0, 2.0, 3.0], [[1], [2], "a"], 1.0), "^model label must be"),
         ],
         ids=["matrix_text_rows", "matrix_text_cells", "ranks_text", "effect_overflow",
              "effect_word", "effect_none", "effect_text", "effect_bool", "cd_text_count",
              "cd_float_count", "cd_numpy_count", "statistic_text_count", "statistic_numpy_count",
              "tag_int", "tag_list", "tags_not_a_mapping", "chi2_text", "f_none", "chi2_bool",
-             "ranks_numpy_bool", "chi2_numpy_bool", "effect_numpy_bool", "matrix_numpy_bools"],
+             "ranks_numpy_bool", "chi2_numpy_bool", "effect_numpy_bool", "matrix_numpy_bools",
+             "int_ids", "int_and_text_ids", "unhashable_ids", "int_labels", "unhashable_labels"],
     )
     def test_bad_value_is_a_validation_error(self, call, message):
         with pytest.raises(ValidationError, match=message):
@@ -235,27 +248,16 @@ class TestLibraryInputs:
         with pytest.raises(UnsupportedDesignError, match=message):
             call(df)
 
-    @pytest.mark.parametrize("exact", [False, True], ids=["floats", "exact_sums"])
-    def test_count_at_the_float_range_edge(self, exact):
+    @pytest.mark.parametrize("container", [tuple, list], ids=["exact_sums", "exact_sums_list"])
+    def test_count_at_the_float_range_edge(self, container):
         # every dataset ranks alike, so chi2 = N(k - 1); 2Nk = 1.5 * 2^1023 fits a float, 3 * 2^1023 does not
         def ranks(n):
-            return cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n) if exact else None)
+            return cdranks.AverageRanks((1.0, 2.0, 3.0), container((2 * n, 4 * n, 6 * n)))
 
+        assert cdranks.friedman_statistic(ranks(10**307), 10**307, 3) == float(2 * 10**307)
         assert cdranks.friedman_statistic(ranks(2**1021), 2**1021, 3) == 2.0**1022
         with pytest.raises(UnsupportedDesignError, match="2Nk passes the float range$"):
             cdranks.friedman_statistic(ranks(2**1022), 2**1022, 3)
-
-    def test_float_ranks_that_cannot_carry_the_sums_are_an_unsupported_design(self):
-        # past 2Nk = 2^53, round(2N R_j) misses 2 S_j; the exact sums still compute chi2 = N(k - 1)
-        n = 10**307
-        message = (
-            r"^N=1(0){307} datasets unsupported: "
-            r"float ranks cannot carry exact rank sums at this N; pass average_ranks\(m\)$"
-        )
-        with pytest.raises(UnsupportedDesignError, match=message):
-            cdranks.friedman_statistic((1.0, 2.0, 3.0), n, 3)
-        exact = cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n))
-        assert cdranks.friedman_statistic(exact, n, 3) == float(2 * n)
 
 
 # Ints of every kind a caller may pass: small, past int64 and the float range, numpy and bool.
@@ -271,6 +273,15 @@ _REALS = st.one_of(st.floats(), st.floats(0.0, 2e3), st.floats(1e-6, 1.0), _INTS
 _RANKS = st.one_of(
     st.lists(_REALS, max_size=6),
     st.integers(3, 6).flatmap(lambda k: st.permutations([float(j) for j in range(1, k + 1)])),
+)
+# (ranks, N, k): any draw of each, or a permutation of 1..k as AverageRanks with the sums 2 N r_j
+# of N datasets that all rank alike, so the statistic, if any, is N(k - 1)
+_STATISTIC_ARGS = st.one_of(
+    st.tuples(_RANKS, _INTS, _INTS),
+    st.tuples(st.integers(3, 6).flatmap(lambda k: st.permutations(range(1, k + 1))), _INTS).map(
+        lambda p: (cdranks.AverageRanks(tuple(map(float, p[0])), tuple(2 * int(p[1]) * j for j in p[0])),
+                   p[1], len(p[0]))
+    ),
 )
 
 
@@ -309,11 +320,15 @@ class TestBoundedTime:
         assert p is None or 0.0 <= p <= 1.0, (x, d1, d2, p)
 
     @settings(max_examples=60, deadline=None)
-    @given(ranks=_RANKS, n=_INTS, k=_INTS)
-    @example(ranks=[1.0, 2.0, 3.0], n=10**300, k=3)
-    @example(ranks=[0.0, 0.0, 0.0, 1e308], n=2, k=4)  # round(2N R_j) raised a bare OverflowError
-    def test_friedman_statistic(self, ranks, n, k):
-        _bounded(cdranks.friedman_statistic, ranks, n, k)
+    @given(args=_STATISTIC_ARGS)
+    @example(args=([1.0, 2.0, 3.0], 10**300, 3))
+    @example(args=([0.0, 0.0, 0.0, 1e308], 2, 4))  # round(2N R_j) raised a bare OverflowError
+    @example(args=(cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * 10**300, 4 * 10**300, 6 * 10**300)), 10**300, 3))
+    def test_friedman_statistic(self, args):
+        statistic = _bounded(cdranks.friedman_statistic, *args)
+        ranks, n, k = args
+        if statistic is not None:
+            assert isinstance(ranks, cdranks.AverageRanks) and statistic == float(n * (k - 1)), args
 
     @settings(max_examples=60, deadline=None)
     @given(k=_INTS, n=_INTS, alpha=_REALS)

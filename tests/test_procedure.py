@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import friedmanchisquare, rankdata
 
+from cdranks import procedure
 from cdranks import (
     AverageRanks,
     DegenerateStatisticError,
@@ -50,16 +51,29 @@ def consistent_matrix(n, k):
 
 class TestFriedmanStatistic:
     def test_equal_ranks_give_zero(self):
-        r = AverageRanks(np.array([2.0, 2.0, 2.0]))
+        r = AverageRanks(np.array([2.0, 2.0, 2.0]), (20, 20, 20))
         assert friedman_statistic(r, 5, 3) == 0.0
 
     def test_hand_computed_3x3(self):
-        r = AverageRanks(np.array([1.0, 2.0, 3.0]))
+        r = AverageRanks(np.array([1.0, 2.0, 3.0]), (6, 12, 18))
         assert friedman_statistic(r, 3, 3) == 6.0
 
     def test_hand_computed_8x31(self):
-        r = AverageRanks(np.arange(1.0, 9.0))
+        r = AverageRanks(np.arange(1.0, 9.0), tuple(62 * j for j in range(1, 9)))
         assert friedman_statistic(r, 31, 8) == 217.0
+
+    @pytest.mark.parametrize(
+        "ranks",
+        [[1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0]), AverageRanks((1.0, 2.0, 3.0))],
+        ids=["list", "array", "average_ranks_without_sums"],
+    )
+    def test_ranks_without_exact_sums_rejected(self, ranks):
+        # the statistic reads the int sums 2 S_j alone; it does not guess them from floats
+        message = r"^average ranks carry no exact rank sums: pass average_ranks\(m\)$"
+        with pytest.raises(ValidationError, match=message):
+            friedman_statistic(ranks, 3, 3)
+        with pytest.raises(ValidationError, match=message), pytest.warns(SmallSampleWarning):
+            friedman_test(consistent_matrix(3, 3), ranks=ranks)
 
     @pytest.mark.parametrize("n,k", [(3, 3), (10, 5), (31, 8)])
     def test_consistent_rankings_hit_maximum(self, n, k):
@@ -99,8 +113,9 @@ class TestFriedmanStatistic:
             lambda s: tuple(map(float, s)),
             lambda s: tuple(np.array(s, dtype=np.int64)),
             lambda s: sum(s),  # an int where a sequence belongs
+            lambda s: (s[0] + 1, s[1] - 1, *s[2:]),  # R_0 and R_1 are no longer 2 S_j / (2N)
         ],
-        ids=["rotated", "doubled", "short", "floats", "numpy_ints", "int"],
+        ids=["rotated", "doubled", "short", "floats", "numpy_ints", "int", "off_grid"],
     )
     def test_sums_that_disagree_with_the_ranks_rejected(self, wrong):
         # the statistic and the report's ranks must describe the same data
@@ -112,12 +127,6 @@ class TestFriedmanStatistic:
             friedman_test(m, ranks=given)
         with pytest.raises(ValidationError, match="^average ranks are not mid-rank sums over N=20"):
             friedman_statistic(given, 20, 5)
-
-    def test_ranks_that_are_not_rank_sums_rejected(self):
-        # 1.1 is no multiple of 1/(2N) for N = 4, and [1, 1, 4] has no ranking with ranks >= 1
-        for ranks, n in (([1.1, 2.0, 2.9], 4), ([1.0, 1.0, 4.0], 5)):
-            with pytest.raises(ValidationError, match="not mid-rank sums over N="):
-                friedman_statistic(ranks, n, 3)
 
     def test_nonfinite_ranks_rejected(self):
         with pytest.raises(ValidationError, match="finite"):
@@ -142,6 +151,15 @@ class TestFriedmanTest:
         assert res.reject_null
         assert res.variant is Variant.FRIEDMAN
         assert res.df2 is None
+
+    @pytest.mark.parametrize("variant", ["friedman", "iman_davenport"])
+    def test_p_value_exactly_alpha_does_not_reject(self, monkeypatch, variant):
+        # the null is rejected at p < alpha; no drawn report lands on p == alpha, so pin it here
+        monkeypatch.setattr(procedure, "chi_square_sf", lambda *args: 0.05)
+        monkeypatch.setattr(procedure, "f_sf", lambda *args: 0.05)
+        m = matrix(np.random.default_rng(5).standard_normal((20, 4)))
+        res = friedman_test(m, alpha=0.05, variant=variant)
+        assert (res.p_value, res.reject_null) == (0.05, False)
 
     def test_constant_matrix(self):
         with pytest.warns(SmallSampleWarning):
