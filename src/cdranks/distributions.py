@@ -35,6 +35,8 @@ def chi_square_sf(x: float, df: int) -> float:
 
     Below y = a + 1 it is 1 - P(a, y), with P summed as its series (A&S 6.5.29); from there, the even part
     of the continued fraction for Q (A&S 6.5.31, Numerical Recipes 6.2.7).  Both scale y^a e^-y / Gamma(a).
+    Domain: any x at every int df >= 1 below about 1.94e9 (the CLI stays far below).  From there an x near df,
+    at first just below df + 2 as in chi_square_sf(2e9, 2 * 10**9), passes _MAX_STEPS: UnsupportedDesignError.
     """
     _check_df(df, "df")
     x = _check_x(x)

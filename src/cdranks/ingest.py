@@ -95,16 +95,21 @@ def _is_blank(row: Sequence[str]) -> bool:
     return not row or all(cell.strip() == "" for cell in row)
 
 
+def _header(reader):
+    """The first row of ``reader`` that is not blank, or None: the one rule that finds a CSV's header."""
+    return next((row for row in reader if not _is_blank(row)), None)
+
+
 def _is_long_header(row: Sequence[str]) -> bool:
     return tuple(field.strip() for field in row) == LONG_HEADER
 
 
 def _detect_format(source) -> tuple:
-    """The input layout, "long" if the first row passes parse_long_csv's header check, else "wide",
-    and ``source`` again as an iterator of chunks: those read for the header, then the rest."""
+    """The input layout, "long" if the header (the first row that is not blank) passes parse_long_csv's
+    header check, else "wide", and ``source`` again as an iterator of chunks: those read, then the rest."""
     chunks, head = iter((source,) if isinstance(source, str) else source), []
     try:  # the reader records in head each chunk it takes
-        header = next(_csv_reader(head.append(chunk) or chunk for chunk in chunks), [])
+        header = _header(_csv_reader(head.append(chunk) or chunk for chunk in chunks)) or []
     except csv.Error:  # the wide parser reports it with its line number
         header = []
     # over iter(head), the chain lets go of the header chunks once it is past them
@@ -176,26 +181,29 @@ def parse_long_csv(source) -> dict:
 
     Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
     and folds in first-seen row order, each ``{fold: value}`` a read-only mapping
-    equal to that dict.  Blank rows are skipped.  Malformed rows, duplicate
-    (dataset, model, fold) triples, and non-numeric values raise
+    equal to that dict.  Blank rows are skipped, before the header too.  A bad header,
+    malformed rows, duplicate (dataset, model, fold) triples, and non-numeric values raise
     :class:`ValidationError` naming the offending line, the row's last physical line.
 
     Memory beyond a str ``source`` is the fold table plus one slice of it (see
     :func:`_csv_reader`), and chunks are taken as the rows are parsed, so the
     whole text of a chunked ``source`` is never held.  Each distinct dataset,
-    model or fold id is one shared string.
+    model or fold id is one shared string.  When a row opens a new cell, the score array
+    of the cell the last row filled is trimmed to its size by one copy, as is the last
+    cell's at the end: no more copies than cells, and 8 bytes per score cell by cell.
     """
     reader = _csv_reader(source)
     cells = {}
     get, share, index = cells.get, {}.setdefault, {}  # index: the last row's cell's fold index
-    held_dataset = held_model = None  # and its raw dataset and model fields
+    folds = _Folds(index)  # the last row's cell, at first a stand-in that is never stored
+    scores, held_dataset, held_model = folds._scores, None, None  # its scores, raw dataset and model fields
     try:
-        header = next(reader, None)
+        header = _header(reader)
         if header is None:
             raise ValidationError("empty document: expected header 'dataset,model,fold,value'")
         if not _is_long_header(header):
             raise ValidationError(
-                f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
+                f"line {reader.line_num}: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
             )
         for row in reader:
             # A 4-field row with a non-empty key and fold is parsed, checked
@@ -206,9 +214,10 @@ def parse_long_csv(source) -> dict:
                 if dataset != held_dataset or model != held_model:  # not the last row's cell
                     ids = (dataset.strip(), model.strip())
                     if fold := ids[0] and ids[1] and fold:  # "" if an id is empty: blank or an error
-                        key, folds = ids, get(ids)
-                        if folds is None:  # a new cell: it starts on the last row's fold index
-                            folds = cells[tuple(map(share, key, key))] = _Folds(index)
+                        if (cell := get(ids)) is None:  # a new cell: it starts on the last row's fold index,
+                            folds._scores = scores[:]  # and the last row's cell is trimmed to its size
+                            cell = cells[tuple(map(share, ids, ids))] = _Folds(index)
+                        key, folds = ids, cell
                         index, scores, held_dataset, held_model = folds._index, folds._scores, dataset, model
                 fold = fold.strip()
                 if fold:
@@ -236,6 +245,7 @@ def parse_long_csv(source) -> dict:
             raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
+    folds._scores = scores[:]
     return cells
 
 
@@ -248,18 +258,18 @@ def parse_wide_csv(source, direction: "str | Direction" = Direction.MAXIMIZE) ->
     reader = _csv_reader(source)
     rows = {}
     try:
-        header = next(reader, None)
+        header = _header(reader)
         if header is None:
             raise ValidationError("empty document: expected header 'dataset,<model labels...>'")
-        fields = [h.strip() for h in header]
+        fields, line = [h.strip() for h in header], reader.line_num
         if len(fields) < 2 or fields[0] != "dataset":
             raise ValidationError(
-                f"line 1: header must be 'dataset,<model labels...>', got {','.join(header)!r}"
+                f"line {line}: header must be 'dataset,<model labels...>', got {','.join(header)!r}"
             )
         labels = fields[1:]
         if any(not l for l in labels):
-            raise ValidationError("line 1: model column labels must be non-empty")
-        check_unique(labels, "line 1: duplicate model column(s)")
+            raise ValidationError(f"line {line}: model column labels must be non-empty")
+        check_unique(labels, f"line {line}: duplicate model column(s)")
         for row in reader:
             line = reader.line_num
             if _is_blank(row):
@@ -305,7 +315,9 @@ def aggregate_folds(
     must be complete: every pair needs at least one fold, otherwise
     :class:`IncompleteDesignError` lists every missing pair.  With
     ``drop_incomplete`` the offending datasets are dropped instead and a
-    :class:`DroppedDatasetsWarning` names them.
+    :class:`DroppedDatasetsWarning` names them.  Only cells that enter the
+    matrix are averaged, as it is built, so beyond ``cells`` only the matrix is held;
+    the first in matrix order whose scores have no finite mean raises :class:`ValidationError`.
     """
     if not cells:
         raise ValidationError("no fold records to aggregate")
@@ -337,21 +349,17 @@ def aggregate_folds(
             stacklevel=2,
         )
 
-    # fsum / n is statistics.fmean bit for bit, without importing statistics
-    mean = {}
-    try:
-        for key, folds in cells.items():
-            if folds:
-                mean[key] = math.fsum(folds.values()) / len(folds)
-    # a sum past the float range, inf + -inf, a score that is no number, or folds with no values()
-    except (OverflowError, ValueError, TypeError, AttributeError):
-        raise ValidationError(f"dataset {key[0]!r}, model {key[1]!r}: fold scores have no finite mean") from None
-    return PerformanceMatrix(
-        datasets=tuple(datasets),
-        models=manifest.models,
-        values=[[mean[(d, l)] for l in labels] for d in datasets],
-        direction=manifest.direction,
-    )
+    def means(d) -> list:  # dataset d's row, each cell averaged as the matrix takes it
+        row = []
+        for l in labels:
+            try:  # fsum / n is statistics.fmean bit for bit, without importing statistics
+                row.append(math.fsum((folds := cells[d, l]).values()) / len(folds))
+            # a sum past the float range, inf + -inf, a score that is no number, or folds with no values()
+            except (OverflowError, ValueError, TypeError, AttributeError):
+                raise ValidationError(f"dataset {d!r}, model {l!r}: fold scores have no finite mean") from None
+        return row
+
+    return PerformanceMatrix(tuple(datasets), manifest.models, map(means, datasets), manifest.direction)
 
 
 def apply_manifest(matrix: PerformanceMatrix, manifest: ExperimentManifest) -> PerformanceMatrix:

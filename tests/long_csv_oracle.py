@@ -2,9 +2,11 @@
 
 ``cdranks.ingest.parse_long_csv`` records well-formed rows on a fast path and
 sends every other row through the full checks.  This is the straightforward
-loop it replaced, kept verbatim, so a differential test can demand the same
-fold table or the same error message for any input.  It is not part of the
-package and is imported only by the test suite.
+loop it replaced, kept verbatim but for one rule added since (blank rows
+before the header are skipped, and a bad header is named by its own line),
+so a differential test can demand the same fold table or the same error
+message for any input.  It is not part of the package and is imported only
+by the test suite.
 """
 
 from __future__ import annotations
@@ -57,18 +59,18 @@ def parse_long_csv(text: str) -> dict:
     """Parse long-format CSV: header ``dataset,model,fold,value``.
 
     Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
-    and folds in first-seen row order.  Blank rows are skipped.  Malformed
-    rows, duplicate (dataset, model, fold) triples, and non-numeric values
-    raise :class:`ValidationError` naming the offending line.
+    and folds in first-seen row order.  Blank rows are skipped, before the
+    header too.  A bad header, malformed rows, duplicate (dataset, model,
+    fold) triples, and non-numeric values raise :class:`ValidationError`
+    naming the offending line.
     """
     reader = _rows(text)
-    try:
-        _, header = next(reader)
-    except StopIteration:
-        raise ValidationError("empty document: expected header 'dataset,model,fold,value'") from None
+    line, header = next(((line, row) for line, row in reader if not _is_blank(row)), (0, None))
+    if header is None:
+        raise ValidationError("empty document: expected header 'dataset,model,fold,value'")
     if tuple(h.strip() for h in header) != LONG_HEADER:
         raise ValidationError(
-            f"line 1: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
+            f"line {line}: header must be 'dataset,model,fold,value', got {','.join(header)!r}"
         )
     cells = {}
     for line, row in reader:

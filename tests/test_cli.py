@@ -270,6 +270,47 @@ class TestAnalyze:
             else:
                 assert run(capsys, *argv)[0] == 0
 
+    @pytest.mark.parametrize("lead", ["\n", "\r\n", "  \n", ",,,\n"], ids=["lf", "crlf", "spaces", "commas"])
+    @pytest.mark.parametrize("layout", ["long", "wide"])
+    def test_blank_rows_before_the_header_are_skipped(self, capsys, tmp_path, lead, layout):
+        text = long_results() if layout == "long" else Path(RESULTS).read_text(encoding="utf-8")
+        plain, led = tmp_path / "plain.csv", tmp_path / "led.csv"
+        plain.write_bytes(text.encode())
+        led.write_bytes((lead + lead + text).encode())
+        expected = run(capsys, "analyze", str(plain), "--manifest", MANIFEST)
+        assert expected[0] == 0
+        assert run(capsys, "analyze", str(led), "--manifest", MANIFEST) == expected
+
+    def test_first_cell_without_a_finite_mean_in_matrix_order_is_named(self, capsys, tmp_path):
+        # d2's rows come first, and its cell a overflows; so does d1's cell c, which the matrix reaches first
+        rows = [f"{d},{m},{f},{'1e308' if (d, m) in (('d2', 'a'), ('d1', 'c')) else 0.5}"
+                for d in ("d2", "d1") for m in "abc" for f in range(2)]
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(["dataset,model,fold,value", *rows]) + "\n")
+        code, out, err = run(capsys, "analyze", str(path), "--manifest", write_manifest(tmp_path, *"abc"))
+        assert (code, out) == (2, "")
+        assert err == "error: dataset 'd1', model 'c': fold scores have no finite mean\n"
+
+    def test_dropped_dataset_without_a_finite_mean_is_not_averaged(self, tmp_path):
+        # a real process, so the one warning line is what reaches stderr
+        rows = [f"d{i:02d},{m},{f},{0.5 + 0.01 * i + 0.1 * (m == 'b') + 0.01 * f}"
+                for i in range(16) for m in "abc" for f in range(2)]
+        manifest = write_manifest(tmp_path, *"abc")
+        env = dict(os.environ, PYTHONPATH=str(Path(cdranks.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        outcomes = []
+        for extra in ([], ["d99,a,0,1e308", "d99,a,1,1e308", "d99,b,0,0.5"]):
+            path = tmp_path / "results.csv"
+            path.write_text("\n".join(["dataset,model,fold,value", *rows, *extra]) + "\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "cdranks.cli", "analyze", str(path), "--manifest", manifest,
+                 "--drop-incomplete"],
+                capture_output=True, text=True, env=env,
+            )
+            outcomes.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outcomes[0][0] == 0 and outcomes[0][2] == ""
+        assert outcomes[1] == (0, outcomes[0][1], "warning: dropped 1 incomplete dataset(s): d99\n")
+
     def test_fold_scores_whose_sum_overflows_exit_2(self, capsys, tmp_path):
         # each 1e308 is a number, but two of them pass the float range when averaged
         rows = [f"d{i},{m},{f},1e308" for i in range(3) for m in "abc" for f in range(2)]

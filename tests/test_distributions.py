@@ -169,6 +169,12 @@ class TestChiSquareSfSteps:
         with pytest.raises(UnsupportedDesignError, match=message):
             call()
 
+    def test_chi_square_domain_edge(self):
+        # the docstring's domain: df below about 1.94e9 converges at x = df, and 2e9 does not
+        assert chi_square_sf(1.9e9, 19 * 10**8) == pytest.approx(float(gammaincc(9.5e8, 9.5e8)), rel=1e-9)
+        with pytest.raises(UnsupportedDesignError, match="does not converge within 250000 steps$"):
+            chi_square_sf(2e9, 2 * 10**9)
+
     @pytest.mark.parametrize(
         "call",
         [lambda: chi_square_sf(1e15, 10**15), lambda: chi_square_sf(1e15 + 2.0, 10**15),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 import tracemalloc
 from collections.abc import Mapping, MutableMapping
@@ -380,7 +381,7 @@ def _passes_long_header_check(text):
     try:
         parse_long_csv(text)
     except ValidationError as exc:
-        return not str(exc).startswith(("empty document", "line 1: header must be"))
+        return not re.match(r"empty document|line \d+: header must be", str(exc))
     return True
 
 
@@ -389,6 +390,23 @@ class TestFormatDetection:
     @given(header_texts())
     def test_detection_and_long_parser_share_one_header_rule(self, text):
         assert (_detect_format(text)[0] == "long") == _passes_long_header_check(text)
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_long_csv, "\n,,,\ndataset,model,value\n", "line 3: header must be 'dataset,model,fold,value', got 'dataset,model,value'"),
+            (parse_long_csv, '\n"data\nset",model,fold,value\n', "line 3: header must be 'dataset,model,fold,value', got 'data\\nset,model,fold,value'"),
+            (parse_wide_csv, "\r\n \r\nmodel,a\n", "line 3: header must be 'dataset,<model labels...>', got 'model,a'"),
+            (parse_wide_csv, "\n\ndataset,a,\n", "line 3: model column labels must be non-empty"),
+            (parse_wide_csv, "\ndataset,a,a\n", "line 2: duplicate model column(s): a"),
+            (parse_long_csv, "\n ,\n", "empty document: expected header 'dataset,model,fold,value'"),
+            (parse_wide_csv, ",,,\r\n", "empty document: expected header 'dataset,<model labels...>'"),
+        ],
+        ids=["long", "long_quoted", "wide", "wide_empty_label", "wide_duplicate", "long_blank_only", "wide_blank_only"],
+    )
+    def test_header_error_names_the_header_line(self, parse, text, message):
+        # the header's last physical line, as for any other row
+        assert _outcome(parse, text) == (ValidationError, message)
 
 
 class TestSlicedReader:
@@ -475,8 +493,9 @@ class TestLongCsvMemory:
         assert len(cells) == 2000
         assert peak - retained < len(text)
 
-    def test_table_holds_at_most_400_bytes_per_cell(self):
-        # a dict and 10 float objects per cell took about 600
+    def test_table_holds_at_most_320_bytes_per_cell(self):
+        # a dict and 10 float objects per cell took about 600; 10 scores in an array's
+        # 16 slots, before each cell was trimmed to its size, took 353
         text = self.long_text()
         tracemalloc.start()
         try:
@@ -485,7 +504,22 @@ class TestLongCsvMemory:
         finally:
             tracemalloc.stop()
         assert len(cells) == 2000
-        assert table <= 400 * len(cells), table / len(cells)
+        assert table <= 320 * len(cells), table / len(cells)
+
+    def test_aggregation_peak_stays_near_the_matrix(self):
+        # beside the table only the matrix grows: a dict of every cell's mean and a
+        # list-of-lists copy of the matrix took 2.4 times the matrix
+        cells = parse_long_csv(self.long_text())
+        manifest = manifest_of(*(f"model_{m:02d}" for m in range(20)))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            matrix = aggregate_folds(cells, manifest)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matrix.n_datasets == 100
+        assert peak - entry <= 1.5 * (held - entry), (peak - entry, held - entry)
 
     def test_carriage_return_line_ends_are_sliced(self):
         # a slice costs its str and a StringIO of it: 1 + 4 bytes per ASCII character
@@ -781,6 +815,28 @@ class TestAggregateFolds:
         cells = {(d, l): {"0": 0.5} for d in ("d1", "d2") for l in "abc"}
         cells["d2", "b"] = folds
         message = "^dataset 'd2', model 'b': fold scores have no finite mean$"
+        with pytest.raises(ValidationError, match=message):
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
+
+    def test_a_dropped_dataset_is_not_averaged(self):
+        # only cells that enter the matrix are averaged, so a dropped dataset's cell may have no mean
+        cells = {(d, l): {"0": 0.5 + 0.1 * i} for d in ("d1", "d3") for i, l in enumerate("abc")}
+        kept = aggregate_folds(cells, manifest_of("a", "b", "c"))
+        cells["d2", "a"] = {"0": 1e308, "1": 1e308}
+        with pytest.warns(DroppedDatasetsWarning, match="dropped 1 incomplete dataset\\(s\\): d2$"):
+            m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
+        assert m == kept
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [([("d2", "a"), ("d1", "c")], ("d1", "c")), ([("d1", "c"), ("d1", "b")], ("d1", "b"))],
+        ids=["datasets_sorted", "models_in_manifest_order"],
+    )
+    def test_first_bad_cell_in_matrix_order_is_named(self, bad, named):
+        # cells in file order: the bad ones first, so the order the error follows is the matrix's
+        cells = {key: {"0": 1e308, "1": 1e308} for key in bad}
+        cells.update({(d, l): {"0": 0.5} for d in ("d2", "d1") for l in "abc" if (d, l) not in cells})
+        message = f"^dataset '{named[0]}', model '{named[1]}': fold scores have no finite mean$"
         with pytest.raises(ValidationError, match=message):
             aggregate_folds(cells, manifest_of("a", "b", "c"))
 

@@ -1,8 +1,8 @@
 """Whole reports on messy long CSVs, checked against the benchmark's independent oracle.
 
 Hypothesis draws long CSVs with unequal fold counts, discrete and tied scores,
-incomplete datasets, shuffled rows, blank rows, CRLF and CR line ends, a BOM and
-quoted fields.
+incomplete datasets, shuffled rows, blank rows (before the header too), CRLF and CR
+line ends, a BOM and quoted fields.
 Each runs through ``cli.main analyze`` as a user would run it, and the report
 is checked key by key by ``bench/oracle.check_report`` (numpy and scipy only,
 never cdranks), on fold means taken as ``math.fsum(xs) / len(xs)``.  The
@@ -88,9 +88,10 @@ def messy_runs(draw):
     quote = draw(st.booleans())
     lines = [",".join(f'"{x}"' if quote or "," in x else x for x in row)
              for row in [("dataset", "model", "fold", "value"), *rows]]
-    # blank rows anywhere after the header: a blank first line is a header, and reads as wide
+    # blank rows anywhere after the header, and 0-2 before it
     for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
         lines.insert(rng.randint(1, len(lines)), rng.choice(["", ",,,"]))
+    lines[:0] = [rng.choice(["", ",,,", "  "]) for _ in range(draw(st.integers(0, 2)))]
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + end
 
