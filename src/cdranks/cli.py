@@ -195,7 +195,12 @@ def _load_report(text: str) -> dict:
     if not report["reject_null"] == report["posthoc_licensed"] == (p_value < alpha):
         raise ValidationError(f"report reject_null and posthoc_licensed must both be p_value {p_value!r} "
                               f"< alpha {alpha!r}")
-    check_int(report["n_datasets"], "report n_datasets", 2)
+    n = check_int(report["n_datasets"], "report n_datasets", 2)
+    df2, got = (k - 1) * (n - 1) if variant == "iman_davenport" else None, report.get("df2")
+    if got != df2:  # the F form's denominator df, which only that form writes
+        want = "absent" if df2 is None else f"(k - 1)(N - 1) = {df2}"
+        got = "absent" if got is None else shown(got)
+        raise ValidationError(f"report df2 must be {want} for variant {variant!r}, got {got}")
     return report
 
 

@@ -4,27 +4,21 @@
 calls the package's public functions in the CLI's order.  A change to what one
 of those functions accepts would break the replicas while every CLI test still
 passes, so each replica runs here once, untraced, and its output is held byte
-for byte to ``cli.main``'s.
+for byte to ``cli.main``'s.  ``tests/stages.py``, which times each command's
+stages on the same tracer, runs here small on both commands.
 """
 
 import csv
-import importlib.util
 import io
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
+import stages
+from stages import spans  # bench/spans.py, loaded by path
 
 from cdranks.cli import main
-
-_spec = importlib.util.spec_from_file_location(
-    "bench_spans", Path(__file__).parents[1] / "bench" / "spans.py"
-)
-spans = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = spans  # its dataclasses look their module up by name
-_spec.loader.exec_module(spans)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RESULTS = FIXTURES / "results_31x8.csv"
@@ -89,3 +83,45 @@ def test_replayed_trials_time_each_step():
         "simulate.pairwise_significance_us",
     ]
     assert all(math.isfinite(v) and v > 0 for v in steps.values())
+
+
+STAGE_ARGV = {"analyze": ["--datasets", "1000", "--models", "3", "--folds", "2"],
+              "simulate": ["--n", "5", "--k", "3", "--trials", "40"]}
+
+
+def stage_functions(command):
+    return [getattr(module, name) for name, module in stages.STAGES[command].items()]
+
+
+@pytest.mark.parametrize("command", list(STAGE_ARGV))
+def test_stage_tool_times_each_stage_and_restores_it(capsys, monkeypatch, command):
+    # reads and slices far smaller than the file, as at the benchmark's size
+    monkeypatch.setattr("cdranks.cli._READ_BYTES", 1024)
+    monkeypatch.setattr("cdranks.ingest._SLICE_CHARS", 1024)
+    originals = stage_functions(command)
+    # the median of 2 runs is their mean, so the stage medians add up as each run's times do
+    assert stages.main(["--repeats", "2", command, *STAGE_ARGV[command]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert stage_functions(command) == originals
+    ms = [report[f"{name}_ms"] for name in stages.STAGES[command]] + [report["rest_ms"]]
+    assert all(t >= 0 for t in ms) and sum(ms) == pytest.approx(report["total_ms"], abs=0.01)
+    memory = report["memory"]
+    assert set(memory) == set(report["calls"]) == set(stages.STAGES[command])
+    assert report["peak_traced_kb"] >= max(m["peak_kb"] for m in memory.values()) > 0
+    if command == "simulate":
+        assert report["calls"]["_draw"] == 1
+        return
+    assert report["rows"] == 6000 and report["csv_bytes"] > 0
+    # the CSV is never held whole: while it is read and parsed, memory beyond
+    # the fold table aggregation starts from stays below the document's size
+    parse, table = memory["parse_long_csv"], memory["aggregate_folds"]["entry_kb"]
+    assert parse["exit_kb"] <= parse["peak_kb"] < table + report["csv_bytes"] / 1024, report
+    assert 0 < report["table_bytes_per_cell"] <= 400, report
+
+
+def test_stage_tool_raises_on_a_failed_command_and_restores_the_stages(tmp_path):
+    originals = stage_functions("simulate")
+    argv = ["simulate", "--n", "5", "--k", "3", "--trials", "40", "--out", str(tmp_path / "no" / "such" / "dir")]
+    with pytest.raises(RuntimeError, match="simulate failed"):
+        stages._run(argv, spans.Tracer().span)
+    assert stage_functions("simulate") == originals

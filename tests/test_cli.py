@@ -808,6 +808,8 @@ class TestDiagram:
                                              (int, None), (list, None)}
         assert [k for k, kinds in REPORT_KEYS.items() if None in kinds] == ["df2", "tag_summaries"]
 
+    F_DF2 = "df2 must be (k - 1)(N - 1) = 210 for variant 'iman_davenport', got "
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -822,9 +824,16 @@ class TestDiagram:
             ({"significant_pairs": [[1, 2]]}, "significant_pairs must list labels from average_ranks"),
             ({"significant_pairs": [[["cart_full"], "cart_forum"]]},
              "significant_pairs must list labels from average_ranks"),
+            # df2 is the F form's (k - 1)(N - 1) = 7 * 30, and only the F form writes it
+            ({"df2": 210}, "df2 must be absent for variant 'friedman', got 210"),
+            ({"variant": "iman_davenport"}, F_DF2 + "absent"),
+            ({"variant": "iman_davenport", "df2": 38}, F_DF2 + "38"),
+            ({"variant": "iman_davenport", "df2": 0}, F_DF2 + "0"),
+            ({"variant": "iman_davenport", "df2": -3}, F_DF2 + "-3"),
         ],
         ids=["variant", "df", "statistic_negative", "statistic_nan", "statistic_inf", "group_label",
-             "group_not_a_list", "pair_labels", "pair_ints", "pair_list_entry"],
+             "group_not_a_list", "pair_labels", "pair_ints", "pair_list_entry", "df2_friedman",
+             "df2_absent", "df2_38", "df2_0", "df2_negative"],
     )
     def test_contradictory_report_exits_2(self, capsys, tmp_path, overrides, message):
         # each value has the right JSON type but disagrees with the rest of the golden report

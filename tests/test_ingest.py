@@ -14,8 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from long_csv_oracle import parse_long_csv as oracle_parse_long_csv
 
-import ingest_stages
-
 from cdranks import (
     AverageRanks,
     Direction,
@@ -544,32 +542,6 @@ class TestLongCsvMemory:
         assert len(keys) == 2000
         assert len({id(d) for d, _ in keys}) == len({d for d, _ in keys}) == 100
         assert len({id(m) for _, m in keys}) == len({m for _, m in keys}) == 20
-
-
-def test_ingest_stage_timer_runs(capsys, monkeypatch):
-    # tests/ingest_stages.py times the functions analyze calls and restores them
-    def stage_functions():
-        return [getattr(module, name) for name, module in ingest_stages.STAGES.items()]
-
-    # reads and slices far smaller than the file, as at the benchmark's size
-    monkeypatch.setattr("cdranks.cli._READ_BYTES", 1024)
-    monkeypatch.setattr("cdranks.ingest._SLICE_CHARS", 1024)
-    originals = stage_functions()
-    argv = ["--datasets", "1000", "--models", "3", "--folds", "2", "--repeats", "2"]
-    assert ingest_stages.main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert stage_functions() == originals
-    assert report["rows"] == 6000 and report["csv_bytes"] > 0
-    stages = [f"{name}_ms" for name in ingest_stages.STAGES]
-    assert all(report[stage] >= 0 for stage in stages)
-    assert sum(report[stage] for stage in stages) <= report["total_ms"] + 0.01
-    assert set(report["memory"]) == set(ingest_stages.STAGES)
-    # the CSV is never held whole: while it is read and parsed, memory beyond
-    # the fold table aggregation starts from stays below the document's size
-    memory = report["memory"]
-    parse, table = memory["parse_long_csv"], memory["aggregate_folds"]["entry_kb"]
-    assert parse["exit_kb"] <= parse["peak_kb"] < table + report["csv_bytes"] / 1024, (memory, report)
-    assert 0 < report["table_bytes_per_cell"] <= 400, report
 
 
 class TestParseWideCsv:

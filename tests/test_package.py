@@ -434,9 +434,11 @@ def _unused_imports(source: str) -> list:
 
 class TestImports:
     def test_no_module_imports_a_name_it_never_uses(self):
-        modules = sorted(Path(cdranks.__file__).parent.glob("*.py"))
-        assert modules
-        unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in modules}
+        # the package's modules, and the tests with the scripts beside them
+        folders = (Path(cdranks.__file__).parent, Path(__file__).parent)
+        modules = [p for folder in folders for p in sorted(folder.glob("*.py"))]
+        assert {p.parent for p in modules} == set(folders)
+        unused = {f"{p.parent.name}/{p.name}": _unused_imports(p.read_text(encoding="utf-8")) for p in modules}
         assert {name: names for name, names in unused.items() if names} == {}
 
     def test_scan_finds_a_leftover_import(self):

@@ -1,6 +1,5 @@
 """Synthetic benchmark trials: reproducibility, error rates, power."""
 
-import json
 import math
 import tracemalloc
 
@@ -24,8 +23,6 @@ from cdranks import (
 )
 from cdranks import simulate
 from cdranks.simulate import CHUNK_ELEMENTS, _reject_threshold, _run_chunk, _run_trials
-
-import kernel_stages
 
 
 def chunk_trials(n, k):
@@ -584,19 +581,6 @@ class TestIntegerKernel:
                 run(cfg)
             with pytest.raises(ValidationError, match="finite"):
                 generate_matrix(cfg, 0)
-
-
-def test_kernel_stage_timer_runs(capsys):
-    # tests/kernel_stages.py times the kernel's own functions and restores them
-    originals = [simulate._draw, simulate.doubled_midranks, simulate._doubled_rank_sums]
-    assert kernel_stages.main(["--n", "5", "--k", "3", "--trials", "40", "--repeats", "2"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert [simulate._draw, simulate.doubled_midranks, simulate._doubled_rank_sums] == originals
-    assert report["chunks"] == 1 and report["peak_traced_kb"] > 0
-    assert report["rejections"] == estimate_type1(config(n=5, k=3, trials=40, seed=0)).rejections
-    stages = ("draw_ms", "rank_ms", "int_checks_ms", "statistic_ms")
-    assert all(report[stage] >= 0 for stage in stages)
-    assert sum(report[stage] for stage in stages) <= report["total_ms"] + 0.01
 
 
 class TestRejectThreshold:
