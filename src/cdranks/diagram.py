@@ -142,7 +142,7 @@ def render_svg(
     path with its ``cd-label`` text, one ``stem`` path and ``label`` text
     per model, and one ``bar`` line per multi-member group.  An optional
     ``annotation`` line is stamped under the diagram.  Fewer than two ranks,
-    a CD whose bracket would end at no finite x, and a CD past 4 (k - 1),
+    a width and CD that put an x past the float range, and a CD past 4 (k - 1),
     which no critical difference of k models reaches, are ValidationErrors.
     """
     check_int(spec.k, "k", 2)
@@ -178,8 +178,9 @@ def render_svg(
     )
 
     bx0, bx1 = x_at(1.0), x_at(1.0 + spec.cd)
-    if not math.isfinite(bx1):
-        raise ValidationError(f"cd {spec.cd!r} is too large to draw: its bracket ends at x = {bx1}")
+    # the largest x is the last tick or the bracket end; the CD label's x first adds bx0 to the bracket end
+    if not math.isfinite(bx0 + x_at(max(spec.k, 1.0 + spec.cd))):
+        raise ValidationError(f"cd {spec.cd!r} at width {w} is too large to draw: its x passes the float range")
     # nemenyi_cd(k, 2, 1e-5), the largest CD analyze can report, is at most 3.12 (k - 1)
     if spec.cd > 4 * span:
         raise ValidationError(

@@ -87,31 +87,23 @@ class NemenyiResult:
 def _sum_t2(ranks, n_datasets: int, k: int) -> int:
     """The integer sum of T_j^2, T_j = 2 S_j - N(k+1), over the doubled rank sums 2 S_j in ``ranks.sums``.
 
-    Ranks without sums, or whose sums are not mid-rank sums over N datasets, raise ValidationError:
-    2 S_j / (2N) must give R_j back, each 2 S_j must be an int in [2N, 2Nk], and they must total N k(k+1).
+    ``ranks`` must be AverageRanks of k models over N datasets: its k sums total N k(k+1).
     """
     check_models(k)
-    r = rank_list(ranks)
-    if len(r) != k:
-        raise ValidationError(f"{len(r)} average ranks for k={shown(k)} models")
     check_datasets(n_datasets)
-    two_n = 2 * n_datasets
-    if two_n * k > sys.float_info.max:  # 2N R_j, and the statistic, would pass the float range
+    if 2 * n_datasets * k > sys.float_info.max:  # 2N R_j, and the statistic, would pass the float range
         raise UnsupportedDesignError(f"N={shown(n_datasets)} datasets unsupported: 2Nk passes the float range")
-    s2 = ranks.sums if isinstance(ranks, AverageRanks) else None
-    if s2 is None:  # a bare rank vector: floats alone do not pin the int sums at every N
+    if not isinstance(ranks, AverageRanks):  # floats alone do not pin the int sums at every N
         raise ValidationError("average ranks carry no exact rank sums: pass average_ranks(m)")
-    if not isinstance(s2, (tuple, list)) or len(s2) != k or any(
-        not (isinstance(s, int) and two_n <= s <= two_n * k) or s / two_n != v for s, v in zip(s2, r)
-    ) or sum(s2) != n_datasets * k * (k + 1):
-        raise ValidationError(f"average ranks are not mid-rank sums over N={n_datasets} datasets")
-    return sum((s - n_datasets * (k + 1)) ** 2 for s in s2)
+    if len(ranks) != k or sum(ranks.sums) != n_datasets * k * (k + 1):
+        raise ValidationError(f"average ranks are not mid-rank sums of k={k} models over N={n_datasets} datasets")
+    return sum((s - n_datasets * (k + 1)) ** 2 for s in ranks.sums)
 
 
 def friedman_statistic(ranks, n_datasets: int, k: int) -> float:
     """The rank-based omnibus statistic 12N/(k(k+1)) * sum_j (R_j - (k+1)/2)^2.
 
-    ``ranks`` is ``average_ranks(m)``, or AverageRanks(r, sums) with the int sums 2 S_j over
+    ``ranks`` is ``average_ranks(m)``, or AverageRanks(sums) with the int sums 2 S_j over
     ``n_datasets`` datasets; :func:`_omnibus` divides 3 sum_j T_j^2 by N k(k+1) once, so the
     statistic is correctly rounded, and zero exactly when all average ranks are equal.
     """

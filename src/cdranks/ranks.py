@@ -16,7 +16,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .cd import check_average_ranks, rank_list
 from .errors import ValidationError, check_choice, check_label, check_models, check_reals, check_unique
 
 
@@ -119,18 +118,22 @@ class PerformanceMatrix:
 
 @dataclass(frozen=True)
 class AverageRanks:
-    """Length-k tuple of average ranks, summing to k(k+1)/2.
+    """The exact doubled rank sums 2S_j of k models over N datasets, and ``r``: each 2S_j / (2N), rounded once.
 
-    ``sums``, the ints 2S_j = 2N R_j that ``average_ranks`` counts, is what the Friedman statistic reads.
+    Equality reads ``sums``; the repr shows ``r`` alone, since a sum may pass repr's int-digit limit.
     """
 
-    r: tuple
-    sums: "tuple | None" = field(default=None, compare=False, repr=False)
+    sums: tuple = field(repr=False)
+    r: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
-        r = rank_list(self.r)
-        check_average_ranks(r)
-        object.__setattr__(self, "r", r)
+        sums = tuple(self.sums) if isinstance(self.sums, (tuple, list)) else ()
+        k = len(sums)  # N is the total over k(k+1); bools and numpy ints are no ints here
+        n, rest = divmod(sum(sums), k * (k + 1)) if k >= 2 and all(type(s) is int for s in sums) else (0, 1)
+        if rest or n < 1 or not all(2 * n <= s <= 2 * n * k for s in sums):
+            raise ValidationError("average ranks need k >= 2 int rank sums 2S_j in [2N, 2Nk] totalling N k(k+1)")
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "r", tuple(s / (2 * n) for s in sums))
 
     def __len__(self) -> int:
         return len(self.r)
@@ -161,9 +164,7 @@ def doubled_ranks(row, direction: "str | Direction") -> list:
 def average_ranks(m: PerformanceMatrix) -> AverageRanks:
     """Average the per-dataset ranks into one rank per model (lower = better).
 
-    Each average is the exact doubled rank sum over 2N, one int / int division; the sums go along.
+    The exact doubled rank sums are counted here; AverageRanks divides each by 2N.
     """
     rows = (doubled_ranks(row, m.direction) for row in m.values)
-    two_n = 2 * m.n_datasets
-    sums = tuple(map(sum, zip(*rows)))
-    return AverageRanks(tuple(s / two_n for s in sums), sums)
+    return AverageRanks(tuple(map(sum, zip(*rows))))

@@ -5,7 +5,7 @@ form that SciPy's ``rankdata`` returns.  ``stacked_average_ranks`` averages a
 stack of performance blocks through that core, so the tests can hold it to
 the pure-Python per-matrix pipeline on tied blocks.  ``check_rank_vectors``
 is the float-tolerance check that ``cd.check_average_ranks`` applies to one
-vector.  None is part of the package; only the test suite imports them.
+vector of a report's ranks.  None is part of the package; only the test suite imports them.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
 
     Each average is the block's doubled rank sum over 2N, as in the kernel.
     The checks are those of the PerformanceMatrix and AverageRanks
-    constructors: finite values, ranks in [1, k], rank rows and average-rank
-    vectors summing to k(k+1)/2.
+    constructors: finite values, rank rows in [1, k] summing to k(k+1)/2,
+    and, before the division, the AverageRanks rule on each block's int
+    sums 2S_j: they total N k(k+1) for an int N >= 1 and lie in [2N, 2Nk].
     """
     values = np.asarray(values, dtype=float)
     if values.ndim < 2 or values.shape[-1] < 2:
@@ -62,6 +63,9 @@ def stacked_average_ranks(values, direction: "str | Direction") -> np.ndarray:
     signed = -values if Direction.parse(direction) is Direction.MAXIMIZE else values
     doubled = doubled_midranks(signed)
     check_rank_vectors(doubled / 2.0, "rank")
-    avg = doubled.sum(axis=-2, dtype=np.int64) / (2 * values.shape[-2])
-    check_rank_vectors(avg, "average rank")
-    return avg
+    sums = doubled.sum(axis=-2, dtype=np.int64)
+    k = sums.shape[-1]
+    n, rest = np.divmod(sums.sum(axis=-1, keepdims=True), k * (k + 1))
+    if np.any(rest) or np.any(n < 1) or np.any(sums < 2 * n) or np.any(sums > 2 * n * k):
+        raise ValidationError("average ranks need k >= 2 int rank sums 2S_j in [2N, 2Nk] totalling N k(k+1)")
+    return sums / (2 * n)

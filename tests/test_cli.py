@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -186,6 +187,8 @@ class TestAnalyze:
         manifest = write_manifest(tmp_path, *(f"model_{m:02d}" for m in range(20)))
         argv = ["analyze", str(path), "--manifest", manifest]
         expected = run(capsys, *argv)  # also loads every module the traced run needs
+        # each trace starts with CPython's tuple free lists emptied, so earlier tests do not move its margin
+        gc.collect()
         tracemalloc.start()
         try:
             cells = cdranks.ingest.parse_long_csv(text)
@@ -201,6 +204,7 @@ class TestAnalyze:
             return aggregate(*args, **kwargs)
 
         monkeypatch.setattr(cdranks.ingest, "aggregate_folds", recording)
+        gc.collect()
         tracemalloc.start()
         try:
             got = run(capsys, *argv)
@@ -924,7 +928,20 @@ class TestDiagram:
             capsys, "diagram", self.write_report(tmp_path, cd=cd), "--out", str(svg)
         )
         assert (code, out, svg.exists()) == (2, "", False)
-        assert err == f"error: cd {cd!r} is too large to draw: its bracket ends at x = inf\n"
+        assert err == f"error: cd {cd!r} at width 800 is too large to draw: its x passes the float range\n"
+
+    @pytest.mark.parametrize("lead", ["6", "7", "17"])
+    def test_width_near_the_float_range(self, capsys, lead):
+        # at k = 8, x0 + (rank - 1)(x1 - x0) / (k - 1) overflows at the last tick from 7e307 on,
+        # while the bracket end stays finite
+        width = lead + "0" * 307
+        code, out, err = run(capsys, "diagram", REPORT, "--width", width)
+        if lead == "6":
+            assert (code, err) == (0, "") and "inf" not in out
+        else:
+            assert (code, out) == (2, "") and err.count("\n") == 1
+            assert err.startswith("error: cd ")
+            assert err.endswith(f" at width {width} is too large to draw: its x passes the float range\n")
 
     def test_cd_past_any_critical_difference_exits_2(self, capsys, tmp_path):
         # a finite bracket, but no CD of 3 models reaches 4 (k - 1) = 8 rank units

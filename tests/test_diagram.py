@@ -114,7 +114,7 @@ class TestLayout:
         r = [1.25, 1.75, 3.5, 3.5]
         expected = spec_for(r)
         assert expected.bars and all(type(e.rank) is float for e in expected.entries)
-        for ranks in (AverageRanks(r), tuple(r), np.array(r)):
+        for ranks in (AverageRanks((5, 7, 14, 14)), tuple(r), np.array(r)):  # sums 2N r at N = 2
             spec = spec_for(ranks)
             assert spec == expected
             assert all(type(e.rank) is float for e in spec.entries)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from long_csv_oracle import parse_long_csv as oracle_parse_long_csv
 
 from cdranks import (
-    AverageRanks,
     Direction,
     DroppedDatasetsWarning,
     ExperimentManifest,
@@ -882,7 +881,7 @@ class TestSummarizeByTag:
                 "f2": {"fs": "forum"},
             },
         )
-        ranks = AverageRanks(np.array([1.0, 1.5, 3.5, 4.0]))
+        ranks = (1.0, 1.5, 3.5, 4.0)
         res = nemenyi_result_for(ranks, cd=1.0)
         out = summarize_by_tag(ranks, res, man, "fs")
         assert [s.tag_value for s in out] == ["click", "forum"]
@@ -897,14 +896,14 @@ class TestSummarizeByTag:
         man = manifest_of(
             "a", "b", tags={"a": {"fs": "x"}, "b": {"fs": "y"}}
         )
-        ranks = AverageRanks(np.array([1.2, 1.8]))
+        ranks = (1.2, 1.8)
         out = summarize_by_tag(ranks, nemenyi_result_for(ranks, cd=1.0), man, "fs")
         assert not any(s.fully_separated for s in out)
         assert all(s.separated_from == () for s in out)
 
     def test_single_tag_value_is_trivially_separated(self):
         man = manifest_of("a", "b", tags={"a": {"fs": "x"}, "b": {"fs": "x"}})
-        ranks = AverageRanks(np.array([1.0, 2.0]))
+        ranks = (1.0, 2.0)
         out = summarize_by_tag(ranks, nemenyi_result_for(ranks, cd=0.5), man, "fs")
         assert len(out) == 1
         assert out[0].fully_separated
@@ -912,19 +911,19 @@ class TestSummarizeByTag:
 
     def test_missing_tag_names_model(self):
         man = manifest_of("a", "b", tags={"a": {"fs": "x"}})
-        ranks = AverageRanks(np.array([1.0, 2.0]))
+        ranks = (1.0, 2.0)
         with pytest.raises(ValidationError, match="model 'b' is missing tag 'fs'"):
             summarize_by_tag(ranks, nemenyi_result_for(ranks, cd=0.5), man, "fs")
 
     def test_length_mismatch(self):
         man = manifest_of("a", "b", "c", tags={l: {"fs": "x"} for l in "abc"})
-        ranks = AverageRanks(np.array([1.0, 2.0]))
+        ranks = (1.0, 2.0)
         with pytest.raises(ValidationError, match="2 ranks for 3"):
             summarize_by_tag(ranks, nemenyi_result_for(ranks, cd=0.5), man, "fs")
 
     def test_to_dict_shape(self):
         man = manifest_of("a", "b", tags={"a": {"fs": "x"}, "b": {"fs": "x"}})
-        ranks = AverageRanks(np.array([1.0, 2.0]))
+        ranks = (1.0, 2.0)
         (summary,) = summarize_by_tag(ranks, nemenyi_result_for(ranks, cd=0.5), man, "fs")
         d = summary.to_dict()
         assert list(d) == [

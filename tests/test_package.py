@@ -145,6 +145,9 @@ def _sim_config(effect, **overrides):
     return cdranks.SimConfig(**fields | overrides)
 
 
+_SUMS_MESSAGE = "^average ranks need k >= 2 int rank sums 2S_j in \\[2N, 2Nk\\] totalling N k\\(k\\+1\\)$"
+
+
 class TestLibraryInputs:
     """Each kind of input value has one check, and a bad value is a ValidationError.
 
@@ -157,7 +160,7 @@ class TestLibraryInputs:
         [
             (lambda: _matrix(["123", "456"]), "^values must be a 2-dimensional block of reals$"),
             (lambda: _matrix([["1_0", "\u0663", "\uff11"]]), "^values must be a 2-dimensional"),
-            (lambda: cdranks.AverageRanks(["1", "2", "3"]), "^need a 1-d vector of at least two"),
+            (lambda: cdranks.AverageRanks(["1", "2", "3"]), _SUMS_MESSAGE),
             (lambda: _sim_config((10**400, 0, 0)), "^effect must be a vector of reals$"),
             (lambda: _sim_config(("a", 0, 0)), "^effect must be a vector of reals$"),
             (lambda: _sim_config(None), "^effect must be a vector of reals$"),
@@ -174,7 +177,7 @@ class TestLibraryInputs:
             (lambda: cdranks.chi_square_sf("1", 3), "^x must be a finite nonnegative real, got '1'$"),
             (lambda: cdranks.f_sf(None, 2, 3), "^x must be a finite nonnegative real, got None$"),
             (lambda: cdranks.chi_square_sf(True, 3), "^x must be a finite nonnegative real, got True$"),
-            (lambda: cdranks.AverageRanks([np.bool_(True), 2.0, 3.0]), "^need a 1-d vector of at"),
+            (lambda: cdranks.AverageRanks([np.bool_(True), 2.0, 3.0]), _SUMS_MESSAGE),
             (lambda: cdranks.chi_square_sf(np.bool_(True), 3), "^x must be a finite nonnegative real"),
             (lambda: _sim_config((np.bool_(True), 0, 0)), "^effect must be a vector of reals$"),
             (lambda: _matrix(np.array([[True, False, True]])), "^values must be a 2-dimensional"),
@@ -205,8 +208,8 @@ class TestLibraryInputs:
              "^x must be a finite nonnegative real, got <int of 16610 bits>$"),
             (lambda: cdranks.nemenyi_cd(8, -(10**5000)), UnsupportedDesignError,
              "^N=<negative int of 16610 bits> datasets unsupported: need N >= 2$"),
-            (lambda: cdranks.friedman_statistic((1.0, 2.0, 3.0), 4, 10**5000), ValidationError,
-             "^3 average ranks for k=<int of 16610 bits> models$"),
+            (lambda: cdranks.friedman_statistic(cdranks.AverageRanks((8, 16, 24)), 4, -(10**5000)),
+             UnsupportedDesignError, "^k=<negative int of 16610 bits> models unsupported: the rank test"),
             (lambda: cdranks.Direction.parse([10**5000]), ValidationError,
              "^direction must be .*, got <list holding an int too long to print>$"),
         ],
@@ -224,7 +227,7 @@ class TestLibraryInputs:
     )
     def test_count_past_the_float_range_is_an_unsupported_design(self, n, shown_n, exact):
         # once an OverflowError from 2N R_j, or from the statistic's int / int division
-        ranks = cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * n, 4 * n, 6 * n) if exact else None)
+        ranks = cdranks.AverageRanks((2 * n, 4 * n, 6 * n)) if exact else (1.0, 2.0, 3.0)
         message = f"^N={shown_n} datasets unsupported: 2Nk passes the float range$"
         with pytest.raises(UnsupportedDesignError, match=message):
             cdranks.friedman_statistic(ranks, n, 3)
@@ -252,7 +255,7 @@ class TestLibraryInputs:
     def test_count_at_the_float_range_edge(self, container):
         # every dataset ranks alike, so chi2 = N(k - 1); 2Nk = 1.5 * 2^1023 fits a float, 3 * 2^1023 does not
         def ranks(n):
-            return cdranks.AverageRanks((1.0, 2.0, 3.0), container((2 * n, 4 * n, 6 * n)))
+            return cdranks.AverageRanks(container((2 * n, 4 * n, 6 * n)))
 
         assert cdranks.friedman_statistic(ranks(10**307), 10**307, 3) == float(2 * 10**307)
         assert cdranks.friedman_statistic(ranks(2**1021), 2**1021, 3) == 2.0**1022
@@ -274,14 +277,15 @@ _RANKS = st.one_of(
     st.lists(_REALS, max_size=6),
     st.integers(3, 6).flatmap(lambda k: st.permutations([float(j) for j in range(1, k + 1)])),
 )
-# (ranks, N, k): any draw of each, or a permutation of 1..k as AverageRanks with the sums 2 N r_j
-# of N datasets that all rank alike, so the statistic, if any, is N(k - 1)
+# The sums 2 N r_j of N >= 1 datasets that all rank a permutation r of 1..k alike: valid AverageRanks
+_ALIKE = st.tuples(
+    st.integers(2, 6).flatmap(lambda k: st.permutations(range(1, k + 1))),
+    st.one_of(st.integers(1, 1100), st.integers(1, 10**400), st.sampled_from([2**63, 10**308, 10**5000])),
+)
+# (ranks, N, k): any draw of each, or such AverageRanks with their own N and k, so the statistic, if any, is N(k - 1)
 _STATISTIC_ARGS = st.one_of(
     st.tuples(_RANKS, _INTS, _INTS),
-    st.tuples(st.integers(3, 6).flatmap(lambda k: st.permutations(range(1, k + 1))), _INTS).map(
-        lambda p: (cdranks.AverageRanks(tuple(map(float, p[0])), tuple(2 * int(p[1]) * j for j in p[0])),
-                   p[1], len(p[0]))
-    ),
+    _ALIKE.map(lambda p: (cdranks.AverageRanks(tuple(2 * p[1] * j for j in p[0])), p[1], len(p[0]))),
 )
 
 
@@ -323,12 +327,34 @@ class TestBoundedTime:
     @given(args=_STATISTIC_ARGS)
     @example(args=([1.0, 2.0, 3.0], 10**300, 3))
     @example(args=([0.0, 0.0, 0.0, 1e308], 2, 4))  # round(2N R_j) raised a bare OverflowError
-    @example(args=(cdranks.AverageRanks((1.0, 2.0, 3.0), (2 * 10**300, 4 * 10**300, 6 * 10**300)), 10**300, 3))
+    @example(args=(cdranks.AverageRanks((2 * 10**300, 4 * 10**300, 6 * 10**300)), 10**300, 3))
     def test_friedman_statistic(self, args):
         statistic = _bounded(cdranks.friedman_statistic, *args)
         ranks, n, k = args
         if statistic is not None:
             assert isinstance(ranks, cdranks.AverageRanks) and statistic == float(n * (k - 1)), args
+
+    @settings(max_examples=60, deadline=None)
+    @given(sums=st.one_of(
+        st.lists(_INTS, max_size=6),
+        st.lists(_INTS, max_size=6).map(tuple),
+        _ALIKE.map(lambda p: [2 * p[1] * j for j in p[0]]),
+        _ALIKE.map(lambda p: tuple(2 * p[1] * j for j in p[0])),
+    ))
+    @example(sums=(2 * 10**5000, 4 * 10**5000, 6 * 10**5000))  # repr of the sums raised ValueError
+    @example(sums=[10**5000, -(10**5000), 12])
+    @example(sums=(True, False))
+    def test_average_ranks(self, sums):
+        start = time.perf_counter()
+        try:
+            ranks = cdranks.AverageRanks(sums)
+        except ValidationError:
+            ranks = None
+        assert time.perf_counter() - start < 1.0, sums
+        if ranks is not None:
+            n = sum(ranks.sums) // (len(sums) * (len(sums) + 1))
+            assert ranks.sums == tuple(sums) and ranks.r == tuple(s / (2 * n) for s in sums)
+            assert repr(ranks) == f"AverageRanks(r={ranks.r!r})"
 
     @settings(max_examples=60, deadline=None)
     @given(k=_INTS, n=_INTS, alpha=_REALS)

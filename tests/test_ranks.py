@@ -239,8 +239,11 @@ class TestModelId:
 
 class TestRankTypes:
     def test_average_ranks_sum_enforced(self):
-        with pytest.raises(ValidationError):
-            AverageRanks(np.array([1.5, 2.0, 3.9, 4.6]))
+        # one rule: a tuple or list of k >= 2 ints in [2N, 2Nk] that total N k(k+1) for an int N >= 1
+        for sums in [(2, 4, 7), (0, 6, 6), (2, 2, 8), (2,), (), [-2, 6, 8], (10**5000, 2, -(10**5000) + 10),
+                     (2, 4, 6.0), (2, True, 9), np.array([2, 4, 6]), (2, np.int64(4), 6), {2: 2, 4: 4, 6: 6}, None]:
+            with pytest.raises(ValidationError, match=r"^average ranks need k >= 2 int rank sums 2S_j in \[2N, 2Nk\]"):
+                AverageRanks(sums)
 
     @pytest.mark.parametrize(
         "r",
@@ -261,18 +264,18 @@ class TestRankTypes:
 
     def test_sum_message_names_no_row(self):
         with pytest.raises(ValidationError) as exc:
-            AverageRanks((1.0, 1.0, 1.0))
+            check_average_ranks([1.0, 1.0, 1.0])
         assert str(exc.value) == "average rank sum 3.0 != k(k+1)/2 = 6.0"
 
     @pytest.mark.parametrize("r", ["123", b"123"])
     def test_average_ranks_reject_text(self, r):
-        # the coercion rule of every other rank entry point: text is not a rank vector
-        with pytest.raises(ValidationError, match="need a 1-d vector of at least two ranks"):
+        # text is no sequence of sums, not even of its characters' codes
+        with pytest.raises(ValidationError, match="^average ranks need k >= 2 int rank sums"):
             AverageRanks(r)
 
     def test_average_ranks_indexing(self):
-        r = AverageRanks(np.array([1.0, 2.0, 3.0]))
-        assert len(r) == 3
+        r = AverageRanks([6, 12, 18])
+        assert len(r) == 3 and r.sums == (6, 12, 18)
         assert r[2] == 3.0
 
 
@@ -295,13 +298,14 @@ class TestAverageRanks:
         assert all(type(s) is int for s in ranks.sums)
         assert ranks.r == tuple(s / (2 * len(values)) for s in ranks.sums)
 
-    def test_sums_left_out_of_equality_and_repr(self):
+    def test_equality_reads_the_sums_and_repr_the_ranks(self):
         ranks = average_ranks(matrix([[3.0, 2.0, 1.0], [1.0, 3.0, 2.0]]))
-        assert ranks.sums == (8, 6, 10)
-        plain = AverageRanks(ranks.r)
-        assert plain.sums is None
-        assert ranks == plain and hash(ranks) == hash(plain)
-        assert repr(ranks) == repr(plain) == "AverageRanks(r=(2.0, 1.5, 2.5))"
+        assert ranks.sums == (8, 6, 10) and ranks.r == (2.0, 1.5, 2.5)
+        same = AverageRanks([8, 6, 10])
+        assert ranks == same and hash(ranks) == hash(same)
+        # the same average ranks over N = 1 instead of N = 2
+        assert AverageRanks((4, 3, 5)).r == ranks.r and AverageRanks((4, 3, 5)) != ranks
+        assert repr(ranks) == "AverageRanks(r=(2.0, 1.5, 2.5))"
 
     def test_identical_rows(self):
         m = matrix([[3.0, 2.0, 1.0]] * 3)
