@@ -40,13 +40,15 @@ in ASCII digits: no underscores, locale separators, inf, nan or overflow
 
 
 def _checked(convert, check, *args):
-    """An argparse type: ``check`` the text, converted if ``check_number`` and ``convert`` pass."""
+    """An argparse type: ``check`` the text, converted if ``convert`` and ``check_number`` pass."""
 
     def parse(text: str):
         try:
-            check_number(text)
             value = convert(text)
-        except (ValidationError, ValueError):
+            check_number(text)
+        except (ValidationError, ValueError) as exc:
+            if isinstance(exc, ValidationError) and convert is int and text.isascii() and "_" not in text:
+                raise argparse.ArgumentTypeError(str(exc)) from None  # an int that float() overflows
             value = text
         try:
             return check(value, *args)
@@ -230,7 +232,8 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .simulate import SimConfig, estimate_power, estimate_type1
 
-    effect = args.effect if args.effect is not None else (0.0,) * args.k
+    # lazy: SimConfig checks k before it reads the effect, so a huge --k allocates nothing
+    effect = args.effect if args.effect is not None else (0.0 for _ in range(args.k))
     cfg = SimConfig(
         n_datasets=args.n,
         n_models=args.k,

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .cd import indistinguishable_groups, rank_list
-from .errors import ValidationError, check_int, check_label, check_unique
+from .errors import ValidationError, _Record, check_int, check_label, check_unique
 
 
 # Fixed pixel geometry and label precision of every rendered diagram.
@@ -23,8 +22,7 @@ _FONT_SIZE_PX = 12
 _RANK_DECIMALS = 3
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Record):
     """The one pixel-level setting of :func:`render_svg`: the document width."""
 
     width_px: int = 800
@@ -33,23 +31,20 @@ class RenderOptions:
         check_int(self.width_px, "width_px", 1)
 
 
-@dataclass(frozen=True)
-class DiagramEntry:
+class DiagramEntry(_Record):
     label: str
     rank: float
     side: str  # "left" | "right"
     row: int
 
 
-@dataclass(frozen=True)
-class DiagramBar:
+class DiagramBar(_Record):
     rank_lo: float
     rank_hi: float
     level: int
 
 
-@dataclass(frozen=True)
-class DiagramSpec:
+class DiagramSpec(_Record):
     """Resolved geometry in rank units: ticks at 1..k, a CD bracket from rank 1 to 1 + cd."""
 
     k: int

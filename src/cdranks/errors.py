@@ -1,4 +1,4 @@
-"""Exception hierarchy for the package, and the input checks shared by modules.
+"""Exception hierarchy for the package, the input checks shared by modules, and the value types' base.
 
 Each class carries the CLI exit code it maps onto, so shell callers can tell
 bad input (2) from an unsupported statistical design (3).
@@ -62,6 +62,47 @@ class DroppedDatasetsWarning(UserWarning):
     """Datasets were dropped because they were missing measurements (the exit code under -W error)."""
 
     exit_code = 2
+
+
+class _Record:
+    """Base of the frozen value types: the fields are the class annotations, in order, and a class
+    attribute is a field's default.  ``__post_init__`` runs once the fields are set; equality, hash and
+    repr read the field tuple.  Not ``dataclasses``, whose import loads ``inspect``, ``ast`` and ``dis``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: vars(cls)[name] for name in cls._fields if name in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = self._defaults | dict(zip(fields, args)) | kwargs
+        if len(args) > len(fields) or not set(kwargs) <= set(fields[len(args) :]) or len(values) < len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}, each once: got {len(args)} "
+                            f"by position and {', '.join(kwargs) or 'none'} by keyword")
+        self.__dict__.update((field, values[field]) for field in fields)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{field}={value!r}" for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
 
 
 # Anything outside the XML 1.0 Char production, lone surrogates included.

@@ -18,12 +18,12 @@ import re
 import warnings
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from .errors import (
     DroppedDatasetsWarning,
     IncompleteDesignError,
     ValidationError,
+    _Record,
     check_alpha,
     check_number,
     check_unique,
@@ -116,8 +116,7 @@ def _detect_format(source) -> tuple:
     return "long" if _is_long_header(header) else "wide", itertools.chain(iter(head), chunks)
 
 
-@dataclass(frozen=True)
-class ExperimentManifest:
+class ExperimentManifest(_Record):
     """Names the compared models and how to read their metric.
 
     ``models`` fixes the column order of every matrix built from this
@@ -388,8 +387,7 @@ def apply_manifest(matrix: PerformanceMatrix, manifest: ExperimentManifest) -> P
     )
 
 
-@dataclass(frozen=True)
-class TagSummary:
+class TagSummary(_Record):
     """Rank summary for one value of a tag (e.g. feature_set=clickstream)."""
 
     tag_value: str

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
@@ -22,6 +21,7 @@ from .errors import (
     SmallSampleWarning,
     UnsupportedDesignError,
     ValidationError,
+    _Record,
     check_alpha,
     check_choice,
     check_datasets,
@@ -47,8 +47,7 @@ class Variant(str, Enum):
         return check_choice(cls, value, "variant")
 
 
-@dataclass(frozen=True)
-class FriedmanResult:
+class FriedmanResult(_Record):
     """Outcome of the omnibus test.
 
     ``df`` is the numerator degrees of freedom (k - 1); ``df2`` is the
@@ -64,8 +63,7 @@ class FriedmanResult:
     df2: int | None = None
 
 
-@dataclass(frozen=True)
-class NemenyiResult:
+class NemenyiResult(_Record):
     """Outcome of the post-hoc test.
 
     ``significant[a][b]`` is True iff models a and b differ by at least the

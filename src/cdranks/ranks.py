@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import ValidationError, check_choice, check_label, check_models, check_reals, check_unique
+from .errors import ValidationError, _Record, check_choice, check_label, check_models, check_reals, check_unique
 
 
 class Direction(str, Enum):
@@ -30,8 +29,7 @@ class Direction(str, Enum):
         return check_choice(cls, value, "direction")
 
 
-@dataclass(frozen=True)
-class ModelId:
+class ModelId(_Record):
     """A compared model: a display label plus free-form metadata tags.
 
     Tags encode the dimensions varied across models, e.g.
@@ -40,7 +38,7 @@ class ModelId:
     """
 
     label: str
-    tags: Mapping[str, str] = field(default_factory=dict)
+    tags: Mapping[str, str] = {}  # never stored: __post_init__ stores a copy
 
     def __post_init__(self):
         check_label(self.label)
@@ -51,8 +49,7 @@ class ModelId:
         object.__setattr__(self, "tags", dict(self.tags))
 
 
-@dataclass(frozen=True)
-class PerformanceMatrix:
+class PerformanceMatrix(_Record):
     """An N x k block of metric values: one row per dataset, one column per model.
 
     Invariants enforced at construction: at least one dataset row, at least
@@ -116,15 +113,13 @@ class PerformanceMatrix:
         return tuple(m.label for m in self.models)
 
 
-@dataclass(frozen=True)
-class AverageRanks:
+class AverageRanks(_Record):
     """The exact doubled rank sums 2S_j of k models over N datasets, and ``r``: each 2S_j / (2N), rounded once.
 
-    Equality reads ``sums``; the repr shows ``r`` alone, since a sum may pass repr's int-digit limit.
+    Equality reads ``sums``, the one field; the repr shows ``r``, as a sum may pass repr's int-digit limit.
     """
 
-    sums: tuple = field(repr=False)
-    r: tuple = field(init=False, compare=False)
+    sums: tuple
 
     def __post_init__(self):
         sums = tuple(self.sums) if isinstance(self.sums, (tuple, list)) else ()
@@ -134,6 +129,9 @@ class AverageRanks:
             raise ValidationError("average ranks need k >= 2 int rank sums 2S_j in [2N, 2Nk] totalling N k(k+1)")
         object.__setattr__(self, "sums", sums)
         object.__setattr__(self, "r", tuple(s / (2 * n) for s in sums))
+
+    def __repr__(self) -> str:
+        return f"AverageRanks(r={self.r!r})"
 
     def __len__(self) -> int:
         return len(self.r)

@@ -31,14 +31,13 @@ from __future__ import annotations
 import bisect
 import math
 import os
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .cd import nemenyi_cd
 from .errors import UnsupportedDesignError, ValidationError, check_alpha, check_datasets, check_int
-from .errors import check_models, check_positive, check_reals, shown
+from .errors import _Record, check_models, check_positive, check_reals, shown
 from .procedure import Variant, _omnibus
 from .ranks import Direction, ModelId, PerformanceMatrix
 
@@ -51,8 +50,7 @@ _Z95 = 1.959963984540054
 CHUNK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Parameters for one simulation study."""
 
     n_datasets: int
@@ -245,8 +243,7 @@ def _wilson_ci(successes: int, trials: int) -> tuple:
     return center - half, center + half
 
 
-@dataclass(frozen=True)
-class Type1Estimate:
+class Type1Estimate(_Record):
     """Null rejection rate with its 95% binomial confidence interval."""
 
     config: SimConfig
@@ -265,8 +262,7 @@ class Type1Estimate:
         }
 
 
-@dataclass(frozen=True)
-class PowerEstimate:
+class PowerEstimate(_Record):
     """Omnibus rejection rate and per-pair detection rates under an effect."""
 
     config: SimConfig

@@ -15,6 +15,12 @@ peak over all calls; for ``analyze``, the parse's exit over its entry is the
 fold table's bytes per (dataset, model) cell.  The timer is ``bench/spans.py``'s
 tracer: a stage's ms is the median over ``--repeats`` runs of its summed self
 time; ``rest_ms`` and ``total_ms`` are the self time and duration of each run's span.
+
+The import stage is measured out of process, in fresh interpreters launched as the
+benchmark launches the CLI: ``interpreter_*`` is a bare one, ``import_*`` one that
+imports exactly the ``import_modules`` modules the command loads, in the order it
+loads them, and ``cli_*`` one that runs the command.  Each ``*_ms`` is the median
+wall time from spawn to exit and each ``*_rss_mb`` the median peak RSS.
 """
 
 from __future__ import annotations
@@ -22,7 +28,10 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import random
+import statistics
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -44,6 +53,27 @@ STAGES = {
     "simulate": {"_draw": simulate, "doubled_midranks": simulate, "_doubled_rank_sums": simulate},
 }
 COMMAND = "cli.main"  # the span around each run
+SRC = Path(cli.__file__).parents[1]  # the cdranks measured, for the fresh interpreters
+# Runs argv, then prints its wall time, exit code and peak RSS (KiB), as bench/run.py's launcher does.
+LAUNCHER = """
+import os, subprocess, sys, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(repr(time.perf_counter() - start), os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+# Imports the modules named in argv in order; an extension may register one that no import
+# finds by name (Cython's cython_runtime), so each need only be loaded once all have run.
+IMPORTER = """
+import importlib, sys
+for name in sys.argv[1:]:
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        pass
+if not set(sys.argv[1:]) <= set(sys.modules):
+    raise SystemExit(f"not loaded: {sorted(set(sys.argv[1:]) - set(sys.modules))}")
+"""
 
 
 def write_inputs(folder: Path, n: int, k: int, folds: int, seed: int) -> list:
@@ -131,6 +161,39 @@ def _traced_run(argv: list) -> dict:
     return {"memory": memory, "peak_traced_kb": kb(max(peaks))}
 
 
+def _python(argv: list, launcher: "list | None" = None) -> str:
+    """The stdout of ``python argv`` with this package on the path, run from ``launcher`` if given."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([*(launcher or []), sys.executable, *argv], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def _fresh(argv: list) -> tuple:
+    """Wall ms and peak RSS MB of ``python argv``, spawned from a small process as the benchmark does."""
+    wall, code, rss_kb = _python(argv, [sys.executable, "-I", "-S", "-c", LAUNCHER]).split()
+    if code != "0":
+        raise RuntimeError(f"exit {code}: {argv[:3]}")
+    return 1e3 * float(wall), int(rss_kb) / 1024
+
+
+def _import_stage(argv: list, repeats: int) -> dict:
+    """Fresh interpreters: a bare one, one that imports what ``argv`` loads, and one that runs ``argv``."""
+    bare = set(_python(["-c", "import sys; print(*sys.modules)"]).split())
+    listed = _python(["-c", "import sys; from cdranks.cli import main; main(sys.argv[1:]); print(*sys.modules)", *argv])
+    modules = [name for name in listed.split() if name not in bare]
+    runs = {"interpreter": ["-c", "pass"], "import": ["-c", IMPORTER, *modules],
+            "cli": ["-c", "import sys; from cdranks.cli import main; sys.exit(main())", *argv]}
+    samples = {stage: [] for stage in runs}
+    for _ in range(repeats):  # interleaved, so a drifting host sways each stage alike
+        for stage, command in runs.items():
+            samples[stage].append(_fresh(command))
+    report = {"import_modules": len(modules)}
+    for stage, pairs in samples.items():
+        report[f"{stage}_ms"] = round(statistics.median(ms for ms, _ in pairs), 1)
+        report[f"{stage}_rss_mb"] = round(statistics.median(mb for _, mb in pairs), 2)
+    return report
+
+
 def stage_report(args: argparse.Namespace) -> dict:
     """The stage times and traced memory of one command, after the options that shaped it."""
     report = vars(args).copy()
@@ -144,6 +207,7 @@ def stage_report(args: argparse.Namespace) -> dict:
             argv += [f"--{key}={value}" for key, value in options.items() if value is not None]
         _run(argv, spans.NullTracer().span)  # warm up: lazy imports and first-call costs are not stages
         report |= _traced_run(argv) | _timed_runs(argv, args.repeats)  # first: no timed run's leftovers sway it
+        report |= _import_stage(argv, args.repeats)
     if args.command == "analyze":
         parse, cells = report["memory"]["parse_long_csv"], args.datasets * args.models
         report["table_bytes_per_cell"] = round((parse["exit_kb"] - parse["entry_kb"]) * 1024 / cells)

@@ -105,6 +105,9 @@ def test_stage_tool_times_each_stage_and_restores_it(capsys, monkeypatch, comman
     assert stage_functions(command) == originals
     ms = [report[f"{name}_ms"] for name in stages.STAGES[command]] + [report["rest_ms"]]
     assert all(t >= 0 for t in ms) and sum(ms) == pytest.approx(report["total_ms"], abs=0.01)
+    # fresh interpreters: the command's imports add to a bare one's peak
+    assert report["import_modules"] > 0 and report["interpreter_rss_mb"] < report["import_rss_mb"], report
+    assert all(report[f"{stage}_ms"] > 0 for stage in ("interpreter", "import", "cli")), report
     memory = report["memory"]
     assert set(memory) == set(report["calls"]) == set(stages.STAGES[command])
     assert report["peak_traced_kb"] >= max(m["peak_kb"] for m in memory.values()) > 0

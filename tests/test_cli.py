@@ -1111,13 +1111,17 @@ class TestSimulate:
         # urllib.request, http.client and email for one escape call.  Each
         # subcommand runs in a fresh process and loads only its own modules.
         banned = ("scipy", "xml.sax", "urllib.request", "http.client", "email")
+        # the value types are not dataclasses, whose import loads inspect, ast and dis; numpy loads inspect
+        no_introspection = ("dataclasses", "inspect", "ast", "dis")
         # the critical-difference rule and the layout need no numpy, and diagram runs no statistic
         diagram_bans = banned + ("numpy", "concurrent.futures", "cdranks.ingest", "cdranks.simulate",
-                                 "cdranks.procedure", "cdranks.ranks", "cdranks.distributions", "typing")
+                                 "cdranks.procedure", "cdranks.ranks", "cdranks.distributions", "typing",
+                                 *no_introspection)
         # ranking, the statistic and both survival functions need no numpy either.  typing is banned
         # only under -S, since a site hook may import it before the script runs.
         analyze_bans = banned + ("numpy", "concurrent.futures", "cdranks.simulate",
-                                 "cdranks.diagram", "statistics", "fractions", "decimal", "typing")
+                                 "cdranks.diagram", "statistics", "fractions", "decimal", "typing",
+                                 *no_introspection)
         long_input = [str(FIXTURES / "results_long.csv"), "--manifest",
                       str(FIXTURES / "manifest_long.json"), "--drop-incomplete"]
         steps = {
@@ -1160,7 +1164,7 @@ class TestSimulate:
                  "--effect", "0.5,0,0,0", "--out", str(tmp_path / "power.json")],
                 "cdranks.simulate",
                 # one worker starts no pool
-                banned + ("concurrent.futures",),
+                banned + ("concurrent.futures", "dataclasses"),
             ),
         }
         script = (
@@ -1183,6 +1187,11 @@ class TestSimulate:
             code, modules = json.loads(proc.stdout)
             loaded = [m for m in modules if any(m == b or m.startswith(b + ".") for b in absent)]
             assert (name, code, needed in modules, loaded) == (name, 0, True, [])
+
+    def test_huge_k_exits_3_before_the_effect_is_built(self, capsys):
+        # the default effect, k zeros, is built only after SimConfig has checked k
+        message = f"error: N=10, k={2**64} unsupported: the kernel needs N^2 k(k^2-1) < 2^63\n"
+        assert run(capsys, "simulate", "--n", "10", "--k", str(2**64)) == (3, "", message)
 
     @pytest.mark.filterwarnings("ignore::cdranks.SmallSampleWarning")
     def test_unsupported_design_exits_3_as_analyze_does(self, capsys, tmp_path):
@@ -1330,6 +1339,24 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert f"argument {err}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sign", ["", "-", "+"])
+    @pytest.mark.parametrize("flag", ["--width", "--n", "--k", "--trials", "--seed", "--workers"])
+    def test_integer_past_the_float_range_is_named_an_overflow(self, capsys, flag, sign):
+        argv = ["diagram", REPORT] if flag == "--width" else ["simulate", "--n", "10", "--k", "3"]
+        digits = "1" + "0" * 309
+        for text, message in (
+            (sign + digits, f"value {sign + digits!r} overflows to non-finite"),
+            # not an int to check_number, so the message stays the flag's own
+            (sign + "1_" + digits, f"value must be an integer >= {int(flag != '--seed')}, got {sign + '1_' + digits!r}"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"{flag}={text}"])  # a leading - would read as an option
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"cdranks {argv[0]}: error: argument {flag}: {message}"
+            ]
 
     def test_plain_and_scientific_flags_still_accepted(self, capsys):
         code, out, err = run(capsys, "analyze", RESULTS, "--manifest", MANIFEST, "--alpha", "1e-1")

@@ -4,6 +4,7 @@ import ast
 import importlib
 import itertools
 import math
+import pickle
 import re
 import sys
 import time
@@ -114,6 +115,113 @@ class TestExports:
         ]
         assert len(imported) == 22
         assert set(imported) <= set(EXPORTS)
+
+
+_TAGGED = cdranks.ModelId("a", {"fs": "click"})
+_MODELS = (_TAGGED, cdranks.ModelId("b"), cdranks.ModelId("c"))
+_MODELS_REPR = "(ModelId(label='a', tags={'fs': 'click'}), ModelId(label='b', tags={}), ModelId(label='c', tags={}))"
+_CONFIG = cdranks.SimConfig(5, 3, (0.0, 0.5, 0.0), 1.0, 10, 7)
+_CONFIG_REPR = "SimConfig(n_datasets=5, n_models=3, effect=(0.0, 0.5, 0.0), noise_sd=1.0, trials=10, seed=7, alpha=0.05)"
+_ENTRY, _BAR = cdranks.DiagramEntry("a", 1.5, "left", 0), cdranks.DiagramBar(1.0, 2.0, 0)
+_DETECTION = ((0.0, 0.1, 0.0), (0.1, 0.0, 0.1), (0.0, 0.1, 0.0))
+
+# One instance of each public value type, by position: (type, every field's value, repr).  The reprs
+# and the defaults are those the types printed and took as frozen dataclasses.
+VALUE_TYPES = [
+    ("ModelId", (_TAGGED.label, _TAGGED.tags), "ModelId(label='a', tags={'fs': 'click'})"),
+    ("PerformanceMatrix", (("d0", "d1"), _MODELS, ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)), cdranks.Direction.MAXIMIZE),
+     f"PerformanceMatrix(datasets=('d0', 'd1'), models={_MODELS_REPR}, values=((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)), "
+     "direction=<Direction.MAXIMIZE: 'maximize'>)"),
+    ("AverageRanks", ((2, 4, 6),), "AverageRanks(r=(1.0, 2.0, 3.0))"),
+    ("FriedmanResult", (4.0, 2, 0.135, 0.05, False, cdranks.Variant.FRIEDMAN, None),
+     "FriedmanResult(statistic=4.0, df=2, p_value=0.135, alpha=0.05, reject_null=False, "
+     "variant=<Variant.FRIEDMAN: 'friedman'>, df2=None)"),
+    ("NemenyiResult", (1.5, ((False, True), (True, False)), ((0,), (1,))),
+     "NemenyiResult(cd=1.5, significant=((False, True), (True, False)), groups=((0,), (1,)))"),
+    ("ExperimentManifest", ("accuracy", cdranks.Direction.MAXIMIZE, _MODELS, 0.05),
+     f"ExperimentManifest(metric_name='accuracy', direction=<Direction.MAXIMIZE: 'maximize'>, models={_MODELS_REPR}, "
+     "alpha=0.05)"),
+    ("TagSummary", ("click", ("a",), 1.5, 1.0, False, ()),
+     "TagSummary(tag_value='click', members=('a',), mean_rank=1.5, best_rank=1.0, fully_separated=False, "
+     "separated_from=())"),
+    ("RenderOptions", (640,), "RenderOptions(width_px=640)"),
+    ("DiagramEntry", ("a", 1.5, "left", 0), "DiagramEntry(label='a', rank=1.5, side='left', row=0)"),
+    ("DiagramBar", (1.0, 2.0, 0), "DiagramBar(rank_lo=1.0, rank_hi=2.0, level=0)"),
+    ("DiagramSpec", (3, 1.2, (_ENTRY,), (_BAR,)),
+     "DiagramSpec(k=3, cd=1.2, entries=(DiagramEntry(label='a', rank=1.5, side='left', row=0),), "
+     "bars=(DiagramBar(rank_lo=1.0, rank_hi=2.0, level=0),))"),
+    ("SimConfig", (5, 3, (0.0, 0.5, 0.0), 1.0, 10, 7, 0.05), _CONFIG_REPR),
+    ("Type1Estimate", (_CONFIG, 1, 0.1, 0.01, 0.4),
+     f"Type1Estimate(config={_CONFIG_REPR}, rejections=1, rejection_rate=0.1, ci_low=0.01, ci_high=0.4)"),
+    ("PowerEstimate", (_CONFIG, 1.5, 2, 0.2, 0.05, 0.5, _DETECTION),
+     f"PowerEstimate(config={_CONFIG_REPR}, cd=1.5, omnibus_rejections=2, omnibus_rate=0.2, ci_low=0.05, "
+     f"ci_high=0.5, pairwise_detection={_DETECTION!r})"),
+]
+DEFAULTS = {
+    "ModelId": {"tags": {}},
+    "PerformanceMatrix": {"direction": cdranks.Direction.MAXIMIZE},
+    "FriedmanResult": {"df2": None},
+    "ExperimentManifest": {"alpha": 0.05},
+    "RenderOptions": {"width_px": 800},
+    "SimConfig": {"alpha": 0.05},
+}
+
+
+def _hash_or_type_error(value):
+    try:
+        return hash(value)
+    except TypeError:  # a field holds a dict, as ModelId.tags does
+        return TypeError
+
+
+class TestValueTypes:
+    """The frozen value types keep what they had as frozen dataclasses, without ``dataclasses``."""
+
+    def test_every_value_type_is_listed(self):
+        classes = {name for name in EXPORTS if isinstance(getattr(cdranks, name), type)}
+        records = {name for name in classes if hasattr(getattr(cdranks, name), "_fields")}
+        assert sorted(records) == sorted(name for name, _, _ in VALUE_TYPES)
+        assert all(len(getattr(cdranks, name)._fields) == len(values) for name, values, _ in VALUE_TYPES)
+
+    @pytest.mark.parametrize("name, values, shown", VALUE_TYPES, ids=[row[0] for row in VALUE_TYPES])
+    def test_contract(self, name, values, shown):
+        cls = getattr(cdranks, name)
+        keywords = dict(zip(cls._fields, values))
+        value = cls(*values)
+        assert repr(value) == shown
+        assert cls(**keywords) == value
+        assert _hash_or_type_error(cls(**keywords)) == _hash_or_type_error(value)
+        assert _hash_or_type_error(value) == _hash_or_type_error(tuple(keywords.values()))
+        assert value.__eq__(tuple(keywords.values())) is NotImplemented and value != object()
+        defaults = DEFAULTS.get(name, {})
+        assert cls(**{f: v for f, v in keywords.items() if f not in defaults}) == cls(**keywords | defaults)
+        for field in cls._fields:
+            if field not in defaults:
+                with pytest.raises(TypeError, match=rf"^{name}\(\) takes {', '.join(cls._fields)}, each once: "):
+                    cls(**{f: v for f, v in keywords.items() if f != field})
+        # an extra positional, an unknown keyword, and the first field twice
+        for args, extra in (((*values, None), {}), (values, {"bogus": None}), (values[:1], keywords)):
+            with pytest.raises(TypeError, match=rf"^{name}\(\) takes {', '.join(cls._fields)}, each once: "):
+                cls(*args, **extra)
+        for field in (*cls._fields, "bogus"):
+            with pytest.raises(AttributeError, match=rf"^{name} is frozen: cannot set or delete {field!r}$"):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError, match=rf"^{name} is frozen: cannot set or delete {field!r}$"):
+                delattr(value, field)
+        assert repr(value) == shown  # the refused writes changed nothing
+        copy = pickle.loads(pickle.dumps(value))
+        assert (type(copy), copy, repr(copy)) == (cls, value, shown)
+
+    def test_average_ranks_derives_r_outside_the_fields(self):
+        ranks = cdranks.AverageRanks(sums=[2, 4, 6])
+        assert (ranks._fields, ranks.sums, ranks.r) == (("sums",), (2, 4, 6), (1.0, 2.0, 3.0))
+        with pytest.raises(TypeError, match=r"^AverageRanks\(\) takes sums, each once: got 1 by position and r by"):
+            cdranks.AverageRanks((2, 4, 6), r=(1.0, 2.0, 3.0))
+
+    def test_default_tags_are_copied(self):
+        first, second = cdranks.ModelId("a"), cdranks.ModelId("b")
+        first.tags["k"] = "v"
+        assert (second.tags, cdranks.ModelId("c").tags) == ({}, {})
 
 
 class TestCheckInt:
