@@ -46,9 +46,15 @@ def _checked(convert, check, *args):
         try:
             value = convert(text)
             check_number(text)
-        except (ValidationError, ValueError) as exc:
-            if isinstance(exc, ValidationError) and convert is int and text.isascii() and "_" not in text:
-                raise argparse.ArgumentTypeError(str(exc)) from None  # an int that float() overflows
+        except (ValidationError, ValueError):
+            digits = text.strip(" \t\n\v\f\r")  # the whitespace int() and float() skip
+            digits = digits[1:] if digits[:1] in ("+", "-") else digits
+            # an integer that float() overflows; int() refuses one past sys.get_int_max_str_digits()
+            if convert is int and text.isascii() and digits.isdigit():
+                try:
+                    check_number(text)
+                except ValidationError as exc:
+                    raise argparse.ArgumentTypeError(str(exc)) from None
             value = text
         try:
             return check(value, *args)

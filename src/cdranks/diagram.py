@@ -124,6 +124,15 @@ def _px(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _element(tag: str, cls: str, text: str | None = None, **attrs) -> str:
+    """One SVG element: ``tag``, ``class``, then ``attrs`` in order (``_`` in a name becomes ``-``, a number
+    goes through ``_px``, text goes in as it is), then an escaped ``text`` body, or else the self-closing form."""
+    head = f'<{tag} class="{cls}"'
+    for name, value in attrs.items():
+        head += f' {name.replace("_", "-")}="{value if isinstance(value, str) else _px(value)}"'
+    return f"{head}/>" if text is None else f"{head}>{_escape(text)}</{tag}>"
+
+
 def render_svg(
     spec: DiagramSpec,
     opts: RenderOptions = RenderOptions(),
@@ -181,38 +190,21 @@ def render_svg(
         raise ValidationError(
             f"cd {spec.cd!r} is too large to draw: no CD of k={spec.k} models exceeds 4 (k - 1)"
         )
-    out.append(
-        f'<path class="cd-bracket" fill="none" stroke="black" '
-        f'd="M {_px(bx0)} {_px(y_bracket + 4)} L {_px(bx0)} {_px(y_bracket)} '
-        f'L {_px(bx1)} {_px(y_bracket)} L {_px(bx1)} {_px(y_bracket + 4)}"/>'
-    )
-    out.append(
-        f'<text class="cd-label" x="{_px((bx0 + bx1) / 2)}" y="{_px(y_cd_text)}" '
-        f'text-anchor="middle">CD</text>'
-    )
+    cd_path = f"M {_px(bx0)} {_px(y_bracket + 4)} L {_px(bx0)} {_px(y_bracket)} "
+    cd_path += f"L {_px(bx1)} {_px(y_bracket)} L {_px(bx1)} {_px(y_bracket + 4)}"
+    out.append(_element("path", "cd-bracket", fill="none", stroke="black", d=cd_path))
+    out.append(_element("text", "cd-label", "CD", x=(bx0 + bx1) / 2, y=y_cd_text, text_anchor="middle"))
 
-    out.append(
-        f'<line class="axis" stroke="black" x1="{_px(x0)}" y1="{_px(y_axis)}" '
-        f'x2="{_px(x1)}" y2="{_px(y_axis)}"/>'
-    )
+    out.append(_element("line", "axis", stroke="black", x1=x0, y1=y_axis, x2=x1, y2=y_axis))
     for t in range(1, spec.k + 1):
         tx = x_at(t)
-        out.append(
-            f'<line class="tick" stroke="black" x1="{_px(tx)}" y1="{_px(y_axis)}" '
-            f'x2="{_px(tx)}" y2="{_px(y_axis - 5)}"/>'
-        )
-        out.append(
-            f'<text class="tick-label" x="{_px(tx)}" y="{_px(y_tick_label)}" '
-            f'text-anchor="middle">{t}</text>'
-        )
+        out.append(_element("line", "tick", stroke="black", x1=tx, y1=y_axis, x2=tx, y2=y_axis - 5))
+        out.append(_element("text", "tick-label", str(t), x=tx, y=y_tick_label, text_anchor="middle"))
 
     for bar in spec.bars:
         by = bars_top + bar.level * bar_gap
-        out.append(
-            f'<line class="bar" stroke="black" stroke-width="4" '
-            f'x1="{_px(x_at(bar.rank_lo))}" y1="{_px(by)}" '
-            f'x2="{_px(x_at(bar.rank_hi))}" y2="{_px(by)}"/>'
-        )
+        out.append(_element("line", "bar", stroke="black", stroke_width="4",
+                            x1=x_at(bar.rank_lo), y1=by, x2=x_at(bar.rank_hi), y2=by))
 
     for e in spec.entries:
         sx = x_at(e.rank)
@@ -221,21 +213,14 @@ def render_svg(
             gx, tx, anchor = x0 - 4, x0 - 8, "end"
         else:
             gx, tx, anchor = x1 + 4, x1 + 8, "start"
-        out.append(
-            f'<path class="stem" fill="none" stroke="black" '
-            f'd="M {_px(sx)} {_px(y_axis)} L {_px(sx)} {_px(ry)} L {_px(gx)} {_px(ry)}"/>'
-        )
+        stem = f"M {_px(sx)} {_px(y_axis)} L {_px(sx)} {_px(ry)} L {_px(gx)} {_px(ry)}"
+        out.append(_element("path", "stem", fill="none", stroke="black", d=stem))
         text = f"{e.label} ({e.rank:.{_RANK_DECIMALS}f})"
-        out.append(
-            f'<text class="label" x="{_px(tx)}" y="{_px(ry + 0.35 * fs)}" '
-            f'text-anchor="{anchor}">{_escape(text)}</text>'
-        )
+        out.append(_element("text", "label", text, x=tx, y=ry + 0.35 * fs, text_anchor=anchor))
 
     if annotation is not None:
-        out.append(
-            f'<text class="annotation" x="{_px(w / 2)}" y="{_px(height - pad)}" '
-            f'text-anchor="middle" font-style="italic">{_escape(annotation)}</text>'
-        )
+        out.append(_element("text", "annotation", annotation, x=w / 2, y=height - pad, text_anchor="middle",
+                            font_style="italic"))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -96,8 +96,15 @@ def _is_blank(row: Sequence[str]) -> bool:
 
 
 def _header(reader):
-    """The first row of ``reader`` that is not blank, or None: the one rule that finds a CSV's header."""
-    return next((row for row in reader if not _is_blank(row)), None)
+    """The first row of ``reader`` that is not blank, or None: the one rule that finds a CSV's header.
+    A header whose first field is empty after ``strip`` starts with a row index: a ValidationError."""
+    header = next((row for row in reader if not _is_blank(row)), None)
+    if header is not None and not header[0].strip():
+        raise ValidationError(
+            f"line {reader.line_num}: the first column has no name: pandas to_csv and R write.csv write a row "
+            "index there; write the file without it (index=False in pandas, row.names=FALSE in R)"
+        )
+    return header
 
 
 def _is_long_header(row: Sequence[str]) -> bool:
@@ -106,7 +113,8 @@ def _is_long_header(row: Sequence[str]) -> bool:
 
 def _detect_format(source) -> tuple:
     """The input layout, "long" if the header (the first row that is not blank) passes parse_long_csv's
-    header check, else "wide", and ``source`` again as an iterator of chunks: those read, then the rest."""
+    header check, else "wide", and ``source`` again as an iterator of chunks: those read, then the rest.
+    A header that ``_header`` refuses is its ValidationError, before either layout is chosen."""
     chunks, head = iter((source,) if isinstance(source, str) else source), []
     try:  # the reader records in head each chunk it takes
         header = _header(_csv_reader(head.append(chunk) or chunk for chunk in chunks)) or []

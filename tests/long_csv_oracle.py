@@ -2,10 +2,11 @@
 
 ``cdranks.ingest.parse_long_csv`` records well-formed rows on a fast path and
 sends every other row through the full checks.  This is the straightforward
-loop it replaced, kept verbatim but for one rule added since (blank rows
-before the header are skipped, and a bad header is named by its own line),
-so a differential test can demand the same fold table or the same error
-message for any input.  It is not part of the package and is imported only
+loop it replaced, kept verbatim but for two rules added since: blank rows
+before the header are skipped, and a bad header is named by its own line;
+a header whose first field is empty starts with a row index and gets its
+own message.  So a differential test can demand the same fold table or the
+same error message for any input.  It is not part of the package and is imported only
 by the test suite.
 """
 
@@ -68,6 +69,11 @@ def parse_long_csv(text: str) -> dict:
     line, header = next(((line, row) for line, row in reader if not _is_blank(row)), (0, None))
     if header is None:
         raise ValidationError("empty document: expected header 'dataset,model,fold,value'")
+    if not header[0].strip():
+        raise ValidationError(
+            f"line {line}: the first column has no name: pandas to_csv and R write.csv write a row index "
+            "there; write the file without it (index=False in pandas, row.names=FALSE in R)"
+        )
     if tuple(h.strip() for h in header) != LONG_HEADER:
         raise ValidationError(
             f"line {line}: header must be 'dataset,model,fold,value', got {','.join(header)!r}"

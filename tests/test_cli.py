@@ -285,6 +285,27 @@ class TestAnalyze:
         assert expected[0] == 0
         assert run(capsys, "analyze", str(led), "--manifest", MANIFEST) == expected
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ",dataset,model,fold,value\n0,d1,a,0,0.5\n",
+            '"","dataset","model","fold","value"\n"1","d1","a","0",0.5\n',
+            ",dataset,a,b,c\n0,d1,0.5,0.4,0.3\n",
+            '"","dataset","a","b","c"\n"1","d1",0.5,0.4,0.3\n',
+        ],
+        ids=["pandas_long", "r_long", "pandas_wide", "r_wide"],
+    )
+    def test_row_index_column_exits_2_with_its_own_message(self, capsys, tmp_path, text):
+        # as pandas df.to_csv(path) and R write.csv(df, path) write a row index: a first column headed ''
+        path = tmp_path / "indexed.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", str(path), "--manifest", write_manifest(tmp_path, *"abc"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: line 1: the first column has no name: pandas to_csv and R write.csv write a row index there; "
+            "write the file without it (index=False in pandas, row.names=FALSE in R)\n"
+        )
+
     def test_first_cell_without_a_finite_mean_in_matrix_order_is_named(self, capsys, tmp_path):
         # d2's rows come first, and its cell a overflows; so does d1's cell c, which the matrix reaches first
         rows = [f"{d},{m},{f},{'1e308' if (d, m) in (('d2', 'a'), ('d1', 'c')) else 0.5}"
@@ -1345,11 +1366,20 @@ class TestParser:
     def test_integer_past_the_float_range_is_named_an_overflow(self, capsys, flag, sign):
         argv = ["diagram", REPORT] if flag == "--width" else ["simulate", "--n", "10", "--k", "3"]
         digits = "1" + "0" * 309
-        for text, message in (
-            (sign + digits, f"value {sign + digits!r} overflows to non-finite"),
+        past_int_limit = "9" * 5000  # int() refuses it: it has more than sys.get_int_max_str_digits() digits
+        own = f"value must be an integer >= {int(flag != '--seed')}, got "
+        for text, overflows in (
+            (sign + digits, True),
+            (sign + past_int_limit, True),
+            # int() and float() skip this whitespace, so the text is still an integer past the float range
+            (" " + sign + past_int_limit + "\n", True),
             # not an int to check_number, so the message stays the flag's own
-            (sign + "1_" + digits, f"value must be an integer >= {int(flag != '--seed')}, got {sign + '1_' + digits!r}"),
+            (sign + "1_" + digits, False),
+            # two signs, or a separator character that str.strip() would remove but int() does not skip
+            ("+-" + past_int_limit, False),
+            ("\x1c" + past_int_limit, False),
         ):
+            message = f"value {text!r} overflows to non-finite" if overflows else own + repr(text)
             with pytest.raises(SystemExit) as exc:
                 main([*argv, f"{flag}={text}"])  # a leading - would read as an option
             out, err = capsys.readouterr()

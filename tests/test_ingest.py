@@ -374,19 +374,34 @@ def header_texts(draw):
     return ",".join(form.format(name) for form, name in zip(forms, names)) + end + row
 
 
+INDEX_COLUMN = (
+    "line 2: the first column has no name: pandas to_csv and R write.csv write a row index there; "
+    "write the file without it (index=False in pandas, row.names=FALSE in R)"
+)
+_HEADER_REJECTION = re.compile(r"empty document|line \d+: (header must be|the first column has no name)")
+
+
 def _passes_long_header_check(text):
     try:
         parse_long_csv(text)
     except ValidationError as exc:
-        return not re.match(r"empty document|line \d+: header must be", str(exc))
+        return not _HEADER_REJECTION.match(str(exc))
     return True
+
+
+def _detected_as_long(text):
+    try:
+        return _detect_format(text)[0] == "long"
+    except ValidationError as exc:  # a row index: the header rule refuses it before any layout is chosen
+        assert _HEADER_REJECTION.match(str(exc))
+        return False
 
 
 class TestFormatDetection:
     @settings(max_examples=200, deadline=None)
     @given(header_texts())
     def test_detection_and_long_parser_share_one_header_rule(self, text):
-        assert (_detect_format(text)[0] == "long") == _passes_long_header_check(text)
+        assert _detected_as_long(text) == _passes_long_header_check(text)
 
     @pytest.mark.parametrize(
         "parse, text, message",
@@ -398,8 +413,16 @@ class TestFormatDetection:
             (parse_wide_csv, "\ndataset,a,a\n", "line 2: duplicate model column(s): a"),
             (parse_long_csv, "\n ,\n", "empty document: expected header 'dataset,model,fold,value'"),
             (parse_wide_csv, ",,,\r\n", "empty document: expected header 'dataset,<model labels...>'"),
+            # a row index as pandas df.to_csv(path) and R write.csv(df, path) write one: a first column headed ''
+            (parse_long_csv, "\n,dataset,model,fold,value\n0,d1,a,0,0.5\n", INDEX_COLUMN),
+            (parse_long_csv, '\n"","dataset","model","fold","value"\n"1","d1","a","0",0.5\n', INDEX_COLUMN),
+            (parse_wide_csv, "\n,dataset,a,b\n0,d1,0.5,0.4\n", INDEX_COLUMN),
+            (parse_wide_csv, '\n"","dataset","a","b"\n"1","d1",0.5,0.4\n', INDEX_COLUMN),
+            (parse_long_csv, "\n ,dataset,a,b\n0,d1,0.5,0.4\n", INDEX_COLUMN),
         ],
-        ids=["long", "long_quoted", "wide", "wide_empty_label", "wide_duplicate", "long_blank_only", "wide_blank_only"],
+        ids=["long", "long_quoted", "wide", "wide_empty_label", "wide_duplicate", "long_blank_only",
+             "wide_blank_only", "long_pandas_index", "long_r_index", "wide_pandas_index", "wide_r_index",
+             "wide_index_to_long_parser"],
     )
     def test_header_error_names_the_header_line(self, parse, text, message):
         # the header's last physical line, as for any other row

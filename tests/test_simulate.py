@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from pathlib import Path
 
+import calibration
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -611,3 +613,10 @@ class TestRejectThreshold:
         cfg = config(n=n, k=k, trials=60, seed=seed, alpha=alpha)
         rejections, _ = _per_trial_counts(cfg)
         assert estimate_type1(cfg).rejections == rejections
+
+
+class TestCalibrationTable:
+    def test_readme_table_is_the_runner_output(self):
+        # tests/calibration.py at its documented trials and seed, byte for byte
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert calibration.table() in readme
