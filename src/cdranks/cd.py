@@ -82,7 +82,7 @@ def check_average_ranks(r: list) -> None:
 def rank_list(ranks) -> tuple:
     """AverageRanks, a sequence or a 1-d array of at least two finite ranks, as a tuple of floats."""
     message = "need a 1-d vector of at least two ranks"
-    r = check_reals(ranks, message)
+    r = tuple(check_reals(ranks, message))
     if len(r) < 2:
         raise ValidationError(message)
     if not all(map(math.isfinite, r)):

@@ -25,6 +25,9 @@ input formats:
              each (dataset, model) pair are averaged into one matrix cell
   wide CSV   header: dataset,<model label>,...,<model label>
              one pre-aggregated row per dataset
+  header     the first row that is not blank: blank rows (empty, or only whitespace
+             and commas) are skipped before it as after it; a header whose first
+             field is empty (a pandas or R row index) is refused
   manifest   JSON object:
              {"metric_name": "accuracy",
               "direction": "maximize" | "minimize",
@@ -43,18 +46,16 @@ def _checked(convert, check, *args):
     """An argparse type: ``check`` the text, converted if ``convert`` and ``check_number`` pass."""
 
     def parse(text: str):
+        digits = text.strip(" \t\n\v\f\r")  # the whitespace int() and float() skip
+        sign, digits = (digits[:1], digits[1:]) if digits[:1] in ("+", "-") else ("", digits)
+        integer = convert is int and text.isascii() and digits.isdigit()
         try:
-            value = convert(text)
             check_number(text)
-        except (ValidationError, ValueError):
-            digits = text.strip(" \t\n\v\f\r")  # the whitespace int() and float() skip
-            digits = digits[1:] if digits[:1] in ("+", "-") else digits
-            # an integer that float() overflows; int() refuses one past sys.get_int_max_str_digits()
-            if convert is int and text.isascii() and digits.isdigit():
-                try:
-                    check_number(text)
-                except ValidationError as exc:
-                    raise argparse.ArgumentTypeError(str(exc)) from None
+            # int() refuses text past sys.get_int_max_str_digits(), leading zeros counted
+            value = int(sign + (digits.lstrip("0") or "0")) if integer else convert(text)
+        except (ValidationError, ValueError) as exc:
+            if integer:  # an integer past the float range
+                raise argparse.ArgumentTypeError(str(exc)) from None
             value = text
         try:
             return check(value, *args)
@@ -87,7 +88,7 @@ def _effect(text: str) -> tuple:
         raise argparse.ArgumentTypeError(message) from None
 
 
-_READ_BYTES = 1 << 16  # per read of an input file or stdin
+_READ_BYTES = 1 << 14  # per read of an input file or stdin
 
 
 def _read(path: str):

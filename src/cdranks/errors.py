@@ -169,20 +169,20 @@ def check_number(text: str) -> float:
     raise ValidationError(f"non-numeric value {text!r}")
 
 
-def check_reals(values, message: str) -> tuple:
+def check_reals(values, message: str) -> list:
     """The one rule for a vector of reals: neither it nor an entry is text, no entry is a bool
-    (numpy's too), and ``float()`` takes every entry.  Returns the floats; else ValidationError(message).
+    (numpy's too), and ``float()`` takes every entry.  The floats, as a list; else ValidationError(message).
     """
     try:
-        # Text is one text entry, which the entry rule refuses.  A list, not a tuple: CPython
-        # keeps up to 2000 freed tuples of each length <= 20, so tuple copies would hold memory.
+        # Text is one text entry, which the entry rule refuses.  Lists, not tuples: CPython 3.11 keeps up to
+        # 2000 freed tuples of each length <= 20, and never reuses those of length 20, so they hold memory.
         entries = [values] if isinstance(values, (str, bytes)) else list(values)
         # numpy's bool (bool_ before numpy 2) is no bool subclass, and analyze loads no numpy
         if not any(
             issubclass(t, (str, bytes, bool)) or t.__module__ == "numpy" and t.__name__ in ("bool", "bool_")
             for t in set(map(type, entries))
         ):
-            return tuple(map(float, entries))
+            return list(map(float, entries))
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValidationError(message)

@@ -35,7 +35,7 @@ from .ranks import AverageRanks, Direction, ModelId, PerformanceMatrix
 LONG_HEADER = ("dataset", "model", "fold", "value")
 
 # The least number of characters _csv_reader copies into one StringIO.
-_SLICE_CHARS = 1 << 16
+_SLICE_CHARS = 1 << 14
 _LINE_END = re.compile(r"\n|\r(?=[^\n])")
 
 
@@ -390,7 +390,7 @@ def apply_manifest(matrix: PerformanceMatrix, manifest: ExperimentManifest) -> P
     return PerformanceMatrix(
         datasets=matrix.datasets,
         models=manifest.models,
-        values=[[row[j] for j in order] for row in matrix.values],
+        values=([row[j] for j in order] for row in matrix.rows()),
         direction=manifest.direction,
     )
 

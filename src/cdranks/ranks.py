@@ -54,55 +54,70 @@ class PerformanceMatrix(_Record):
 
     Invariants enforced at construction: at least one dataset row, at least
     three model columns, every cell finite, unique dataset ids and model
-    labels.  ``values`` may be any N x k nested sequence of reals, a numpy
-    array included; it is stored as a tuple of row tuples of floats, so
-    instances are immutable and safe to share across threads.
+    labels.  ``values`` may be any N x k nested sequence of reals, a numpy array
+    included; it is stored as one row-major ``array('d')`` behind a read-only 1-D
+    memoryview (:meth:`rows` yields its rows): immutable, safe to share, unhashable.
     """
 
     datasets: tuple
     models: tuple
-    values: tuple
+    values: memoryview
     direction: Direction = Direction.MAXIMIZE
+    __hash__ = None  # a memoryview of floats is unhashable
 
     def __post_init__(self):
-        datasets = tuple(self.datasets)
-        models = tuple(self.models)
+        from array import array  # here: simulate loads this module but builds no matrix
+
+        datasets, models = tuple(self.datasets), tuple(self.models)
         message = "values must be a 2-dimensional block of reals"
+        values, n, bad = array("d"), 0, None  # bad: the first non-finite cell's (row, column)
         try:
-            values = tuple(check_reals(row, message) for row in self.values)
+            for n, row in enumerate(self.values, 1):
+                row = check_reals(row, message)
+                if bad is None and not all(map(math.isfinite, row)):
+                    bad = n - 1, next(j for j, v in enumerate(row) if not math.isfinite(v))
+                values.extend(row)
+                if len(values) != n * len(row):  # a row of another length than those before it
+                    raise ValidationError(message)
         except TypeError:  # values is not iterable
-            values = None
-        if values is None or len(set(map(len, values))) > 1:
-            raise ValidationError(message)
+            raise ValidationError(message) from None
         direction = Direction.parse(self.direction)
 
-        n = len(values)
         if len(datasets) != n:
             raise ValidationError(f"{len(datasets)} dataset ids for {n} rows")
         if n < 1:
             raise ValidationError("at least one dataset row is required")
-        k = len(values[0])
+        k = len(values) // n
         if len(models) != k:
             raise ValidationError(f"{len(models)} models for {k} columns")
         check_models(k)
         check_unique(datasets, "duplicate dataset id(s)")
         labels = [m.label for m in models]
         check_unique(labels, "duplicate model label(s)")
-        for i, row in enumerate(values):
-            if not all(map(math.isfinite, row)):
-                j = next(j for j, v in enumerate(row) if not math.isfinite(v))
-                raise ValidationError(
-                    f"non-finite value at dataset {datasets[i]!r}, model {labels[j]!r}"
-                )
+        if bad is not None:
+            raise ValidationError(f"non-finite value at dataset {datasets[bad[0]]!r}, model {labels[bad[1]]!r}")
 
         object.__setattr__(self, "datasets", datasets)
         object.__setattr__(self, "models", models)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", memoryview(values).toreadonly())
         object.__setattr__(self, "direction", direction)
+
+    def rows(self):
+        """Each dataset's row of ``values``, in order, as a read-only memoryview of k floats."""
+        k = len(self.models)
+        return (self.values[i : i + k] for i in range(0, len(self.values), k))
+
+    def __repr__(self) -> str:  # the values as nested tuples of rows
+        values = tuple(tuple(row.tolist()) for row in self.rows())
+        return (f"PerformanceMatrix(datasets={self.datasets!r}, models={self.models!r}, values={values!r}, "
+                f"direction={self.direction!r})")
+
+    def __reduce__(self):  # a memoryview cannot be pickled: rebuild from the rows as lists
+        return type(self), (self.datasets, self.models, [row.tolist() for row in self.rows()], self.direction)
 
     @property
     def n_datasets(self) -> int:
-        return len(self.values)
+        return len(self.datasets)
 
     @property
     def k(self) -> int:
@@ -164,5 +179,7 @@ def average_ranks(m: PerformanceMatrix) -> AverageRanks:
 
     The exact doubled rank sums are counted here; AverageRanks divides each by 2N.
     """
-    rows = (doubled_ranks(row, m.direction) for row in m.values)
-    return AverageRanks(tuple(map(sum, zip(*rows))))
+    sums = [0] * m.k
+    for row in m.rows():  # one row's ranks at a time, over a list: a read from the buffer boxes a float
+        sums = [s + r for s, r in zip(sums, doubled_ranks(row.tolist(), m.direction))]
+    return AverageRanks(sums)

@@ -70,7 +70,7 @@ class SimConfig(_Record):
                 f"N={shown(n)}, k={shown(k)} unsupported: the kernel needs N^2 k(k^2-1) < 2^63"
             )
         check_int(self.seed, "seed", 0, 2**64)
-        effect = check_reals(self.effect, "effect must be a vector of reals")
+        effect = tuple(check_reals(self.effect, "effect must be a vector of reals"))
         if len(effect) != k:
             raise ValidationError(f"effect vector has {len(effect)} entries for {k} models")
         if not all(math.isfinite(e) for e in effect):

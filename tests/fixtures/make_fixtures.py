@@ -82,7 +82,7 @@ def build_csv() -> str:
 
 def check_planted_structure(csv_text: str) -> None:
     matrix = parse_wide_csv(csv_text)
-    doubled = [doubled_ranks(row, "maximize") for row in matrix.values]
+    doubled = [doubled_ranks(row.tolist(), "maximize") for row in matrix.rows()]
     avg = average_ranks(matrix).r
     cd = nemenyi_cd(len(MODELS), N_DATASETS, 0.05)
     click, rest = avg[:2], avg[2:]

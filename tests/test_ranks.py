@@ -1,5 +1,9 @@
 """Matrix construction, per-row ranking, and average ranks."""
 
+import gc
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -162,6 +166,15 @@ class TestStackedAverageRanks:
             stacked_average_ranks(blocks, "maximize")
 
 
+@st.composite
+def performance_blocks(draw):
+    """Tied blocks from integers(0, 3) or untied standard normals, N in 1..20, k in 3..8."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(3, 8)))
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
 class TestPerformanceMatrix:
     def test_two_models_rejected(self):
         with pytest.raises(UnsupportedDesignError):
@@ -212,9 +225,43 @@ class TestPerformanceMatrix:
             )
 
     def test_values_read_only(self):
-        m = matrix([[1.0, 2.0, 3.0]])
+        m = matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         with pytest.raises(TypeError):
             m.values[0][0] = 9.0
+        with pytest.raises(TypeError):
+            m.values[0] = 9.0
+        with pytest.raises(TypeError):
+            m.values[3:] = m.values[:3]
+        with pytest.raises(TypeError):
+            next(m.rows())[0] = 9.0
+        assert m.values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(TypeError, match="^unhashable type: 'PerformanceMatrix'$"):
+            hash(m)  # as its float buffer is; the buffer's own hash raises ValueError
+
+    @given(performance_blocks(), st.sampled_from(["maximize", "minimize"]))
+    def test_rows_round_trip(self, values, direction):
+        m = matrix(values, direction)
+        assert [row.tolist() for row in m.rows()] == values.tolist()
+        assert m.values.tolist() == values.ravel().tolist() and m.n_datasets == len(values)
+        again = pickle.loads(pickle.dumps(m))
+        assert (again, repr(again)) == (m, repr(m))
+        assert f"values={tuple(map(tuple, values.tolist()))!r}, direction=" in repr(m)
+        assert PerformanceMatrix(m.datasets, m.models, list(m.rows()), m.direction) == m
+
+    def test_holds_one_float_buffer(self):
+        # rows of new floats, one at a time, as aggregate_folds passes them: at most 10 B per cell plus
+        # 100 B per row (floats in row tuples take ≈34 B per cell)
+        n, k = 1000, 20
+        datasets, models = tuple(f"d{i}" for i in range(n)), tuple(ModelId(f"m{j}") for j in range(k))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = PerformanceMatrix(datasets, models, ([(i * k + j) / 7 for j in range(k)] for i in range(n)))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 10 * n * k + 100 * n, held
+        assert m.values[-1] == (n * k - 1) / 7
 
     def test_labels_property(self):
         assert matrix([[1.0, 2.0, 3.0]]).labels == ("m0", "m1", "m2")
@@ -277,15 +324,6 @@ class TestRankTypes:
         r = AverageRanks([6, 12, 18])
         assert len(r) == 3 and r.sums == (6, 12, 18)
         assert r[2] == 3.0
-
-
-@st.composite
-def performance_blocks(draw):
-    """Tied blocks from integers(0, 3) or untied standard normals, N in 1..20, k in 3..8."""
-    shape = (draw(st.integers(1, 20)), draw(st.integers(3, 8)))
-    if draw(st.booleans()):
-        return draw(hnp.arrays(np.int64, shape, elements=st.integers(0, 3))).astype(float)
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
 
 
 class TestAverageRanks:

@@ -194,7 +194,7 @@ class TestGenerateMatrix:
             key = np.array([cfg.seed, t], dtype=np.uint64)
             noise = np.random.Generator(np.random.Philox(key=key)).standard_normal((6, 4))
             expected = np.asarray(cfg.effect) + cfg.noise_sd * noise
-            assert np.array_equal(generate_matrix(cfg, t).values, expected)
+            assert np.array_equal(list(generate_matrix(cfg, t).rows()), expected)
 
     def test_kernel_blocks_draw_the_per_trial_streams(self, monkeypatch):
         # trials 60..139 at N=31, k=8 make a 66-trial block from a nonzero start
@@ -212,7 +212,7 @@ class TestGenerateMatrix:
 
     def test_shape_and_naming(self):
         m = generate_matrix(config(n=4, k=5), 0)
-        assert np.shape(m.values) == (4, 5)
+        assert np.shape(list(m.rows())) == (4, 5)
         assert m.datasets[0] == "dataset_001"
         assert m.labels == tuple(f"model_{j:02d}" for j in range(1, 6))
 
@@ -228,8 +228,7 @@ class TestGenerateMatrix:
     def test_no_ties_within_rows_under_null(self):
         cfg = config(n=50, k=8, trials=20)
         for t in range(20):
-            values = generate_matrix(cfg, t).values
-            for row in values:
+            for row in generate_matrix(cfg, t).rows():
                 assert len(set(row)) == len(row)
 
     def test_effect_dominates_when_noise_vanishes(self):
@@ -484,7 +483,7 @@ class TestIntegerKernel:
     def test_tied_null_matches_per_trial_pipeline(self, monkeypatch, rounded_draws, alpha):
         cfg = config(n=31, k=8, trials=259, seed=47, alpha=alpha)
         assert_crosses_chunks(monkeypatch, cfg)
-        assert len(set(generate_matrix(cfg, 0).values[0])) < 8
+        assert len(set(next(generate_matrix(cfg, 0).rows()))) < 8
         rejections, _ = _per_trial_counts(cfg)
         assert 0 < rejections < cfg.trials
         assert _run_trials(cfg, 1)[0] == rejections
@@ -507,7 +506,7 @@ class TestIntegerKernel:
             request.getfixturevalue("rounded_draws")
         cfg = config(n=10, k=64, trials=30, seed=59, alpha=0.5)
         assert_crosses_chunks(monkeypatch, cfg)
-        assert (len(set(generate_matrix(cfg, 0).values[0])) < 64) == tied
+        assert (len(set(next(generate_matrix(cfg, 0).rows()))) < 64) == tied
         assert simulate.doubled_midranks(np.zeros((1, 64))).dtype == np.int16
         rejections, _ = _per_trial_counts(cfg)
         assert 0 < rejections < cfg.trials
