@@ -73,8 +73,8 @@ class _Folds(Mapping):
 
     __slots__ = ("_index", "_scores")
 
-    def __init__(self, index: dict):
-        self._index, self._scores = index, array("d")
+    def __init__(self, index: dict, scores: array):
+        self._index, self._scores = index, scores
 
     def __getitem__(self, fold):
         if (at := self._index[fold]) < len(self._scores):
@@ -89,6 +89,32 @@ class _Folds(Mapping):
 
     def values(self) -> list:
         return self._scores.tolist()
+
+
+class _FoldTable(Mapping):
+    """The read-only fold table ``{(dataset, model): _Folds}`` over ``{dataset: {model: scores}}``.
+
+    ``order`` holds a cell's dataset id per cell in first-seen order; each dataset's
+    dict holds its models in theirs.  A cell's folds index over ``first`` unless
+    ``own`` maps its key to another index.  A lookup builds the cell's view.
+    """
+
+    __slots__ = ("_cells", "_order", "_first", "_own")
+
+    def __init__(self, cells: dict, order: list, first: dict, own: dict):
+        self._cells, self._order, self._first, self._own = cells, order, first, own
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and (models := self._cells.get(key[0])) and key[1] in models:
+            return _Folds(self._own.get(key, self._first), models[key[1]])
+        raise KeyError(key)
+
+    def __iter__(self):
+        models = {dataset: iter(row) for dataset, row in self._cells.items()}
+        return ((dataset, next(models[dataset])) for dataset in self._order)
+
+    def __len__(self) -> int:
+        return len(self._order)
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -183,27 +209,30 @@ def parse_manifest(text: str) -> ExperimentManifest:
     )
 
 
-def parse_long_csv(source) -> dict:
+def parse_long_csv(source) -> Mapping:
     """Parse long-format CSV, a str or an iterable of str chunks: header ``dataset,model,fold,value``.
 
-    Returns the fold table ``{(dataset, model): {fold: value}}``, with cells
-    and folds in first-seen row order, each ``{fold: value}`` a read-only mapping
-    equal to that dict.  Blank rows are skipped, before the header too.  A bad header,
+    Returns the fold table, a read-only mapping equal to the dict
+    ``{(dataset, model): {fold: value}}``, with cells and folds in first-seen row
+    order, each ``{fold: value}`` a read-only mapping equal to that dict.  ``dict()``
+    of it is a plain dict of those.  Blank rows are skipped, before the header too.  A bad header,
     malformed rows, duplicate (dataset, model, fold) triples, and non-numeric values raise
     :class:`ValidationError` naming the offending line, the row's last physical line.
 
     Memory beyond a str ``source`` is the fold table plus one slice of it (see
     :func:`_csv_reader`), and chunks are taken as the rows are parsed, so the
     whole text of a chunked ``source`` is never held.  Each distinct dataset,
-    model or fold id is one shared string.  When a row opens a new cell, the score array
-    of the cell the last row filled is trimmed to its size by one copy, as is the last
-    cell's at the end: no more copies than cells, and 8 bytes per score cell by cell.
+    model or fold id is one shared string.  A cell is its score array in its dataset's
+    dict, with no index of its own while its folds are a prefix of the first fold index.
+    When a row opens a new cell, the score array of the cell the last row filled is
+    trimmed to its size by one copy, as is the last cell's at the end: no more copies
+    than cells, and 8 bytes per score cell by cell.
     """
     reader = _csv_reader(source)
-    cells = {}
-    get, share, index = cells.get, {}.setdefault, {}  # index: the last row's cell's fold index
-    folds = _Folds(index)  # the last row's cell, at first a stand-in that is never stored
-    scores, held_dataset, held_model = folds._scores, None, None  # its scores, raw dataset and model fields
+    cells, order, own, share = {}, [], {}, {}.setdefault  # own: the fold index of each cell off the first
+    index = first = {}  # the last row's cell: its fold index,
+    held_row, key, scores = {}, (None, None), array("d")  # dataset dict, key and scores (at first a stand-in),
+    held_dataset = held_model = None  # and raw dataset and model fields
     try:
         header = _header(reader)
         if header is None:
@@ -219,13 +248,18 @@ def parse_long_csv(source) -> dict:
             if len(row) == 4:
                 dataset, model, fold, raw = row
                 if dataset != held_dataset or model != held_model:  # not the last row's cell
-                    ids = (dataset.strip(), model.strip())
-                    if fold := ids[0] and ids[1] and fold:  # "" if an id is empty: blank or an error
-                        if (cell := get(ids)) is None:  # a new cell: it starts on the last row's fold index,
-                            folds._scores = scores[:]  # and the last row's cell is trimmed to its size
-                            cell = cells[tuple(map(share, ids, ids))] = _Folds(index)
-                        key, folds = ids, cell
-                        index, scores, held_dataset, held_model = folds._index, folds._scores, dataset, model
+                    d, m = dataset.strip(), model.strip()
+                    if fold := d and m and fold:  # "" if an id is empty: blank or an error
+                        # a display, as a freed tuple() of a map (resized) would stay on the free list
+                        ids = d, m = share(d, d), share(m, m)
+                        if (cell := (models := cells.setdefault(d, {})).get(m)) is None:  # a new cell:
+                            held_row[key[1]] = scores[:]  # the last row's cell is trimmed to its size,
+                            cell = models[m] = array("d")
+                            order.append(d)
+                            if index is not first:  # and this one starts on that cell's fold index
+                                own[ids] = index
+                        index = own.get(ids, first)
+                        key, held_row, scores, held_dataset, held_model = ids, models, cell, dataset, model
                 fold = fold.strip()
                 if fold:
                     try:
@@ -240,7 +274,7 @@ def parse_long_csv(source) -> dict:
                                 f"line {reader.line_num}: duplicate record for {(*key, fold)!r}"
                             )
                         if len(index) != n:
-                            index = folds._index = dict(itertools.islice(index.items(), n))
+                            index = own[key] = dict(itertools.islice(index.items(), n))
                         index[share(fold, fold)] = n
                     scores.append(value)
                     continue
@@ -252,8 +286,8 @@ def parse_long_csv(source) -> dict:
             raise ValidationError(f"line {line}: dataset, model, and fold must be non-empty")
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
-    folds._scores = scores[:]
-    return cells
+    held_row[key[1]] = scores[:]
+    return _FoldTable(cells, order, first, own)
 
 
 def parse_wide_csv(source, direction: "str | Direction" = Direction.MAXIMIZE) -> PerformanceMatrix:
@@ -309,7 +343,7 @@ def parse_wide_csv(source, direction: "str | Direction" = Direction.MAXIMIZE) ->
 
 
 def aggregate_folds(
-    cells: dict,
+    cells: Mapping,
     manifest: ExperimentManifest,
     *,
     drop_incomplete: bool = False,
@@ -317,7 +351,7 @@ def aggregate_folds(
     """Average each cell's fold scores into one matrix cell.
 
     ``cells`` is the fold table :func:`parse_long_csv` returns, or any
-    ``{(dataset, model): {fold: value}}`` dict.  Datasets are ordered
+    ``{(dataset, model): {fold: value}}`` mapping.  Datasets are ordered
     lexicographically and models per the manifest.  By default the design
     must be complete: every pair needs at least one fold, otherwise
     :class:`IncompleteDesignError` lists every missing pair.  With

@@ -1,5 +1,6 @@
 """CSV parsing, fold aggregation, manifest handling, tag summaries."""
 
+import gc
 import json
 import math
 import re
@@ -226,7 +227,7 @@ def _outcome(parse, text, slice_chars=None):
             result = parse(text)
         except ValidationError as exc:
             return type(exc), str(exc)
-    if isinstance(result, dict):
+    if isinstance(result, Mapping):
         return [(key, list(folds.items())) for key, folds in result.items()]
     return result.datasets, result.labels, [row.tolist() for row in result.rows()]
 
@@ -323,6 +324,52 @@ class TestFoldTable:
             assert cells == original
             assert all(list(cells[key]) == list(folds) for key, folds in original.items())
             assert _means(cells, models) == _means(original, models)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["d1,m1,0,0.5", "d2,m1,0,0.25", "d1,m2,0,0.75", "d2,m1,1,0.5", "d1,m1,1,0.25"],
+            [f"d{d},m{m},{fold},0.5" for fold in range(3) for d in (2, 1) for m in (2, 1, 3)],
+        ],
+        ids=["interleaved_datasets", "fold_major"],
+    )
+    def test_cells_iterate_in_first_seen_row_order(self, rows):
+        text = long_csv(*rows)
+        table, original = parse_long_csv(text), oracle_parse_long_csv(text)
+        assert list(table) == list(original) == list(dict.fromkeys(tuple(r.split(",")[:2]) for r in rows))
+        assert list(table.items()) == list(original.items()) and len(table) == len(original)
+        assert dict(table) == original and original == dict(table)
+        assert table == original and original == table
+
+    def test_is_a_read_only_mapping(self):
+        table = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.25", "d1,m2,0,0.75"))
+        assert isinstance(table, Mapping) and not isinstance(table, MutableMapping) and type(table) is not dict
+        with pytest.raises(TypeError):
+            table["d1", "m1"] = {"0": 1.0}
+        with pytest.raises(TypeError):
+            table["d3", "m1"] = {"0": 1.0}
+        assert table == {("d1", "m1"): {"0": 0.5}, ("d2", "m1"): {"0": 0.25}, ("d1", "m2"): {"0": 0.75}}
+        assert type(plain := dict(table)) is dict and all(type(folds) is not dict for folds in plain.values())
+
+    @pytest.mark.parametrize("key", [("d2", "m2"), ("d3", "m1"), ("d1",), ("d1", "m1", "0"), "d1", "d1m1", ()])
+    def test_absent_or_malformed_keys_raise_key_error(self, key):
+        table = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.25", "d1,m2,0,0.75"))
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table and table.get(key) is None
+
+    def test_cell_on_a_diverged_index_reads_its_own_folds(self):
+        # as in walk_then_diverge: each cell walks the last cell's folds, then adds one of its own
+        rows = [f"d{c},m,{fold},{c}.5" for c in range(3) for fold in [*range(4), f"own{c}"]]
+        rows += ["d3,m,0,3.5", "d0,m,own1,0.25"]  # d3 opens on d2's index; d0, on the first, grows it
+        text = long_csv(*rows)
+        table = parse_long_csv(text)
+        for c in range(3):
+            assert list(table[f"d{c}", "m"]) == [*map(str, range(4)), f"own{c}", *(["own1"] if c == 0 else [])]
+        assert table["d3", "m"] == {"0": 3.5} and "own2" not in table["d3", "m"]
+        assert table["d3", "m"]._index is table["d2", "m"]._index  # shared, not copied
+        assert table == oracle_parse_long_csv(text)
+        assert all(list(table[key]) == list(folds) for key, folds in oracle_parse_long_csv(text).items())
 
     @pytest.mark.parametrize("pattern", ["walk_then_diverge", "diverge_from_a_long_index"])
     def test_adversarial_row_order_stays_linear(self, pattern):
@@ -491,15 +538,25 @@ class TestSlicedReader:
 
 class TestLongCsvMemory:
     @staticmethod
-    def long_text():
+    def long_text(fold_major=False):
         # 20k rows: 100 datasets x 20 models x 10 folds, shaped like the benchmark's file
-        rows = (
-            f"ds_{d:03d},model_{m:02d},fold_{f},{0.7 + 1e-6 * (d * 200 + m * 10 + f)!r}"
-            for d in range(100)
-            for m in range(20)
-            for f in range(10)
-        )
-        return long_csv(*rows)
+        triples = ((d, m, f) for d in range(100) for m in range(20) for f in range(10))
+        if fold_major:
+            triples = ((d, m, f) for f in range(10) for d in range(100) for m in range(20))
+        return long_csv(*(f"ds_{d:03d},model_{m:02d},fold_{f},{0.7 + 1e-6 * (d * 200 + m * 10 + f)!r}"
+                          for d, m, f in triples))
+
+    @staticmethod
+    def table_bytes_per_cell(text):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cells = parse_long_csv(text)
+            table = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(cells) == 2000
+        return table / len(cells)
 
     def test_transient_memory_below_document_size(self):
         # a single io.StringIO over the document holds 4 bytes per character
@@ -513,18 +570,15 @@ class TestLongCsvMemory:
         assert len(cells) == 2000
         assert peak - retained < len(text)
 
-    def test_table_holds_at_most_320_bytes_per_cell(self):
+    def test_table_holds_at_most_230_bytes_per_cell(self):
         # a dict and 10 float objects per cell took about 600; 10 scores in an array's
-        # 16 slots, before each cell was trimmed to its size, took 353
-        text = self.long_text()
-        tracemalloc.start()
-        try:
-            cells = parse_long_csv(text)
-            table = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(cells) == 2000
-        assert table <= 320 * len(cells), table / len(cells)
+        # 16 slots, before each cell was trimmed to its size, took 353; a key tuple and
+        # a fold-mapping object per cell beside each trimmed array, 296
+        assert self.table_bytes_per_cell(self.long_text()) <= 230
+
+    def test_fold_major_table_holds_at_most_290_bytes_per_cell(self):
+        # a key tuple and a fold-mapping object per cell beside each array took 352
+        assert self.table_bytes_per_cell(self.long_text(fold_major=True)) <= 290
 
     def test_aggregation_peak_stays_near_the_matrix(self):
         # beside the table only the matrix grows: a dict of every cell's mean and a
