@@ -2,8 +2,9 @@
 
 Two input shapes are accepted.  Long CSV carries one row per
 (dataset, model, fold) measurement; :func:`parse_long_csv` groups it into
-one fold table per (dataset, model) cell and :func:`aggregate_folds` averages
-each table.  Wide CSV carries one pre-aggregated row per dataset.
+``{dataset: {model: scores}}``, one float array of fold scores per cell, and
+:func:`aggregate_folds` averages each cell.  Wide CSV carries one
+pre-aggregated row per dataset.
 An :class:`ExperimentManifest` names the models, their metadata tags, the
 metric direction, and the significance level.
 """
@@ -66,55 +67,6 @@ def _csv_reader(source):
 
     chunks = (source,) if isinstance(source, str) else source
     return csv.reader(itertools.chain.from_iterable(io.StringIO(s, newline="") for s in slices(chunks)))
-
-
-class _Folds(Mapping):
-    """A cell's read-only ``{fold: value}``: a float array of scores, the folds a prefix of a shared index."""
-
-    __slots__ = ("_index", "_scores")
-
-    def __init__(self, index: dict, scores: array):
-        self._index, self._scores = index, scores
-
-    def __getitem__(self, fold):
-        if (at := self._index[fold]) < len(self._scores):
-            return self._scores[at]
-        raise KeyError(fold)
-
-    def __iter__(self):
-        return itertools.islice(self._index, len(self._scores))
-
-    def __len__(self) -> int:
-        return len(self._scores)
-
-    def values(self) -> list:
-        return self._scores.tolist()
-
-
-class _FoldTable(Mapping):
-    """The read-only fold table ``{(dataset, model): _Folds}`` over ``{dataset: {model: scores}}``.
-
-    ``order`` holds a cell's dataset id per cell in first-seen order; each dataset's
-    dict holds its models in theirs.  A cell's folds index over ``first`` unless
-    ``own`` maps its key to another index.  A lookup builds the cell's view.
-    """
-
-    __slots__ = ("_cells", "_order", "_first", "_own")
-
-    def __init__(self, cells: dict, order: list, first: dict, own: dict):
-        self._cells, self._order, self._first, self._own = cells, order, first, own
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple) and len(key) == 2 and (models := self._cells.get(key[0])) and key[1] in models:
-            return _Folds(self._own.get(key, self._first), models[key[1]])
-        raise KeyError(key)
-
-    def __iter__(self):
-        models = {dataset: iter(row) for dataset, row in self._cells.items()}
-        return ((dataset, next(models[dataset])) for dataset in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
 
 
 def _is_blank(row: Sequence[str]) -> bool:
@@ -209,27 +161,28 @@ def parse_manifest(text: str) -> ExperimentManifest:
     )
 
 
-def parse_long_csv(source) -> Mapping:
+def parse_long_csv(source) -> dict:
     """Parse long-format CSV, a str or an iterable of str chunks: header ``dataset,model,fold,value``.
 
-    Returns the fold table, a read-only mapping equal to the dict
-    ``{(dataset, model): {fold: value}}``, with cells and folds in first-seen row
-    order, each ``{fold: value}`` a read-only mapping equal to that dict.  ``dict()``
-    of it is a plain dict of those.  Blank rows are skipped, before the header too.  A bad header,
+    Returns the fold table ``{dataset: {model: scores}}``, datasets and each
+    dataset's models in first-seen row order, each cell's scores an ``array('d')``
+    in first-seen fold order.  Fold ids only decide duplicates and are not returned.
+    Blank rows are skipped, before the header too.  A bad header,
     malformed rows, duplicate (dataset, model, fold) triples, and non-numeric values raise
     :class:`ValidationError` naming the offending line, the row's last physical line.
 
     Memory beyond a str ``source`` is the fold table plus one slice of it (see
     :func:`_csv_reader`), and chunks are taken as the rows are parsed, so the
     whole text of a chunked ``source`` is never held.  Each distinct dataset,
-    model or fold id is one shared string.  A cell is its score array in its dataset's
-    dict, with no index of its own while its folds are a prefix of the first fold index.
+    model or fold id is one shared string.  While the parse runs, a cell's folds
+    index its scores through the first fold index, or through ``own``'s index for
+    it once its folds stop being a prefix of that one.
     When a row opens a new cell, the score array of the cell the last row filled is
     trimmed to its size by one copy, as is the last cell's at the end: no more copies
     than cells, and 8 bytes per score cell by cell.
     """
     reader = _csv_reader(source)
-    cells, order, own, share = {}, [], {}, {}.setdefault  # own: the fold index of each cell off the first
+    cells, own, share = {}, {}, {}.setdefault  # own: the fold index of each cell off the first
     index = first = {}  # the last row's cell: its fold index,
     held_row, key, scores = {}, (None, None), array("d")  # dataset dict, key and scores (at first a stand-in),
     held_dataset = held_model = None  # and raw dataset and model fields
@@ -255,7 +208,6 @@ def parse_long_csv(source) -> Mapping:
                         if (cell := (models := cells.setdefault(d, {})).get(m)) is None:  # a new cell:
                             held_row[key[1]] = scores[:]  # the last row's cell is trimmed to its size,
                             cell = models[m] = array("d")
-                            order.append(d)
                             if index is not first:  # and this one starts on that cell's fold index
                                 own[ids] = index
                         index = own.get(ids, first)
@@ -287,7 +239,7 @@ def parse_long_csv(source) -> Mapping:
     except csv.Error as exc:
         raise ValidationError(f"line {reader.line_num}: {exc}") from None
     held_row[key[1]] = scores[:]
-    return _FoldTable(cells, order, first, own)
+    return cells
 
 
 def parse_wide_csv(source, direction: "str | Direction" = Direction.MAXIMIZE) -> PerformanceMatrix:
@@ -351,8 +303,9 @@ def aggregate_folds(
     """Average each cell's fold scores into one matrix cell.
 
     ``cells`` is the fold table :func:`parse_long_csv` returns, or any
-    ``{(dataset, model): {fold: value}}`` mapping.  Datasets are ordered
-    lexicographically and models per the manifest.  By default the design
+    ``{dataset: {model: scores}}`` mapping whose scores are a sequence of
+    numbers; a cell that is a mapping raises :class:`ValidationError`.  Datasets
+    are ordered lexicographically and models per the manifest.  By default the design
     must be complete: every pair needs at least one fold, otherwise
     :class:`IncompleteDesignError` lists every missing pair.  With
     ``drop_incomplete`` the offending datasets are dropped instead and a
@@ -364,15 +317,16 @@ def aggregate_folds(
         raise ValidationError("no fold records to aggregate")
     labels = manifest.labels
     known = set(labels)
-    for dataset, model in cells:
-        if model not in known:
-            raise ValidationError(
-                f"record for dataset {dataset!r} names model "
-                f"{model!r}, which is not in the manifest"
-            )
+    for dataset, models in cells.items():
+        for model in models:
+            if model not in known:
+                raise ValidationError(
+                    f"record for dataset {dataset!r} names model "
+                    f"{model!r}, which is not in the manifest"
+                )
 
-    datasets = sorted({d for d, _ in cells})
-    missing = [(d, l) for d in datasets for l in labels if not cells.get((d, l))]
+    datasets = sorted(cells)
+    missing = [(d, l) for d in datasets for l in labels if not cells[d].get(l)]
     if missing:
         if not drop_incomplete:
             raise IncompleteDesignError(missing)
@@ -391,12 +345,16 @@ def aggregate_folds(
         )
 
     def means(d) -> list:  # dataset d's row, each cell averaged as the matrix takes it
-        row = []
+        row, models = [], cells[d]
         for l in labels:
+            # a {fold: value} mapping would have fsum average its fold ids; the type test spares the
+            # parse's arrays an ABC check, a quarter of this function's time
+            if type(scores := models[l]) is not array and isinstance(scores, Mapping):
+                raise ValidationError(f"dataset {d!r}, model {l!r}: fold scores must be a sequence, not a mapping")
             try:  # fsum / n is statistics.fmean bit for bit, without importing statistics
-                row.append(math.fsum((folds := cells[d, l]).values()) / len(folds))
-            # a sum past the float range, inf + -inf, a score that is no number, or folds with no values()
-            except (OverflowError, ValueError, TypeError, AttributeError):
+                row.append(math.fsum(scores) / len(scores))
+            # a sum past the float range, inf + -inf, or a score that is no number
+            except (OverflowError, ValueError, TypeError):
                 raise ValidationError(f"dataset {d!r}, model {l!r}: fold scores have no finite mean") from None
         return row
 

@@ -26,6 +26,7 @@ wall time from spawn to exit and each ``*_rss_mb`` the median peak RSS.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -152,6 +153,7 @@ def _traced_run(argv: list) -> dict:
             peak = max(kb(peak), memory.get(stage, {}).get("peak_kb", 0))
             memory[stage] = {"entry_kb": kb(entry), "exit_kb": kb(exit_), "peak_kb": peak}
 
+    gc.collect()  # so earlier work's dead tuples on CPython's free lists do not move the trace
     tracemalloc.start()
     try:
         _run(argv, traced)

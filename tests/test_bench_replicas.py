@@ -119,7 +119,8 @@ def test_stage_tool_times_each_stage_and_restores_it(capsys, monkeypatch, comman
     # the fold table aggregation starts from stays below the document's size
     parse, table = memory["parse_long_csv"], memory["aggregate_folds"]["entry_kb"]
     assert parse["exit_kb"] <= parse["peak_kb"] < table + report["csv_bytes"] / 1024, report
-    assert 0 < report["table_bytes_per_cell"] <= 250, report
+    # 1000 datasets x 3 models x 2 folds: a list of each cell's dataset beside the table took 178-180 B per cell
+    assert 0 < report["table_bytes_per_cell"] <= 175, report
 
 
 def test_stage_tool_raises_on_a_failed_command_and_restores_the_stages(tmp_path):

@@ -6,7 +6,7 @@ import math
 import re
 import time
 import tracemalloc
-from collections.abc import Mapping, MutableMapping
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -58,42 +58,23 @@ def long_csv(*rows):
 class TestParseLongCsv:
     def test_single_record(self):
         cells = parse_long_csv(long_csv("courseA,adaboost_click,3,0.912"))
-        assert cells == {("courseA", "adaboost_click"): {"3": 0.912}}
+        assert cells == {"courseA": {"adaboost_click": array("d", [0.912])}} and type(cells) is dict
 
     def test_header_only_gives_empty_table(self):
         assert parse_long_csv("dataset,model,fold,value\n") == {}
 
     def test_blank_lines_and_crlf_tolerated(self):
         text = "dataset,model,fold,value\r\n\r\nd1,m1,0,0.5\r\n\r\n"
-        assert parse_long_csv(text) == {("d1", "m1"): {"0": 0.5}}
+        assert parse_long_csv(text) == {"d1": {"m1": array("d", [0.5])}}
 
-    def test_cells_are_read_only_mappings_over_their_own_folds(self):
+    def test_a_cell_holds_only_its_own_folds(self):
         # d2 starts on d1's fold index, whose second fold is not d2's
         cells = parse_long_csv(long_csv("d1,m,0,0.5", "d1,m,1,0.25", "d2,m,0,0.75"))
-        folds = cells["d2", "m"]
-        assert isinstance(folds, Mapping) and not isinstance(folds, MutableMapping)
-        assert (list(folds), len(folds), "0" in folds, "1" in folds) == (["0"], 1, True, False)
-        with pytest.raises(KeyError):
-            folds["1"]
-        assert folds == {"0": 0.75} and list(folds.values()) == [0.75]
-        assert cells == {("d1", "m"): {"0": 0.5, "1": 0.25}, ("d2", "m"): {"0": 0.75}}
-
-    def test_values_are_a_copy(self):
-        # d1 sits on the fold index d2 extends: a change to d1's values must not give it d2's fold "1"
-        others = [f"d{i},{m},0,0.{i}" for i in (1, 2) for m in "bc"]
-        cells = parse_long_csv(long_csv("d1,a,0,0.5", "d2,a,0,0.25", "d2,a,1,0.75", *others))
-        table = {key: dict(folds) for key, folds in cells.items()}
-        before = aggregate_folds(cells, manifest_of(*"abc"))
-        values = cells["d1", "a"].values()
-        values.append(9.0)
-        values[0] = 1.0
-        assert cells == table and cells["d1", "a"] == {"0": 0.5}
-        assert cells["d1", "a"].values() == [0.5]
-        assert aggregate_folds(cells, manifest_of(*"abc")) == before
+        assert _ordered(cells) == [("d1", [("m", [0.5, 0.25])]), ("d2", [("m", [0.75])])]
 
     def test_whitespace_stripped(self):
         cells = parse_long_csv(long_csv(" d1 , m1 , 0 , 0.5 "))
-        assert cells == {("d1", "m1"): {"0": 0.5}}
+        assert cells == {"d1": {"m1": array("d", [0.5])}}
 
     def test_empty_document(self):
         with pytest.raises(ValidationError, match="header"):
@@ -117,8 +98,7 @@ class TestParseLongCsv:
 
     def test_same_pair_different_folds_ok(self):
         cells = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.7", "d1,m1,1,0.6"))
-        assert cells == {("d1", "m1"): {"0": 0.5, "1": 0.6}, ("d2", "m1"): {"0": 0.7}}
-        assert list(cells) == [("d1", "m1"), ("d2", "m1")]
+        assert _ordered(cells) == [("d1", [("m1", [0.5, 0.6])]), ("d2", [("m1", [0.7])])]
 
     @pytest.mark.parametrize(
         "raw,expected",
@@ -126,7 +106,7 @@ class TestParseLongCsv:
     )
     def test_accepted_number_forms(self, raw, expected):
         cells = parse_long_csv(long_csv(f"d1,m1,0,{raw}"))
-        assert cells[("d1", "m1")]["0"] == expected
+        assert cells["d1"]["m1"].tolist() == [expected]
 
     @pytest.mark.parametrize(
         "raw", ["NA", "nan", "inf", "-inf", "1_000", "0x10", "", *NON_ASCII_NUMBERS]
@@ -147,7 +127,9 @@ class TestParseLongCsv:
             parse_long_csv(text)
         # a good quoted row on lines 2-3 shifts every later line number
         text = long_csv('"d\r\n1",m1,0,0.5', "d1,m1,0,0.5", "d1,m1,1,x")
-        assert list(parse_long_csv(text.replace(",x", ",1"))) == [("d\r\n1", "m1"), ("d1", "m1")]
+        assert _ordered(parse_long_csv(text.replace(",x", ",1"))) == [
+            ("d\r\n1", [("m1", [0.5])]), ("d1", [("m1", [0.5, 1.0])])
+        ]
         with pytest.raises(ValidationError, match="^line 5: non-numeric value 'x'$"):
             parse_long_csv(text)
 
@@ -162,9 +144,12 @@ class TestParseLongCsv:
                 )
             )
         )
-        assert len(cells) == 8
-        assert all(list(folds) == ["0", "1", "2", "3", "4"] for folds in cells.values())
-        assert cells[("d1", "m3")]["4"] == 0.1 * 1 + 0.01 * 3 + 0.001 * 4
+        assert len(cells) == 2  # datasets
+        assert [(d, list(models)) for d, models in cells.items()] == [
+            (d, ["m0", "m1", "m2", "m3"]) for d in ("d0", "d1")
+        ]
+        assert all(len(scores) == 5 for models in cells.values() for scores in models.values())
+        assert cells["d1"]["m3"][4] == 0.1 * 1 + 0.01 * 3 + 0.001 * 4
 
 
 # Every piece below is a fragment the long-CSV parser must treat exactly as
@@ -214,10 +199,25 @@ def long_csv_texts(draw):
 TINY_SLICES = (1, 3)
 
 
-def _outcome(parse, text, slice_chars=None):
-    """The fold table or matrix ``parse`` returns, as plain lists, or its error.
+def _projected(original):
+    """The oracle's fold table ``{(dataset, model): {fold: value}}`` in parse_long_csv's
+    shape, ``{dataset: {model: [value, ...]}}``, each level in first-seen order."""
+    table = {}
+    for (dataset, model), folds in original.items():
+        table.setdefault(dataset, {})[model] = list(folds.values())
+    return table
 
-    With ``slice_chars`` the CSV reader is fed slices of at least that many
+
+def _ordered(table):
+    """parse_long_csv's fold table as ordered plain lists, so that a comparison pins every order."""
+    return [(d, [(model, scores.tolist()) for model, scores in models.items()]) for d, models in table.items()]
+
+
+def _outcome(parse, text, slice_chars=None):
+    """The fold table or matrix ``parse`` returns, as ordered plain lists, or its error.
+
+    The oracle's table is projected to parse_long_csv's shape first.  With
+    ``slice_chars`` the CSV reader is fed slices of at least that many
     characters instead of the default size.
     """
     with pytest.MonkeyPatch.context() as mp:
@@ -227,8 +227,10 @@ def _outcome(parse, text, slice_chars=None):
             result = parse(text)
         except ValidationError as exc:
             return type(exc), str(exc)
-    if isinstance(result, Mapping):
-        return [(key, list(folds.items())) for key, folds in result.items()]
+    if parse is oracle_parse_long_csv:
+        return [(dataset, list(models.items())) for dataset, models in _projected(result).items()]
+    if isinstance(result, dict):
+        return _ordered(result)
     return result.datasets, result.labels, [row.tolist() for row in result.rows()]
 
 
@@ -320,10 +322,7 @@ class TestFoldTable:
         expected = _outcome(oracle_parse_long_csv, text)
         assert _outcome(parse_long_csv, text) == expected
         if isinstance(expected, list):
-            cells, original = parse_long_csv(text), oracle_parse_long_csv(text)
-            assert cells == original
-            assert all(list(cells[key]) == list(folds) for key, folds in original.items())
-            assert _means(cells, models) == _means(original, models)
+            assert _means(parse_long_csv(text), models) == _means(_projected(oracle_parse_long_csv(text)), models)
 
     @pytest.mark.parametrize(
         "rows",
@@ -334,42 +333,31 @@ class TestFoldTable:
         ids=["interleaved_datasets", "fold_major"],
     )
     def test_cells_iterate_in_first_seen_row_order(self, rows):
+        # datasets in the order rows first name them, and each dataset's models in theirs
         text = long_csv(*rows)
-        table, original = parse_long_csv(text), oracle_parse_long_csv(text)
-        assert list(table) == list(original) == list(dict.fromkeys(tuple(r.split(",")[:2]) for r in rows))
-        assert list(table.items()) == list(original.items()) and len(table) == len(original)
-        assert dict(table) == original and original == dict(table)
-        assert table == original and original == table
-
-    def test_is_a_read_only_mapping(self):
-        table = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.25", "d1,m2,0,0.75"))
-        assert isinstance(table, Mapping) and not isinstance(table, MutableMapping) and type(table) is not dict
-        with pytest.raises(TypeError):
-            table["d1", "m1"] = {"0": 1.0}
-        with pytest.raises(TypeError):
-            table["d3", "m1"] = {"0": 1.0}
-        assert table == {("d1", "m1"): {"0": 0.5}, ("d2", "m1"): {"0": 0.25}, ("d1", "m2"): {"0": 0.75}}
-        assert type(plain := dict(table)) is dict and all(type(folds) is not dict for folds in plain.values())
-
-    @pytest.mark.parametrize("key", [("d2", "m2"), ("d3", "m1"), ("d1",), ("d1", "m1", "0"), "d1", "d1m1", ()])
-    def test_absent_or_malformed_keys_raise_key_error(self, key):
-        table = parse_long_csv(long_csv("d1,m1,0,0.5", "d2,m1,0,0.25", "d1,m2,0,0.75"))
-        with pytest.raises(KeyError):
-            table[key]
-        assert key not in table and table.get(key) is None
+        table, fields = parse_long_csv(text), [r.split(",") for r in rows]
+        assert list(table) == list(dict.fromkeys(d for d, *_ in fields))
+        for d, models in table.items():
+            assert list(models) == list(dict.fromkeys(m for e, m, *_ in fields if e == d))
+        assert _ordered(table) == _outcome(oracle_parse_long_csv, text)
 
     def test_cell_on_a_diverged_index_reads_its_own_folds(self):
         # as in walk_then_diverge: each cell walks the last cell's folds, then adds one of its own
         rows = [f"d{c},m,{fold},{c}.5" for c in range(3) for fold in [*range(4), f"own{c}"]]
         rows += ["d3,m,0,3.5", "d0,m,own1,0.25"]  # d3 opens on d2's index; d0, on the first, grows it
         text = long_csv(*rows)
-        table = parse_long_csv(text)
-        for c in range(3):
-            assert list(table[f"d{c}", "m"]) == [*map(str, range(4)), f"own{c}", *(["own1"] if c == 0 else [])]
-        assert table["d3", "m"] == {"0": 3.5} and "own2" not in table["d3", "m"]
-        assert table["d3", "m"]._index is table["d2", "m"]._index  # shared, not copied
-        assert table == oracle_parse_long_csv(text)
-        assert all(list(table[key]) == list(folds) for key, folds in oracle_parse_long_csv(text).items())
+        assert _ordered(parse_long_csv(text)) == _outcome(oracle_parse_long_csv, text) == [
+            ("d0", [("m", [0.5] * 5 + [0.25])]), ("d1", [("m", [1.5] * 5)]), ("d2", [("m", [2.5] * 5)]),
+            ("d3", [("m", [3.5])]),
+        ]
+        # one more row, on line 19: a fold is a duplicate only in the cell that has it, whatever index it reads
+        for row, duplicate in [("d3,m,own2,0.1", False), ("d3,m,0,0.1", True), ("d1,m,own0,0.1", False),
+                               ("d0,m,own1,0.1", True), ("d2,m,own2,0.1", True), ("d0,m,own2,0.1", False)]:
+            more = long_csv(*rows, row)
+            expected = _outcome(oracle_parse_long_csv, more)
+            assert _outcome(parse_long_csv, more) == expected
+            message = f"line 19: duplicate record for {tuple(row.split(',')[:3])!r}"
+            assert (expected == (ValidationError, message)) is duplicate, (row, expected)
 
     @pytest.mark.parametrize("pattern", ["walk_then_diverge", "diverge_from_a_long_index"])
     def test_adversarial_row_order_stays_linear(self, pattern):
@@ -391,7 +379,7 @@ class TestFoldTable:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        assert parse_long_csv(text) == oracle_parse_long_csv(text)
+        assert _outcome(parse_long_csv, text) == _outcome(oracle_parse_long_csv, text)
         elapsed, baseline = fastest(text), fastest(plain)
         assert elapsed < 2.0, elapsed
         # a copy that costs more than the n folds it keeps is many times slower than cell-contiguous rows
@@ -485,7 +473,7 @@ class TestSlicedReader:
         [
             (
                 long_csv("d1,m,f0,0.5", "d1,m,f1,0.25").replace("\n", "\r\n"),
-                [(("d1", "m"), [("f0", 0.5), ("f1", 0.25)])],
+                [("d1", [("m", [0.5, 0.25])])],
             ),
             (
                 long_csv('"d\r\n1",m,f0,0.5', '"d\n1",m,"f\n1",0.25', "d1,m,f0,x"),
@@ -555,36 +543,41 @@ class TestLongCsvMemory:
             table = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(cells) == 2000
-        return table / len(cells)
+        n = sum(map(len, cells.values()))
+        assert n == 2000
+        return table / n
 
     def test_transient_memory_below_document_size(self):
         # a single io.StringIO over the document holds 4 bytes per character
         text = self.long_text()
+        gc.collect()
         tracemalloc.start()
         try:
             cells = parse_long_csv(text)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(cells) == 2000
+        assert sum(map(len, cells.values())) == 2000
         assert peak - retained < len(text)
 
-    def test_table_holds_at_most_230_bytes_per_cell(self):
+    def test_table_holds_at_most_194_bytes_per_cell(self):
         # a dict and 10 float objects per cell took about 600; 10 scores in an array's
         # 16 slots, before each cell was trimmed to its size, took 353; a key tuple and
-        # a fold-mapping object per cell beside each trimmed array, 296
-        assert self.table_bytes_per_cell(self.long_text()) <= 230
+        # a fold-mapping object per cell beside each trimmed array, 296; a list of each
+        # cell's dataset beside the per-dataset dicts, 197.5
+        assert self.table_bytes_per_cell(self.long_text()) <= 194
 
-    def test_fold_major_table_holds_at_most_290_bytes_per_cell(self):
-        # a key tuple and a fold-mapping object per cell beside each array took 352
-        assert self.table_bytes_per_cell(self.long_text(fold_major=True)) <= 290
+    def test_fold_major_table_holds_at_most_250_bytes_per_cell(self):
+        # a key tuple and a fold-mapping object per cell beside each array took 352;
+        # a list of each cell's dataset beside the per-dataset dicts, 253.4
+        assert self.table_bytes_per_cell(self.long_text(fold_major=True)) <= 250
 
     def test_aggregation_peak_stays_near_the_matrix(self):
         # beside the table only the matrix grows: a dict of every cell's mean and a
         # list-of-lists copy of the matrix took 2.4 times the matrix
         cells = parse_long_csv(self.long_text())
         manifest = manifest_of(*(f"model_{m:02d}" for m in range(20)))
+        gc.collect()
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
@@ -598,6 +591,7 @@ class TestLongCsvMemory:
     def test_carriage_return_line_ends_are_sliced(self):
         # a slice costs its str and a StringIO of it: 1 + 4 bytes per ASCII character
         text = self.long_text().replace("\n", "\r")
+        gc.collect()
         tracemalloc.start()
         try:
             cells = parse_long_csv(text)
@@ -607,14 +601,8 @@ class TestLongCsvMemory:
         assert cells == parse_long_csv(self.long_text())
         assert peak - table < 2 * 5 * ingest._SLICE_CHARS, (peak, table)
 
-    def test_each_fold_id_is_one_shared_string(self):
-        cells = parse_long_csv(self.long_text())
-        folds = [f for table in cells.values() for f in table]
-        assert len(folds) == 20_000
-        assert len({id(f) for f in folds}) == len(set(folds)) == 10
-
     def test_each_dataset_and_model_id_is_one_shared_string(self):
-        keys = list(parse_long_csv(self.long_text()))
+        keys = [(d, m) for d, models in parse_long_csv(self.long_text()).items() for m in models]
         assert len(keys) == 2000
         assert len({id(d) for d, _ in keys}) == len({d for d, _ in keys}) == 100
         assert len({id(m) for _, m in keys}) == len({m for _, m in keys}) == 20
@@ -758,11 +746,7 @@ class TestParseManifest:
 
 class TestAggregateFolds:
     def test_means_per_cell(self):
-        cells = {
-            ("d1", "a"): {"0": 0.8, "1": 0.9},
-            ("d1", "b"): {"0": 0.5},
-            ("d1", "c"): {"0": 0.4},
-        }
+        cells = {"d1": {"a": [0.8, 0.9], "b": [0.5], "c": [0.4]}}
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert m.values[0] == pytest.approx(0.85)
         assert m.values[1] == 0.5
@@ -771,8 +755,7 @@ class TestAggregateFolds:
     def test_mean_stays_within_fold_range(self):
         rng = np.random.default_rng(31)
         scores = rng.uniform(0.0, 1.0, size=10)
-        cells = {("d1", "a"): {str(f): float(v) for f, v in enumerate(scores)}}
-        cells.update({("d1", l): {"0": 0.5} for l in ("b", "c")})
+        cells = {"d1": {"a": scores.tolist(), "b": [0.5], "c": [0.5]}}
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert scores.min() <= m.values[0] <= scores.max()
 
@@ -790,46 +773,36 @@ class TestAggregateFolds:
         assert forward.datasets == backward.datasets
 
     def test_manifest_fixes_column_order(self):
-        cells = {("d1", l): {"0": v} for l, v in [("b", 0.2), ("c", 0.3), ("a", 0.1)]}
+        cells = {"d1": {l: [v] for l, v in [("b", 0.2), ("c", 0.3), ("a", 0.1)]}}
         m = aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert m.labels == ("a", "b", "c")
         assert next(m.rows()).tolist() == [0.1, 0.2, 0.3]
 
     def test_unknown_label(self):
-        # the error names the first row whose model the manifest lacks
+        # the error names the first unknown model in dataset first-seen order, then model first-seen
+        # order: here d1's, though a d2 row comes first
         cells = parse_long_csv(long_csv("d1,a,0,0.5", "d2,mystery,0,0.5", "d1,other,0,0.5"))
         with pytest.raises(
             ValidationError,
-            match="^record for dataset 'd2' names model 'mystery', which is not in the manifest$",
+            match="^record for dataset 'd1' names model 'other', which is not in the manifest$",
         ):
             aggregate_folds(cells, manifest_of("a"))
 
     def test_missing_pair_payload(self):
-        cells = {
-            ("d1", "a"): {"0": 0.1},
-            ("d1", "b"): {"0": 0.2},
-            ("d1", "c"): {"0": 0.3},
-            ("d2", "a"): {"0": 0.4},
-            ("d2", "b"): {"0": 0.5},
-        }
+        cells = {"d1": {"a": [0.1], "b": [0.2], "c": [0.3]}, "d2": {"a": [0.4], "b": [0.5]}}
         with pytest.raises(IncompleteDesignError) as err:
             aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert err.value.missing_pairs == (("d2", "c"),)
         assert "d2" in str(err.value) and "c" in str(err.value)
         assert err.value.exit_code == 2
         # a cell without folds is missing too
-        cells[("d2", "c")] = {}
+        cells["d2"]["c"] = []
         with pytest.raises(IncompleteDesignError) as err:
             aggregate_folds(cells, manifest_of("a", "b", "c"))
         assert err.value.missing_pairs == (("d2", "c"),)
 
     def test_drop_incomplete(self):
-        cells = {
-            ("d1", "a"): {"0": 0.1},
-            ("d1", "b"): {"0": 0.2},
-            ("d1", "c"): {"0": 0.3},
-            ("d2", "a"): {"0": 0.4},
-        }
+        cells = {"d1": {"a": [0.1], "b": [0.2], "c": [0.3]}, "d2": {"a": [0.4]}}
         with pytest.warns(DroppedDatasetsWarning, match="dropped 1 incomplete dataset\\(s\\): d2"):
             m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
         assert m.datasets == ("d1",)
@@ -838,8 +811,9 @@ class TestAggregateFolds:
     def test_drop_half_of_many_datasets_quickly(self):
         # 16,000 datasets, every odd one missing model "c"; the dropped set is built once
         names = [f"d{i:05d}" for i in range(16_000)]
-        cells = {(d, model): {"0": 0.1} for d in names for model in "ab"}
-        cells.update({(d, "c"): {"0": 0.2} for d in names[::2]})
+        cells = {d: {"a": [0.1], "b": [0.1]} for d in names}
+        for d in names[::2]:
+            cells[d]["c"] = [0.2]
         start = time.perf_counter()
         with pytest.warns(DroppedDatasetsWarning) as caught:
             m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
@@ -850,27 +824,49 @@ class TestAggregateFolds:
         )
 
     def test_drop_everything_fails(self):
-        cells = {("d1", "a"): {"0": 0.1}}
+        cells = {"d1": {"a": [0.1]}}
         with pytest.raises(ValidationError, match="nothing remains"):
             aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
 
     @pytest.mark.parametrize(
         "folds",
-        [{"0": 1e308, "1": 1e308}, {"0": math.inf, "1": -math.inf}, {"0": "0.5"}, {"0": None}, [0.5]],
-        ids=["sum_overflows", "inf_minus_inf", "text_score", "none_score", "list_of_scores"],
+        [[1e308, 1e308], [math.inf, -math.inf], ["0.5"], [None]],
+        ids=["sum_overflows", "inf_minus_inf", "text_score", "none_score"],
     )
     def test_fold_scores_without_a_finite_mean(self, folds):
-        cells = {(d, l): {"0": 0.5} for d in ("d1", "d2") for l in "abc"}
-        cells["d2", "b"] = folds
+        cells = {d: {l: [0.5] for l in "abc"} for d in ("d1", "d2")}
+        cells["d2"]["b"] = folds
         message = "^dataset 'd2', model 'b': fold scores have no finite mean$"
         with pytest.raises(ValidationError, match=message):
             aggregate_folds(cells, manifest_of("a", "b", "c"))
 
+    @pytest.mark.parametrize("folds", [{0: 0.9, 1: 0.8}, {"0": 0.9}], ids=["int_fold_ids", "str_fold_ids"])
+    def test_a_mapping_cell_is_refused(self, folds):
+        # a caller who kept {fold: value} cells: fsum over {0: 0.9, 1: 0.8} would average the fold ids to 0.5
+        cells = {d: {l: [0.5] for l in "abc"} for d in ("d1", "d2")}
+        cells["d2"]["b"] = folds
+        message = "^dataset 'd2', model 'b': fold scores must be a sequence, not a mapping$"
+        with pytest.raises(ValidationError, match=message):
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
+
+    @pytest.mark.parametrize(
+        "folds", [[0.5, 0.25], (0.5, 0.25), array("d", [0.5, 0.25])], ids=["list", "tuple", "array"]
+    )
+    def test_any_sequence_of_scores_is_a_cell(self, folds):
+        cells = {d: {l: [0.375] for l in "abc"} for d in ("d1", "d2")}
+        cells["d2"]["b"] = folds
+        assert aggregate_folds(cells, manifest_of("a", "b", "c")).values.tolist() == [0.375] * 6
+        # an empty one is a missing pair
+        cells["d2"]["b"] = folds[:0]
+        with pytest.raises(IncompleteDesignError) as err:
+            aggregate_folds(cells, manifest_of("a", "b", "c"))
+        assert err.value.missing_pairs == (("d2", "b"),)
+
     def test_a_dropped_dataset_is_not_averaged(self):
         # only cells that enter the matrix are averaged, so a dropped dataset's cell may have no mean
-        cells = {(d, l): {"0": 0.5 + 0.1 * i} for d in ("d1", "d3") for i, l in enumerate("abc")}
+        cells = {d: {l: [0.5 + 0.1 * i] for i, l in enumerate("abc")} for d in ("d1", "d3")}
         kept = aggregate_folds(cells, manifest_of("a", "b", "c"))
-        cells["d2", "a"] = {"0": 1e308, "1": 1e308}
+        cells["d2"] = {"a": [1e308, 1e308]}
         with pytest.warns(DroppedDatasetsWarning, match="dropped 1 incomplete dataset\\(s\\): d2$"):
             m = aggregate_folds(cells, manifest_of("a", "b", "c"), drop_incomplete=True)
         assert m == kept
@@ -882,8 +878,12 @@ class TestAggregateFolds:
     )
     def test_first_bad_cell_in_matrix_order_is_named(self, bad, named):
         # cells in file order: the bad ones first, so the order the error follows is the matrix's
-        cells = {key: {"0": 1e308, "1": 1e308} for key in bad}
-        cells.update({(d, l): {"0": 0.5} for d in ("d2", "d1") for l in "abc" if (d, l) not in cells})
+        cells = {}
+        for d, l in bad:
+            cells.setdefault(d, {})[l] = [1e308, 1e308]
+        for d in ("d2", "d1"):
+            for l in "abc":
+                cells.setdefault(d, {}).setdefault(l, [0.5])
         message = f"^dataset '{named[0]}', model '{named[1]}': fold scores have no finite mean$"
         with pytest.raises(ValidationError, match=message):
             aggregate_folds(cells, manifest_of("a", "b", "c"))
@@ -901,13 +901,9 @@ class TestAggregateFolds:
     def test_fixture_recast_long_with_one_pair_removed(self):
         m = parse_wide_csv((FIXTURES / "results_31x8.csv").read_text())
         man = parse_manifest((FIXTURES / "manifest_31x8.json").read_text())
-        cells = {
-            (d, l): {"0": m.values[i * m.k + j]}
-            for i, d in enumerate(m.datasets)
-            for j, l in enumerate(m.labels)
-        }
-        victim = next(iter(cells))
-        del cells[victim]
+        cells = {d: {l: [m.values[i * m.k + j]] for j, l in enumerate(m.labels)} for i, d in enumerate(m.datasets)}
+        victim = m.datasets[0], m.labels[0]
+        del cells[victim[0]][victim[1]]
         with pytest.raises(IncompleteDesignError) as err:
             aggregate_folds(cells, man)
         assert err.value.missing_pairs == (victim,)
